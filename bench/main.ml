@@ -40,7 +40,7 @@
    if any section failed.  The file holds up to five payloads —
    "quick" (written by --quick runs), "full" (written by full figure
    runs, which also measure the hard-loop escalation subset seq vs
-   reuse vs speculative), "scaling" (written by --scaling runs),
+   reuse), "scaling" (written by --scaling runs),
    "warm" (written by --warm runs), "serve" (written by --serve
    runs: the engine's coalescing burst, open-loop throughput with
    p50/p95 latency, and the worker-domain scaling curve) and "gap"
@@ -249,37 +249,23 @@ let run_figures ~quick ~only ~jobs ?store () =
                 (Printexc.to_string e);
               Some { t_id = id; t_seconds = dt; t_ok = false }
         end)
-      [
-        ("table1", fun () -> Metrics.Figures.table1 ());
-        ("fig1", fun () -> Metrics.Figures.fig1 suite);
-        ("fig7", fun () -> Metrics.Figures.fig7 suite);
-        ("fig8", fun () -> Metrics.Figures.fig8 suite);
-        ("fig9", fun () -> Metrics.Figures.fig9 suite);
-        ("fig10", fun () -> Metrics.Figures.fig10 suite);
-        ("fig12", fun () -> Metrics.Figures.fig12 suite);
-        ("sec4_stats", fun () -> Metrics.Figures.sec4 suite);
-        ("sec4_regs", fun () -> Metrics.Figures.sec4_regs suite);
-        ("sec51_length", fun () -> Metrics.Figures.sec51 suite);
-        ("sec52_macro", fun () -> Metrics.Figures.sec52 suite);
-      ]
+      (Metrics.Figures.all suite)
   in
   (timings, List.length loops, suite)
 
 (* ------------------------------------------------------------------ *)
-(* Hard-loop escalation: sequential walk vs reuse vs speculation       *)
+(* Hard-loop escalation: sequential walk vs reuse                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The escalation-reuse machinery (partition hierarchy, route cache,
-   speculative windows) only matters on loops whose escalation actually
-   walks: deep II climbs and register-capped give-ups.  This section
-   measures exactly that subset — the loops whose escalation at a tight
-   register file climbs at least [hard_depth] levels or gives up — under
-   three drivers:
+(* The escalation-reuse machinery (partition hierarchy, route cache)
+   only matters on loops whose escalation actually walks: deep II climbs
+   and register-capped give-ups.  This section measures exactly that
+   subset — the loops whose escalation at a tight register file climbs
+   at least [hard_depth] levels or gives up — under two drivers:
 
      seq    the pre-reuse walk ([reuse:false]): scratch partitions and
             routes at every level
      reuse  the default driver (hierarchy + route cache)
-     spec   reuse plus a speculative window of 4 on 2 domains
 
    The subset is deterministic (the classifying pass reproduces the
    default deterministic driver), so successive commits measure the
@@ -351,24 +337,14 @@ let run_hard ~suite () =
             Sched.Driver.schedule_loop ?transform ~hier config g)
           g)
   in
-  let spec =
-    let exec = Metrics.Pool.exec ~jobs:2 () in
-    run_variant (fun g ->
-        let hier = Sched.Driver.hierarchy config g in
-        pair
-          (fun transform g ->
-            Sched.Driver.schedule_loop ?transform ~window:4 ~exec ~hier
-              config g)
-          g)
-  in
   let speedup = if reuse > 0. then seq /. reuse else 0. in
   Printf.printf
     "=== hard loops ===\n\
      %d loops with escalation depth >= %d (or give-up) at %s\n\
-     seq (no reuse): %.2fs   reuse: %.2fs   spec w=4 j=2: %.2fs\n\
+     seq (no reuse): %.2fs   reuse: %.2fs\n\
      reuse speedup over seq: %.2fx\n\n\
      %!"
-    (List.length hard) hard_depth hard_config_name seq reuse spec speedup;
+    (List.length hard) hard_depth hard_config_name seq reuse speedup;
   Json.Obj
     [
       ("config", Json.Str hard_config_name);
@@ -376,7 +352,6 @@ let run_hard ~suite () =
       ("n_loops", Json.Num (float_of_int (List.length hard)));
       ("seq_seconds", seconds seq);
       ("reuse_seconds", seconds reuse);
-      ("spec_seconds", seconds spec);
       ("speedup", Json.Num (Float.round (speedup *. 100.) /. 100.));
     ]
 
@@ -1225,8 +1200,8 @@ let () =
   (* The hard-loop driver comparison rides along with full figure runs
      (the only mode whose payload the regression gate reads for it),
      classifying its subset from the suite the figures just filled.
-     The three timed drivers all run on the same post-figures heap, so
-     the seq/reuse/spec comparison stays internally fair. *)
+     Both timed drivers run on the same post-figures heap, so the
+     seq/reuse comparison stays internally fair. *)
   let hard =
     match suite with
     | Some s when (not quick) && only = None -> Some (run_hard ~suite:s ())

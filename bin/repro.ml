@@ -47,16 +47,6 @@ let quick_arg =
   let doc = "Use only two loops per benchmark (fast smoke run)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
-let window_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "w"; "window" ] ~docv:"W"
-        ~doc:
-          "Speculative II window per escalation: attempt $(docv) \
-           consecutive II levels concurrently (one domain each) and \
-           commit the lowest success.  Results are identical to the \
-           sequential walk at any width (default 1).")
-
 let rec take k = function
   | [] -> []
   | _ when k = 0 -> []
@@ -73,16 +63,12 @@ let loops_of ~quick =
 (* figures                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let figures quick window only csv =
-  let suite =
-    Metrics.Suite.create ~loops:(loops_of ~quick)
-      ?window:(if window > 1 then Some window else None)
-      ()
-  in
+let figures quick only csv =
+  let suite = Metrics.Suite.create ~loops:(loops_of ~quick) () in
   let wanted id = match only with [] -> true | ids -> List.mem id ids in
   List.iter
-    (fun (id, text) ->
-      if wanted id then Printf.printf "=== %s ===\n%s\n%!" id text)
+    (fun (id, render) ->
+      if wanted id then Printf.printf "=== %s ===\n%s\n%!" id (render ()))
     (Metrics.Figures.all suite);
   match csv with
   | Some dir ->
@@ -105,7 +91,7 @@ let figures_cmd =
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")
-    Term.(const figures $ quick_arg $ window_arg $ only $ csv)
+    Term.(const figures $ quick_arg $ only $ csv)
 
 (* ------------------------------------------------------------------ *)
 (* loop                                                                *)
@@ -229,8 +215,7 @@ let effective_jobs jobs =
   Metrics.Log.clamp_warning ~requested:jobs ~effective:e;
   e
 
-let suite_run config quick jobs window strict retry checkpoint poison budget
-    cache =
+let suite_run config quick jobs strict retry checkpoint poison budget cache =
   let jobs = effective_jobs jobs in
   let loops = loops_of ~quick in
   (* The store reports to stderr only: stdout stays byte-identical
@@ -258,8 +243,8 @@ let suite_run config quick jobs window strict retry checkpoint poison budget
      blip on a loaded machine is not retried straight back into. *)
   let backoff = if retry then Some (Metrics.Backoff.make ()) else None in
   let outcome =
-    Metrics.Robust.run ~jobs ~retry ?backoff ~poison ?budget_s:budget
-      ?window:(if window > 1 then Some window else None) ?resume ?store
+    Metrics.Robust.run ~jobs ~retry ?backoff ~poison ?budget_s:budget ?resume
+      ?store
       ~modes:[ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ]
       config loops
   in
@@ -361,8 +346,8 @@ let suite_cmd =
          "Fault-isolated per-benchmark IPC for one configuration, with \
           optional checkpoint/resume.")
     Term.(
-      const suite_run $ config_arg $ quick_arg $ jobs_arg $ window_arg
-      $ strict $ retry $ checkpoint $ poison $ budget $ cache)
+      const suite_run $ config_arg $ quick_arg $ jobs_arg $ strict $ retry
+      $ checkpoint $ poison $ budget $ cache)
 
 (* ------------------------------------------------------------------ *)
 (* faults: the fault-injection catalog against the checker             *)
@@ -475,18 +460,14 @@ let faults_cmd =
 (* validate: the independent oracle over real suite schedules          *)
 (* ------------------------------------------------------------------ *)
 
-let validate_run config quick jobs window =
+let validate_run config quick jobs =
   let jobs = effective_jobs jobs in
   let loops = loops_of ~quick in
   let issues = ref 0 in
   let checked = ref 0 in
   List.iter
     (fun mode ->
-      let runs =
-        Metrics.Experiment.run_suite ~jobs
-          ?window:(if window > 1 then Some window else None)
-          mode config loops
-      in
+      let runs = Metrics.Experiment.run_suite ~jobs mode config loops in
       List.iter
         (fun (r : Metrics.Experiment.loop_run) ->
           incr checked;
@@ -521,7 +502,7 @@ let validate_cmd =
           re-verify every emitted schedule with the independent oracle in \
           Check.Validate — no code shared with the scheduler or the \
           simulator's checker.")
-    Term.(const validate_run $ config_arg $ quick_arg $ jobs_arg $ window_arg)
+    Term.(const validate_run $ config_arg $ quick_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz: random DDGs through the whole pipeline                        *)

@@ -63,25 +63,12 @@ let finish_run ~mode ~latency0 ~stats (loop : Workload.Generator.loop)
       | Error e -> Error (Sched.Sched_error.Internal ("simulation: " ^ e))
       | Ok counts -> Ok { loop; mode; outcome; repl_stats = stats; counts })
 
-(* The executor backing a speculative window: one domain per in-flight
-   level ({!Pool.exec} is not core-capped).  [window <= 1] stays on the
-   sequential executor — no domains, no overhead. *)
-let spec_exec = function
-  | Some w when w > 1 -> Some (Pool.exec ~jobs:w ())
-  | _ -> None
-
 let run_with ?(mode = Baseline) ?(latency0 = false) ?(length_pass = false)
-    ?spiller ?budget ?window ?hier ~transform ~stats_ref config
+    ?spiller ?budget ?hier ~transform ~stats_ref config
     (loop : Workload.Generator.loop) =
-  let exec = spec_exec window in
   let scheduled =
-    match transform with
-    | None ->
-        Sched.Driver.schedule_loop ~latency0 ?spiller ?budget ?window ?exec
-          ?hier config loop.graph
-    | Some t ->
-        Sched.Driver.schedule_loop ~latency0 ?spiller ?budget ?window ?exec
-          ?hier ~transform:t config loop.graph
+    Sched.Driver.schedule_loop ?transform ~latency0 ?spiller ?budget ?hier
+      config loop.graph
   in
   let scheduled =
     match scheduled with
@@ -103,10 +90,10 @@ let transform_of_mode = function
       let t, r = Replication.Macro.transform () in
       (Some t, r)
 
-let run_loop ?budget ?window ?hier mode config loop =
+let run_loop ?budget ?hier mode config loop =
   let transform, stats_ref = transform_of_mode mode in
   run_with ~mode ~latency0:(mode = Replication_latency0)
-    ~length_pass:(mode = Replication_length) ?budget ?window ?hier ~transform
+    ~length_pass:(mode = Replication_length) ?budget ?hier ~transform
     ~stats_ref config loop
 
 exception Illegal of string
@@ -123,10 +110,10 @@ let keep_or_raise ~id = function
   | Ok r -> Some r
   | Error e -> if error_is_bug e then raise (illegal ~id e) else None
 
-let run_suite ?(jobs = 1) ?window mode config loops =
+let run_suite ?(jobs = 1) mode config loops =
   Pool.filter_map ~jobs
     (fun (l : Workload.Generator.loop) ->
-      keep_or_raise ~id:l.id (run_loop ?window mode config l))
+      keep_or_raise ~id:l.id (run_loop mode config l))
     loops
 
 (* ------------------------------------------------------------------ *)
@@ -154,7 +141,7 @@ let () =
     | _ -> None)
 
 let run_suite_isolated ?(jobs = 1) ?(retry = false) ?(retries = 1) ?backoff
-    ?(poison = []) ?budget_s ?window mode config loops =
+    ?(poison = []) ?budget_s mode config loops =
   let retries = max 1 retries in
   (* Immediate retries by default (the historical behaviour); callers
      that retry against transient faults install a {!Backoff} so the
@@ -165,7 +152,7 @@ let run_suite_isolated ?(jobs = 1) ?(retry = false) ?(retries = 1) ?backoff
   in
   let attempt (l : Workload.Generator.loop) =
     if List.mem l.id poison then raise (Injected_fault l.id);
-    run_loop ?budget:(budget ()) ?window mode config l
+    run_loop ?budget:(budget ()) mode config l
   in
   let classify ~retried l outcome =
     match outcome with
@@ -252,21 +239,15 @@ type traced = {
 
 let traced_loop tr = tr.tr_loop
 
-let record_trace ?window ?hier mode config loop =
+let record_trace ?hier mode config loop =
   (match mode with
   | Baseline | Replication | Macro_replication -> ()
   | Replication_latency0 | Replication_length ->
       invalid_arg "Experiment.record_trace: mode is not register-sweepable");
   let transform, stats_ref = transform_of_mode mode in
-  let exec = spec_exec window in
   let trace =
-    match transform with
-    | None ->
-        Sched.Driver.Trace.record ?window ?exec ?hier config
-          loop.Workload.Generator.graph
-    | Some t ->
-        Sched.Driver.Trace.record ?window ?exec ?hier ~transform:t config
-          loop.Workload.Generator.graph
+    Sched.Driver.Trace.record ?transform ?hier config
+      loop.Workload.Generator.graph
   in
   {
     tr_loop = loop;

@@ -43,7 +43,6 @@ type loop_run = {
 
 val run_loop :
   ?budget:Sched.Budget.t ->
-  ?window:int ->
   ?hier:Sched.Partition.Hier.t ->
   mode ->
   Machine.Config.t ->
@@ -52,13 +51,10 @@ val run_loop :
 (** Schedule, verify with {!Sim.Checker}, execute with {!Sim.Lockstep}.
     A legality violation is [Error (Checker_violation _)], a simulator
     rejection [Error (Internal _)] — the harness treats both as bugs,
-    not data.  [budget] bounds the escalation, [window] speculates that
-    many II levels per escalation step on a domain-backed executor
-    ({!Pool.exec} with one domain per in-flight level) — results are
-    identical at any window (see {!Sched.Driver.schedule_loop}).
-    [hier] shares a partition hierarchy as in
-    {!Sched.Driver.schedule_loop} — it must be a view for this very
-    configuration over this loop's graph. *)
+    not data.  [budget] bounds the escalation and [hier] shares a
+    partition hierarchy, both as in {!Sched.Driver.schedule_loop};
+    [hier] must be a view for this very configuration over this loop's
+    graph. *)
 
 val run_with :
   ?mode:mode ->
@@ -66,7 +62,6 @@ val run_with :
   ?length_pass:bool ->
   ?spiller:Sched.Driver.spiller ->
   ?budget:Sched.Budget.t ->
-  ?window:int ->
   ?hier:Sched.Partition.Hier.t ->
   transform:Sched.Driver.transform option ->
   stats_ref:Replication.Replicate.stats option ref ->
@@ -98,15 +93,12 @@ val keep_or_raise :
 
 val run_suite :
   ?jobs:int ->
-  ?window:int ->
   mode ->
   Machine.Config.t ->
   Workload.Generator.loop list ->
   loop_run list
 (** Runs every loop, on up to [jobs] domains (default 1, sequential;
     loops are independent, so results are identical at any [jobs]).
-    [window] as in {!run_loop} — orthogonal to [jobs]: one parallelizes
-    across loops, the other across II levels within a loop.
     Loops the scheduler gives up on (possible at very small register
     files) are skipped — the paper likewise reports only loops it can
     modulo schedule.  A schedule that fails the legality checker or the
@@ -146,7 +138,6 @@ val run_suite_isolated :
   ?backoff:Backoff.t ->
   ?poison:string list ->
   ?budget_s:float ->
-  ?window:int ->
   mode ->
   Machine.Config.t ->
   Workload.Generator.loop list ->
@@ -162,7 +153,7 @@ val run_suite_isolated :
     historical behaviour).  [poison] injects a deliberate
     {!Injected_fault} into the named loops.  [budget_s] bounds each
     loop's escalation wall-clock; expiry quarantines the loop as
-    [Timeout].  [window] as in {!run_loop}. *)
+    [Timeout]. *)
 
 (** {1 Register-family sweeps}
 
@@ -179,7 +170,6 @@ type traced
 val traced_loop : traced -> Workload.Generator.loop
 
 val record_trace :
-  ?window:int ->
   ?hier:Sched.Partition.Hier.t ->
   mode ->
   Machine.Config.t ->
@@ -188,9 +178,7 @@ val record_trace :
 (** Record the escalation trace of a loop at [config] (typically the
     most permissive member of the register family).  Only [Baseline],
     [Replication] and [Macro_replication] are register-sweepable.
-    [window] speculates the recording escalation; the trace is
-    window-invariant ({!Sched.Driver.Trace.record}).  [hier] as in
-    {!run_loop}.
+    [hier] as in {!run_loop}.
     @raise Invalid_argument on the latency-0 and length-pass modes. *)
 
 val replay_traced :

@@ -601,15 +601,15 @@ let sec52 suite =
 
 let all suite =
   [
-    ("table1", table1 ());
-    ("fig1", fig1 suite);
-    ("fig7", fig7 suite);
-    ("fig8", fig8 suite);
-    ("fig9", fig9 suite);
-    ("fig10", fig10 suite);
-    ("fig12", fig12 suite);
-    ("sec4_stats", sec4 suite);
-    ("sec4_regs", sec4_regs suite);
-    ("sec51_length", sec51 suite);
-    ("sec52_macro", sec52 suite);
+    ("table1", table1);
+    ("fig1", fun () -> fig1 suite);
+    ("fig7", fun () -> fig7 suite);
+    ("fig8", fun () -> fig8 suite);
+    ("fig9", fun () -> fig9 suite);
+    ("fig10", fun () -> fig10 suite);
+    ("fig12", fun () -> fig12 suite);
+    ("sec4_stats", fun () -> sec4 suite);
+    ("sec4_regs", fun () -> sec4_regs suite);
+    ("sec51_length", fun () -> sec51 suite);
+    ("sec52_macro", fun () -> sec52 suite);
   ]

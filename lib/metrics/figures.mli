@@ -124,6 +124,7 @@ val sec52 : Suite.t -> string
 
 (** {1 Everything} *)
 
-val all : Suite.t -> (string * string) list
-(** [(experiment id, rendered text)] for every artifact above, in paper
-    order. *)
+val all : Suite.t -> (string * (unit -> string)) list
+(** [(experiment id, renderer)] for every artifact above, in paper
+    order.  Nothing is scheduled until a renderer is called, and then
+    only the sweeps its artifact reads. *)

@@ -291,59 +291,3 @@ module Service = struct
     List.iter Domain.join t.domains;
     t.domains <- []
 end
-
-(* A domain-backed executor for the scheduler's speculative windows.
-
-   Unlike [run_all], [jobs] is deliberately NOT capped at the
-   recommended domain count: a speculation window is tiny (a handful of
-   II levels) and its results are consumed in order regardless, so the
-   caller may ask for one domain per in-flight level even on a smaller
-   machine — determinism does not depend on the mapping, only the
-   wall-clock does.  The cap is the item count alone. *)
-let exec ?jobs () =
-  let requested = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let run : type a b. (a -> b) -> a array -> b array =
-   fun f xs ->
-    let n = Array.length xs in
-    if requested <= 1 || n <= 1 then Array.map f xs
-    else begin
-      let results : (b, exn * Printexc.raw_backtrace) result option array =
-        Array.make n None
-      in
-      let eval i =
-        results.(i) <-
-          Some
-            (match f xs.(i) with
-            | v -> Ok v
-            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-      in
-      let next = Atomic.make 0 in
-      let worker () =
-        in_worker @@ fun () ->
-        let rec go () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            eval i;
-            go ()
-          end
-        in
-        go ()
-      in
-      let domains =
-        List.init (min requested n - 1) (fun _ -> Domain.spawn worker)
-      in
-      worker ();
-      List.iter Domain.join domains;
-      (* First failure in input order, original backtrace preserved —
-         the executor contract ({!Sched.Exec}). *)
-      Array.iter
-        (function
-          | Some (Error (e, raw)) -> Printexc.raise_with_backtrace e raw
-          | Some (Ok _) | None -> ())
-        results;
-      Array.map
-        (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
-        results
-    end
-  in
-  { Sched.Exec.map = run }

@@ -110,13 +110,3 @@ module Service : sig
       join every domain.  Idempotent.  Results of those final jobs
       remain pollable after the join. *)
 end
-
-val exec : ?jobs:int -> unit -> Sched.Exec.t
-(** A domain-backed {!Sched.Exec.t} for speculative II windows: elements
-    are claimed one atomic increment at a time by up to [jobs] domains
-    ([default_jobs ()] when omitted).  Unlike {!map}, [jobs] is {e not}
-    capped at the recommended domain count — a window may run one domain
-    per in-flight level — only at the element count.  Order, the
-    exactly-once application guarantee and in-order first-failure
-    re-raising follow the {!Sched.Exec} contract; with [jobs = 1] the
-    executor is {!Sched.Exec.sequential}'s behaviour. *)

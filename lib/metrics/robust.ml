@@ -18,7 +18,7 @@ type outcome = {
 }
 
 let run ?(jobs = 1) ?(retry = false) ?retries ?backoff ?(poison = [])
-    ?budget_s ?window ?resume ?store ~modes config
+    ?budget_s ?resume ?store ~modes config
     (loops : Workload.Generator.loop list) =
   (* A wall-clock budget makes results time-dependent: such runs neither
      consult nor feed the store, so cached entries stay budget-free. *)
@@ -76,7 +76,7 @@ let run ?(jobs = 1) ?(retry = false) ?retries ?backoff ?(poison = [])
         if fresh <> [] then begin
           let iso =
             Experiment.run_suite_isolated ~jobs ~retry ?retries ?backoff
-              ~poison ?budget_s ?window mode config fresh
+              ~poison ?budget_s mode config fresh
           in
           List.iter
             (fun (r : Experiment.loop_run) ->

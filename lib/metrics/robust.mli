@@ -29,7 +29,6 @@ val run :
   ?backoff:Backoff.t ->
   ?poison:string list ->
   ?budget_s:float ->
-  ?window:int ->
   ?resume:Checkpoint.t ->
   ?store:Store.t ->
   modes:Experiment.mode list ->

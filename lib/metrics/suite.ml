@@ -34,10 +34,9 @@ type t = {
          scheduling (direct, replay or recording) and fed by every pass;
          only touched on the orchestrating domain *)
   jobs_ : int;
-  window_ : int option;  (* speculative II window for every escalation *)
 }
 
-let create ?loops ?(jobs = 1) ?window ?store () =
+let create ?loops ?(jobs = 1) ?store () =
   let loops_ =
     match loops with Some l -> l | None -> Workload.Generator.suite ()
   in
@@ -51,14 +50,16 @@ let create ?loops ?(jobs = 1) ?window ?store () =
     digests = Hashtbl.create 64;
     store;
     jobs_ = jobs;
-    window_ = window;
   }
 
 let loops t = t.loops_
 
 let mode_tag = Experiment.mode_tag
 
-let runs_key mode config = mode_tag mode ^ "/" ^ Machine.Config.name config
+(* Keyed on the injective {!Machine.Config.cache_key}: display names
+   collide (a custom homogeneous machine prints the default one's). *)
+let runs_key mode config =
+  mode_tag mode ^ "/" ^ Machine.Config.cache_key config
 
 let units_of (c : Machine.Config.t) =
   let cluster_units r =
@@ -173,7 +174,7 @@ let direct_runs t mode config =
   let pairs =
     Pool.map ~jobs:t.jobs_
       (fun ((l : Workload.Generator.loop), hier) ->
-        (l, Experiment.run_loop ?window:t.window_ ~hier mode config l))
+        (l, Experiment.run_loop ~hier mode config l))
       items
   in
   classify_record t mode config pairs
@@ -188,7 +189,7 @@ let record_family t mode config =
   let trs =
     Pool.map ~jobs:t.jobs_
       (fun (l, hier) ->
-        Experiment.record_trace ?window:t.window_ ~hier mode config l)
+        Experiment.record_trace ~hier mode config l)
       items
   in
   let fkey = family_key mode config in

@@ -48,7 +48,6 @@ type t
 val create :
   ?loops:Workload.Generator.loop list ->
   ?jobs:int ->
-  ?window:int ->
   ?store:Store.t ->
   unit ->
   t
@@ -56,9 +55,7 @@ val create :
     number of domains each uncached sweep runs on ({!Pool}); the caches
     and skeleton store are only touched by the calling domain (per-loop
     hierarchy views are built before work is handed to the pool, and a
-    view reaches at most one worker per pass).  [window] speculates that
-    many II levels inside every escalation the suite runs or records;
-    results and figures are identical at any window.  [store] installs a
+    view reaches at most one worker per pass).  [store] installs a
     content-addressed schedule store consulted before, and fed by, every
     sweep (the suite only touches it on the calling domain; remember to
     {!Store.save} it afterwards when it has a disk tier). *)

@@ -124,10 +124,7 @@ let finish ~mii ~counters p ii =
    check on the routed graph *is* II-dependent, but monotone (a longer
    period only loosens recurrences), so each entry caches its known
    feasibility frontier and the Bellman-Ford re-runs only inside the
-   unknown gap.  Everything cached is immutable once built and
-   deterministic, so concurrent speculative workers sharing the cache
-   can at worst duplicate a build — results never change; a mutex
-   protects the entry list and frontiers. *)
+   unknown gap.  Each escalation owns its cache, so it needs no lock. *)
 type route_entry = {
   re_graph : Ddg.Graph.t;  (* physical identity key *)
   re_assign : int array;
@@ -136,64 +133,35 @@ type route_entry = {
   mutable re_infeas : int;  (* largest II known infeasible *)
 }
 
-type route_cache = {
-  rc_lock : Mutex.t;
-  mutable rc_entries : route_entry list;  (* newest first *)
-}
-
 let route_cache_cap = 8
 
-let new_route_cache () = { rc_lock = Mutex.create (); rc_entries = [] }
-
-let route_for rc ~latency0 config g ~assign =
-  let find () =
-    List.find_opt
-      (fun e -> e.re_graph == g && e.re_assign = assign)
-      rc.rc_entries
-  in
-  match Mutex.protect rc.rc_lock find with
+(* [rc] holds the entries newest first. *)
+let route_for (rc : route_entry list ref) ~latency0 config g ~assign =
+  match
+    List.find_opt (fun e -> e.re_graph == g && e.re_assign = assign) !rc
+  with
   | Some e -> e
   | None ->
-      (* Built outside the lock: a concurrent duplicate build is
-         harmless (the build is deterministic) and cheaper than
-         serializing the expensive part. *)
-      let route = Route.build ~latency0 config g ~assign in
       let entry =
         {
           re_graph = g;
           re_assign = Array.copy assign;
-          re_route = route;
+          re_route = Route.build ~latency0 config g ~assign;
           re_feas = max_int;
           re_infeas = min_int;
         }
       in
-      Mutex.protect rc.rc_lock (fun () ->
-          match find () with
-          | Some e -> e
-          | None ->
-              let keep =
-                List.filteri
-                  (fun i _ -> i < route_cache_cap - 1)
-                  rc.rc_entries
-              in
-              rc.rc_entries <- entry :: keep;
-              entry)
+      rc := entry :: List.filteri (fun i _ -> i < route_cache_cap - 1) !rc;
+      entry
 
-let route_feasible rc entry ~ii =
-  let known =
-    Mutex.protect rc.rc_lock (fun () ->
-        if ii >= entry.re_feas then Some true
-        else if ii <= entry.re_infeas then Some false
-        else None)
-  in
-  match known with
-  | Some b -> b
-  | None ->
-      let b = Ddg.Mii.feasible_ii entry.re_route.Route.graph ii in
-      Mutex.protect rc.rc_lock (fun () ->
-          if b then entry.re_feas <- min entry.re_feas ii
-          else entry.re_infeas <- max entry.re_infeas ii);
-      b
+let route_feasible entry ~ii =
+  if ii >= entry.re_feas then true
+  else if ii <= entry.re_infeas then false
+  else begin
+    let b = Ddg.Mii.feasible_ii entry.re_route.Route.graph ii in
+    if b then entry.re_feas <- ii else entry.re_infeas <- ii;
+    b
+  end
 
 (* Signature of a register-caused failure: the placement the register
    check finally rejected (cycles and MaxLive), and how many spill
@@ -213,8 +181,8 @@ type reg_sig = {
    recording mode — the {!info} payload for cross-configuration
    re-judging.  Recordings never pass a spiller, so the info always
    describes the attempt's only route-and-place round. *)
-let try_once_sig ?transform ?(latency0 = false) ?spiller ?(reuse = true)
-    ?(digests = false) ~rcache config g ~ii ~assign =
+let try_once_sig ?transform ~latency0 ?spiller ~reuse ~digests ~rcache config
+    g ~ii ~assign =
   let g0', assign0' =
     match transform with
     | None -> (g, assign)
@@ -252,7 +220,7 @@ let try_once_sig ?transform ?(latency0 = false) ?spiller ?(reuse = true)
       let route, feasible =
         if cached then begin
           let entry = route_for rcache ~latency0 config g' ~assign:assign' in
-          (entry.re_route, fun () -> route_feasible rcache entry ~ii)
+          (entry.re_route, fun () -> route_feasible entry ~ii)
         end
         else begin
           let route = Route.build ~latency0 config g' ~assign:assign' in
@@ -356,48 +324,35 @@ let level_sig ~assign ~lsig ~fresh_result =
 
 (* One II level of the escalation as the recorder sees it: the refined
    lineage attempt and, when the lineage failed and a from-scratch
-   partition differed, the second-chance attempt. *)
+   partition differed, the second-chance attempt.  Only recordings
+   observe levels, and they run with [digests], so every attempt here
+   carries its {!info}. *)
 type level = {
   l_ii : int;
   l_assign : int array;  (* lineage partition the level started from *)
   l_lineage : attempt_result;
-  l_fresh : attempt_result option;
-      (* [None] when the lineage attempt succeeded, or when the fresh
-         partition was identical to the lineage one (no second try) *)
-  l_fresh_assign : int array option;
-      (* the from-scratch partition the fresh attempt started from;
-         [None] exactly when [l_fresh] is *)
-  l_info : info option;  (* lineage recording payload (recordings only) *)
-  l_fresh_info : info option;
+  l_info : info;
+  l_fresh : (int array * attempt_result * info) option;
+      (* the from-scratch partition and its attempt; [None] when the
+         lineage attempt succeeded, or when the fresh partition was
+         identical to the lineage one (no second try) *)
 }
 
 (* The Figure-2 escalation loop from an arbitrary (ii, assign) state.
-   [on_level] observes every II level tried, for trace recording.
-   [budget] is checked before every level; both the cap and the
+   [on_level] observes every II level tried, for trace recording, and
+   turns on the recording payload ([digests] of {!try_once_sig}).
+   [budget] is spent before every level runs; both the cap and the
    stationarity cut report the same {!Sched_error.Escalation_cap} (the
    cut is an early conclusion of the walk-to-cap failure, so direct runs
    and trace replays — which may cut at different IIs — stay observably
-   equal).
-
-   [window]/[exec] make the walk speculative: levels ii .. ii+w-1 are
-   evaluated concurrently on the executor, then *consumed* strictly in
-   II order, replaying the exact sequential decision sequence — budget
-   spend, level observation, cause counters, stationarity streak — so
-   the committed result (the lowest successful II; higher speculative
-   wins are discarded) and every observable side effect are identical
-   to the [window = 1] walk.  The partition chain feeding a window is
-   precomputed on the orchestrating domain: it is a pure function of
-   the hierarchy and the IIs, independent of attempt outcomes, which is
-   what makes the speculation transparent. *)
+   equal). *)
 let escalate ?transform ?(latency0 = false) ?spiller ?on_level ?budget
-    ?(window = 1) ?(exec = Exec.sequential) ?(reuse = true) ?(digests = false)
-    config g ~hier ~mii ~cap ~counters ii0 assign0 =
-  let observe l = match on_level with Some f -> f l | None -> () in
+    ?(reuse = true) config g ~hier ~mii ~cap ~counters ii0 assign0 =
   let give_up () = Error (Sched_error.Escalation_cap { mii; cap }) in
-  let rcache = new_route_cache () in
+  let rcache = ref [] in
   let try_once ~ii ~assign =
-    try_once_sig ?transform ~latency0 ?spiller ~reuse ~digests ~rcache config g
-      ~ii ~assign
+    try_once_sig ?transform ~latency0 ?spiller ~reuse
+      ~digests:(on_level <> None) ~rcache config g ~ii ~assign
   in
   (* [reuse = false] reproduces the pre-hierarchy walk for A/B
      benchmarking: every fresh partition re-coarsens from scratch at the
@@ -413,67 +368,47 @@ let escalate ?transform ?(latency0 = false) ?spiller ?on_level ?budget
       Partition.refine ~rec_mii:(Partition.Hier.rec_mii hier) config g ~ii
         assign
   in
-  (* Evaluate one level: the lineage attempt and, on failure, the
-     from-scratch second chance.  [fresh] is a thunk so the sequential
-     walk only pays for a fresh partition when the lineage failed
-     (speculative windows precompute it — pure, possibly wasted). *)
-  let eval ~ii ~assign ~fresh () =
-    match try_once ~ii ~assign with
-    | (Placed _ as r), _, inf -> (r, None, inf, None)
-    | (Failed _ as r), lsig, inf ->
-        let f : int array = fresh () in
-        let fresh_try =
-          if f <> assign then Some (f, try_once ~ii ~assign:f) else None
-        in
-        (r, lsig, inf, fresh_try)
-  in
-  (* After a speculative window, the transform hook's internal state
-     (e.g. the replication pass's last-run stats) reflects whichever
-     worker ran last; one deterministic re-invocation on the winning
-     attempt restores the exact sequential final state — the winning
-     attempt's call is the last one a sequential walk makes. *)
-  let commit ~pre p ii =
-    (match transform with
-    | Some f when window > 1 ->
-        ignore
-          (Profile.time Profile.Replication (fun () ->
-               f config g ~assign:pre ~ii))
-    | _ -> ());
-    finish ~mii ~counters p ii
-  in
-  (* Consume one evaluated level in walk order.  [ev] re-raises here —
-     in order — anything the (possibly speculative) evaluation raised,
-     so fault classification cannot depend on the window. *)
-  let consume ~streak ~prev_sig ~ii ~assign ev =
-    if match budget with Some b -> not (Budget.spend b) | None -> false then
-      let b = Option.get budget in
-      `Done
-        (Error
-           (Sched_error.Timeout
-              {
-                at_ii = ii;
-                attempts = Budget.attempts b;
-                elapsed_s = Budget.elapsed b;
-              }))
+  let rec walk ~streak ~prev_sig ii assign =
+    if ii > cap then give_up ()
     else
-      match ev () with
-      | (Placed p : attempt_result), _, inf, _ ->
-          observe
-            { l_ii = ii; l_assign = assign; l_lineage = Placed p;
-              l_fresh = None; l_fresh_assign = None; l_info = inf;
-              l_fresh_info = None };
-          `Done (commit ~pre:assign p ii)
-      | Failed cause, lsig, inf, fresh_try -> (
-          observe
-            { l_ii = ii; l_assign = assign; l_lineage = Failed cause;
-              l_fresh = Option.map (fun (_, (r, _, _)) -> r) fresh_try;
-              l_fresh_assign = Option.map (fun (f, _) -> f) fresh_try;
-              l_info = inf;
-              l_fresh_info =
-                Option.bind fresh_try (fun (_, (_, _, fi)) -> fi) };
-          match fresh_try with
-          | Some (f, (Placed p, _, _)) -> `Done (commit ~pre:f p ii)
-          | Some (_, (Failed _, _, _)) | None ->
+      match budget with
+      | Some b when not (Budget.spend b) ->
+          Error
+            (Sched_error.Timeout
+               {
+                 at_ii = ii;
+                 attempts = Budget.attempts b;
+                 elapsed_s = Budget.elapsed b;
+               })
+      | _ -> (
+          let lineage, lsig, inf = try_once ~ii ~assign in
+          (* The from-scratch second chance, only when the lineage
+             failed and the fresh partition differs. *)
+          let fresh_try =
+            match lineage with
+            | Placed _ -> None
+            | Failed _ ->
+                let f = fresh_at ii in
+                if f <> assign then Some (f, try_once ~ii ~assign:f) else None
+          in
+          (match on_level with
+          | Some observe ->
+              observe
+                {
+                  l_ii = ii;
+                  l_assign = assign;
+                  l_lineage = lineage;
+                  l_info = Option.get inf;
+                  l_fresh =
+                    Option.map
+                      (fun (f, (r, _, fi)) -> (f, r, Option.get fi))
+                      fresh_try;
+                }
+          | None -> ());
+          match (lineage, fresh_try) with
+          | Placed p, _ | Failed _, Some (_, (Placed p, _, _)) ->
+              finish ~mii ~counters p ii
+          | Failed cause, _ ->
               bump counters cause;
               let here =
                 level_sig ~assign ~lsig
@@ -483,59 +418,10 @@ let escalate ?transform ?(latency0 = false) ?spiller ?on_level ?budget
               let streak =
                 if here <> None && here = prev_sig then streak + 1 else 0
               in
-              if streak >= stationary_limit then `Done (give_up ())
-              else `Continue (streak, here))
-  in
-  let rec walk ~streak ~prev_sig ii assign =
-    if ii > cap then give_up ()
-    else if window = 1 then begin
-      let ev =
-        eval ~ii ~assign ~fresh:(fun () -> fresh_at ii)
-      in
-      match consume ~streak ~prev_sig ~ii ~assign ev with
-      | `Done r -> r
-      | `Continue (streak, prev_sig) ->
-          let ii = ii + 1 in
-          walk ~streak ~prev_sig ii (refine_to ~ii assign)
-    end
-    else begin
-      let w = min window (cap - ii + 1) in
-      (* The lineage chain and the fresh partitions for the whole window,
-         precomputed here because the hierarchy is not domain-safe. *)
-      let params = Array.make w (ii, assign, [||]) in
-      let cur = ref assign in
-      for k = 0 to w - 1 do
-        let iik = ii + k in
-        if k > 0 then cur := refine_to ~ii:iik !cur;
-        params.(k) <- (iik, !cur, fresh_at iik)
-      done;
-      let evals =
-        exec.Exec.map
-          (fun (iik, ak, fk) ->
-            match eval ~ii:iik ~assign:ak ~fresh:(fun () -> fk) () with
-            | v -> Ok v
-            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-          params
-      in
-      let rec consume_from k streak prev_sig =
-        if k >= w then begin
-          let ii = ii + w in
-          walk ~streak ~prev_sig ii (refine_to ~ii !cur)
-        end
-        else begin
-          let iik, ak, _ = params.(k) in
-          let ev () =
-            match evals.(k) with
-            | Ok v -> v
-            | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-          in
-          match consume ~streak ~prev_sig ~ii:iik ~assign:ak ev with
-          | `Done r -> r
-          | `Continue (streak, prev_sig) -> consume_from (k + 1) streak prev_sig
-        end
-      in
-      consume_from 0 streak prev_sig
-    end
+              if streak >= stationary_limit then give_up ()
+              else
+                let ii = ii + 1 in
+                walk ~streak ~prev_sig:here ii (refine_to ~ii assign))
   in
   walk ~streak:0 ~prev_sig:None ii0 assign0
 
@@ -559,8 +445,7 @@ let hierarchy config g =
   Partition.Hier.create ~rec_mii config g ~base_ii:mii
 
 let schedule_loop ?transform ?max_ii ?(latency0 = false) ?spiller ?budget
-    ?(window = 1) ?exec ?reuse ?hier config g =
-  if window < 1 then invalid_arg "Driver.schedule_loop: window < 1";
+    ?reuse ?hier config g =
   (* rec_mii of the original graph is reused by every partition call of
      the escalation loop; compute the binary search once. *)
   let rec_mii =
@@ -594,8 +479,8 @@ let schedule_loop ?transform ?max_ii ?(latency0 = false) ?spiller ?budget
           | Some h -> h
           | None -> Partition.Hier.create ~rec_mii config g ~base_ii:mii
         in
-        escalate ?transform ~latency0 ?spiller ?budget ~window ?exec ?reuse
-          config g ~hier ~mii ~cap ~counters mii
+        escalate ?transform ~latency0 ?spiller ?budget ?reuse config g ~hier
+          ~mii ~cap ~counters mii
           (Partition.Hier.initial hier ~ii:mii))
   end
 
@@ -619,7 +504,7 @@ module Trace = struct
   let config t = t.t_config
   let result t = t.t_result
 
-  let record ?transform ?max_ii ?budget ?window ?exec ?hier config g =
+  let record ?transform ?max_ii ?budget ?hier config g =
     let rec_mii =
       match hier with
       | Some h -> Partition.Hier.rec_mii h
@@ -649,8 +534,7 @@ module Trace = struct
             in
             escalate ?transform
               ~on_level:(fun l -> levels := l :: !levels)
-              ?budget ?window ?exec ~digests:true config g ~hier ~mii ~cap
-              ~counters mii
+              ?budget config g ~hier ~mii ~cap ~counters mii
               (Partition.Hier.initial hier ~ii:mii))
     in
     {
@@ -704,7 +588,6 @@ module Trace = struct
       config.Machine.Config.bus_latency = t.t_config.Machine.Config.bus_latency
     in
     let limit = Machine.Config.registers_per_cluster config in
-    let rec_limit = Machine.Config.registers_per_cluster t.t_config in
     let counters = { c_bus = 0; c_recur = 0; c_regs = 0 } in
     let live = ref false in
     let hook = ref false in
@@ -755,30 +638,17 @@ module Trace = struct
        direct member run reaches).  [`Live]: a live run would
        diverge. *)
     let judge_regs result inf =
-      match result with
-      | Placed p ->
-          if Array.for_all (fun x -> x <= limit) p.p_pressure then
-            `Fit (p, false)
-          else if spiller = None then `Fail Registers
-          else if cross then `Live
-          else `Spill p
-      | Failed Registers -> (
-          match inf with
-          | Some { i_detail = D_regs { rejected; _ }; _ }
-            when Array.for_all (fun x -> x <= limit) rejected.p_pressure ->
-              `Fit (rejected, true)
-          | Some { i_detail = D_regs { rejected; _ }; _ } ->
-              if spiller = None then `Fail Registers
-              else if cross then `Live
-              else `Spill rejected
-          | _ ->
-              (* No recorded rejection (pre-digest trace): sound only
-                 for register files no larger than the recording's, and
-                 there is no placement to spill from. *)
-              if limit > rec_limit then `Live
-              else if spiller <> None then `Live
-              else `Fail Registers)
-      | Failed c -> `Fail c
+      let judge p ~promoted =
+        if Array.for_all (fun x -> x <= limit) p.p_pressure then
+          `Fit (p, promoted)
+        else if spiller = None then `Fail Registers
+        else if cross then `Live
+        else `Spill p
+      in
+      match (result, inf.i_detail) with
+      | Placed p, _ -> judge p ~promoted:false
+      | Failed _, D_regs { rejected; _ } -> judge rejected ~promoted:true
+      | Failed c, _ -> `Fail c
     in
     (* The member's spill-and-retry rounds, live, from a recorded
        placement its file rejects — exactly [try_once_sig]'s rounds: the
@@ -855,27 +725,20 @@ module Trace = struct
        structures (partition, transform output) were verified equal and
        whose member-side bus check passed. *)
     let judge_cross result inf =
-      match inf with
-      | None -> `Live  (* pre-digest trace: nothing to re-judge with *)
-      | Some { i_detail; _ } -> (
-          match (i_detail, result) with
-          | D_bus_check, _ ->
-              (* The recording died on its own bus check; the member's
-                 passed — nothing further was recorded. *)
-              `Live
-          | D_infeasible { copies }, _ ->
-              (* Feasibility of the routed graph never reads the bus
-                 count; with copies the copy-edge latencies must
-                 match. *)
-              if copies = 0 || lat_eq then `Fail Bus else `Live
-          | D_place { max_bus; sat; copies }, Failed c ->
-              if bus_compatible ~max_bus ~sat ~copies then `Fail c else `Live
-          | ( (D_regs { max_bus; sat; copies; _ } | D_ok { max_bus; sat; copies }),
-              _ ) ->
-              if bus_compatible ~max_bus ~sat ~copies then
-                judge_regs result inf
-              else `Live
-          | D_place _, Placed _ -> `Live (* impossible; defensive *))
+      match inf.i_detail with
+      | D_bus_check ->
+          (* The recording died on its own bus check; the member's
+             passed — nothing further was recorded. *)
+          `Live
+      | D_infeasible { copies } ->
+          (* Feasibility of the routed graph never reads the bus count;
+             with copies the copy-edge latencies must match. *)
+          if copies = 0 || lat_eq then `Fail Bus else `Live
+      | D_place { max_bus; sat; copies }
+      | D_regs { max_bus; sat; copies; _ }
+      | D_ok { max_bus; sat; copies } ->
+          if bus_compatible ~max_bus ~sat ~copies then judge_regs result inf
+          else `Live
     in
     let judge result inf =
       if cross then judge_cross result inf else judge_regs result inf
@@ -952,15 +815,10 @@ module Trace = struct
           | `Live -> go_live level.l_ii level.l_assign
           | `Fail cause -> (
               match level.l_fresh with
-              | Some fr -> (
-                  match resolve ~ii:level.l_ii fr level.l_fresh_info with
+              | Some (fa, fr, finf) -> (
+                  match resolve ~ii:level.l_ii fr finf with
                   | `Fit (p, promoted) ->
-                      let pre =
-                        match level.l_fresh_assign with
-                        | Some fa -> fa
-                        | None -> level.l_assign
-                      in
-                      finish_fit ~pre ~promoted level.l_ii p
+                      finish_fit ~pre:fa ~promoted level.l_ii p
                   | `Live -> go_live level.l_ii level.l_assign
                   | `Fail _ -> continue_failed cause)
               | None ->
@@ -1000,47 +858,42 @@ module Trace = struct
                   go_live nii next_assign
             in
             let g', a', dig = member_tf ~ii member_assign in
-            match level.l_info with
-            | None -> go_live ii member_assign
-            | Some inf when inf.i_tf <> dig -> go_live ii member_assign
-            | Some inf -> (
-                (* Structures verified: the member's bus check is
-                   computed exactly; past it, the recorded mechanics are
-                   re-judged for the member's buses and registers. *)
-                let lineage_j =
-                  if Comm.extra config g' ~assign:a' ~ii > 0 then `Fail Bus
-                  else resolve ~ii level.l_lineage (Some inf)
-                in
-                match lineage_j with
-                | `Fit (p, _) -> finish_fit ~pre:member_assign ~promoted:false ii p
-                | `Live -> go_live ii member_assign
-                | `Fail cause -> (
-                    let member_fresh = Partition.Hier.initial hier ~ii in
-                    if member_fresh = member_assign then next_level cause
-                    else
-                      match
-                        (level.l_fresh, level.l_fresh_assign, level.l_fresh_info)
-                      with
-                      | Some fr, Some fa, Some finf when fa = member_fresh -> (
-                          let gf, af, digf = member_tf ~ii member_fresh in
-                          if finf.i_tf <> digf then go_live ii member_assign
-                          else
-                            let fresh_j =
-                              if Comm.extra config gf ~assign:af ~ii > 0 then
-                                `Fail Bus
-                              else resolve ~ii fr (Some finf)
-                            in
-                            match fresh_j with
-                            | `Fit (p, _) ->
-                                finish_fit ~pre:member_fresh ~promoted:false ii
-                                  p
-                            | `Fail _ -> next_level cause
-                            | `Live -> go_live ii member_assign)
-                      | _ ->
-                          (* The member tries a fresh partition the
-                             recording lacks (or recorded a different
-                             one): unrecorded territory. *)
-                          go_live ii member_assign)))
+            if level.l_info.i_tf <> dig then go_live ii member_assign
+            else
+              (* Structures verified: the member's bus check is
+                 computed exactly; past it, the recorded mechanics are
+                 re-judged for the member's buses and registers. *)
+              let lineage_j =
+                if Comm.extra config g' ~assign:a' ~ii > 0 then `Fail Bus
+                else resolve ~ii level.l_lineage level.l_info
+              in
+              match lineage_j with
+              | `Fit (p, _) -> finish_fit ~pre:member_assign ~promoted:false ii p
+              | `Live -> go_live ii member_assign
+              | `Fail cause -> (
+                  let member_fresh = Partition.Hier.initial hier ~ii in
+                  if member_fresh = member_assign then next_level cause
+                  else
+                    match level.l_fresh with
+                    | Some (fa, fr, finf) when fa = member_fresh -> (
+                        let gf, af, digf = member_tf ~ii member_fresh in
+                        if finf.i_tf <> digf then go_live ii member_assign
+                        else
+                          let fresh_j =
+                            if Comm.extra config gf ~assign:af ~ii > 0 then
+                              `Fail Bus
+                            else resolve ~ii fr finf
+                          in
+                          match fresh_j with
+                          | `Fit (p, _) ->
+                              finish_fit ~pre:member_fresh ~promoted:false ii p
+                          | `Fail _ -> next_level cause
+                          | `Live -> go_live ii member_assign)
+                    | _ ->
+                        (* The member tries a fresh partition the
+                           recording lacks (or recorded a different
+                           one): unrecorded territory. *)
+                        go_live ii member_assign))
     in
     (* Same fault isolation as a direct run: replays must stay
        observably equal to [schedule_loop], failures included. *)
@@ -1062,8 +915,7 @@ module Trace = struct
     (result, basis)
 end
 
-let schedule_sweep ?transform ?max_ii ?budget ?spiller_for ?window ?exec
-    configs g =
+let schedule_sweep ?transform ?max_ii ?budget ?spiller_for configs g =
   match configs with
   | [] -> []
   | c0 :: _ ->
@@ -1077,9 +929,7 @@ let schedule_sweep ?transform ?max_ii ?budget ?spiller_for ?window ?exec
             else best)
           c0 configs
       in
-      let trace = Trace.record ?transform ?max_ii ?budget ?window ?exec
-          permissive g
-      in
+      let trace = Trace.record ?transform ?max_ii ?budget permissive g in
       List.map
         (fun c ->
           let spiller =

@@ -66,9 +66,7 @@ val hierarchy : Machine.Config.t -> Ddg.Graph.t -> Partition.Hier.t
     its from-scratch partitions and lineage refinements from the
     hierarchy's memo tables instead of recomputing them, with results
     identical to unshared calls.  The hierarchy is not domain-safe;
-    share it across sequential calls only (each call's internal
-    speculation may still use any window — the hierarchy is queried
-    from the orchestrating domain alone). *)
+    share it across sequential calls only. *)
 
 val schedule_loop :
   ?transform:transform ->
@@ -76,8 +74,6 @@ val schedule_loop :
   ?latency0:bool ->
   ?spiller:spiller ->
   ?budget:Budget.t ->
-  ?window:int ->
-  ?exec:Exec.t ->
   ?reuse:bool ->
   ?hier:Partition.Hier.t ->
   Machine.Config.t ->
@@ -92,23 +88,13 @@ val schedule_loop :
     escalation in wall-clock time and attempts; when it expires before
     any feasible schedule was found the result is a classified
     [Error Timeout] (a success is returned the moment it is found, so a
-    budget never discards one).  The whole pipeline is fault-isolated: a
-    raising transform hook or an internal scheduler exception surfaces
-    as [Error Internal] rather than an exception (only [Out_of_memory]
-    propagates).
-
-    [window] (default 1) speculates that many consecutive II levels per
-    escalation step, evaluating them through [exec]
-    ({!Exec.sequential} when omitted; {!Metrics.Pool} provides a domain
-    -backed one).  Speculation is transparent: levels are consumed in II
-    order replaying the exact sequential decision sequence, the lowest
-    successful II is committed and higher speculative wins are
-    discarded, so the result, every recorded trace level and every
-    classified error are identical to the [window = 1] walk at any
-    window and executor.  A [budget] is shared by the in-flight
-    speculative attempts and spent in consume order, so attempt-capped
-    budgets time out on exactly the same level as the sequential walk;
-    wall-clock expiry is detected at the same level boundaries.
+    budget never discards one).  One attempt is one II level, spent
+    before the level runs: a budget of [k] attempts stops a walk still
+    unfinished after [k] levels with
+    [Timeout { at_ii = mii + k; attempts = k }].  The whole pipeline is
+    fault-isolated: a raising transform hook or an internal scheduler
+    exception surfaces as [Error Internal] rather than an exception
+    (only [Out_of_memory] propagates).
 
     [reuse] (default [true]) is an A/B benchmarking knob: [false]
     disables every cross-level reuse the escalation performs —
@@ -122,8 +108,8 @@ val schedule_loop :
 
     [hier] shares a partition hierarchy built by {!hierarchy} across
     calls over the same graph; omitted, each call builds its own.
-    @raise Invalid_argument when [window < 1], or when [hier] was built
-    for a different graph. *)
+    @raise Invalid_argument when [hier] was built for a different
+    graph. *)
 
 (** {1 Escalation traces}
 
@@ -173,8 +159,6 @@ module Trace : sig
     ?transform:transform ->
     ?max_ii:int ->
     ?budget:Budget.t ->
-    ?window:int ->
-    ?exec:Exec.t ->
     ?hier:Partition.Hier.t ->
     Machine.Config.t ->
     Ddg.Graph.t ->
@@ -185,11 +169,8 @@ module Trace : sig
       placed schedule with its MaxLive per cluster, a rejected placement
       with its pressure, or the failure cause), the attempt's
       bus-pressure observations and a digest of its transform output.
-      [window]/[exec] as in {!schedule_loop}: consuming speculative
-      levels in II order forces the observable level order, so the
-      recorded trace is window-invariant.  [hier] as in
-      {!schedule_loop} — the recording run draws its partitions from
-      the shared hierarchy.
+      [hier] as in {!schedule_loop} — the recording run draws its
+      partitions from the shared hierarchy.
       @raise Invalid_argument if [hier] was built for another loop or
       configuration. *)
 
@@ -240,8 +221,6 @@ val schedule_sweep :
   ?max_ii:int ->
   ?budget:Budget.t ->
   ?spiller_for:(Machine.Config.t -> spiller option) ->
-  ?window:int ->
-  ?exec:Exec.t ->
   Machine.Config.t list ->
   Ddg.Graph.t ->
   (Machine.Config.t * (outcome, Sched_error.t) result) list
@@ -251,5 +230,4 @@ val schedule_sweep :
     it for each.  Results (in input order) are the ones the independent
     [schedule_loop] calls would produce.  [spiller_for] selects a spiller
     per member (spill rounds run in place on overflowing recorded
-    levels; see {!Trace.replay}).  [window]/[exec] speculate the recording run's escalation
-    ({!schedule_loop}); replays are judged sequentially either way. *)
+    levels; see {!Trace.replay}). *)

@@ -46,8 +46,7 @@ val initial : ?rec_mii:int -> Machine.Config.t -> Ddg.Graph.t -> ii:int -> t
     assign-and-refine after the first visit, and repeated visits are
     array copies.
 
-    Not domain-safe: the driver queries the hierarchy only from the
-    orchestrating domain, never from speculative workers. *)
+    Not domain-safe: query a hierarchy from one domain at a time. *)
 module Hier : sig
   type partition := t
 

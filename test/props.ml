@@ -564,75 +564,30 @@ let prop_sweep_spiller_matches_oracle =
         configs swept)
 
 (* ------------------------------------------------------------------ *)
-(* Speculative escalation                                              *)
+(* Attempt budgets                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Speculation must be transparent: any window width on any executor
-   returns byte-identical figures to the sequential walk.  Timeout
-   errors carry a wall-clock field that legitimately differs between
-   runs; everything else must match exactly. *)
-let canon_result_no_clock r =
-  match canon_result r with
-  | Error (Sched.Sched_error.Timeout { at_ii; attempts; elapsed_s = _ }) ->
-      Error (Sched.Sched_error.Timeout { at_ii; attempts; elapsed_s = 0. })
-  | r -> r
-
-let windows_and_jobs = [ (1, 1); (2, 1); (2, 2); (4, 1); (4, 2); (8, 2) ]
-
-let prop_speculative_equals_sequential =
-  QCheck.Test.make
-    ~name:"speculative windows equal the sequential walk" ~count:40 pair_arb
-    (fun (seed, ci) ->
+(* One attempt is one II level, spent before the level runs: a k-attempt
+   budget leaves a walk that succeeds within its first k levels
+   untouched, and stops every other walk at level mii + k having spent
+   exactly k attempts. *)
+let prop_attempt_cap =
+  QCheck.Test.make ~name:"an attempt cap of k stops the walk at mii + k"
+    ~count:40 pair_arb (fun (seed, ci) ->
       let g = graph_of_seed seed in
       let config = config_of_index ci in
-      let baseline = canon_result (Sched.Driver.schedule_loop config g) in
+      let mii = Ddg.Mii.mii config g in
+      let free = Sched.Driver.schedule_loop config g in
       List.for_all
-        (fun (window, jobs) ->
-          let exec = Metrics.Pool.exec ~jobs () in
-          canon_result
-            (Sched.Driver.schedule_loop ~window ~exec config g)
-          = baseline)
-        windows_and_jobs)
-
-let prop_speculative_spiller_equals_sequential =
-  QCheck.Test.make
-    ~name:"speculative windows equal the sequential walk (spiller attached)"
-    ~count:25 pair_arb (fun (seed, ci) ->
-      let g = graph_of_seed seed in
-      let config = config_of_index ci in
-      let baseline =
-        canon_result
-          (Sched.Driver.schedule_loop ~spiller:Sched.Spill.spiller config g)
-      in
-      List.for_all
-        (fun (window, jobs) ->
-          let exec = Metrics.Pool.exec ~jobs () in
-          canon_result
-            (Sched.Driver.schedule_loop ~spiller:Sched.Spill.spiller ~window
-               ~exec config g)
-          = baseline)
-        windows_and_jobs)
-
-let prop_speculative_budget_equals_sequential =
-  QCheck.Test.make
-    ~name:"attempt-capped budgets time out identically at any window"
-    ~count:25 pair_arb (fun (seed, ci) ->
-      let g = graph_of_seed seed in
-      let config = config_of_index ci in
-      (* A tight attempt cap forces mid-walk expiry on escalating loops;
-         the budget is spent in consume order, so the timeout must land
-         on the same II level at every window. *)
-      let run ?window ?exec () =
-        let budget = Sched.Budget.make ~max_attempts:3 () in
-        canon_result_no_clock
-          (Sched.Driver.schedule_loop ~budget ?window ?exec config g)
-      in
-      let baseline = run () in
-      List.for_all
-        (fun (window, jobs) ->
-          let exec = Metrics.Pool.exec ~jobs () in
-          run ~window ~exec () = baseline)
-        windows_and_jobs)
+        (fun k ->
+          let budget = Sched.Budget.make ~max_attempts:k () in
+          match (free, Sched.Driver.schedule_loop ~budget config g) with
+          | Ok o, capped when o.Sched.Driver.ii - mii < k ->
+              canon_result capped = canon_result free
+          | _, Error (Sched.Sched_error.Timeout { at_ii; attempts; _ }) ->
+              at_ii = mii + k && attempts = k
+          | _ -> false)
+        [ 1; 2; 3; 5 ])
 
 let prop_shared_hierarchy_equals_fresh =
   QCheck.Test.make
@@ -758,9 +713,7 @@ let suite =
       prop_sweep_matches_oracle;
       prop_sweep_replication_matches_oracle;
       prop_sweep_spiller_matches_oracle;
-      prop_speculative_equals_sequential;
-      prop_speculative_spiller_equals_sequential;
-      prop_speculative_budget_equals_sequential;
+      prop_attempt_cap;
       prop_shared_hierarchy_equals_fresh;
       prop_mrt_bitset_matches_scan;
     ]

@@ -178,8 +178,8 @@ let test_figures_render () =
   (* every renderer produces non-empty text without raising *)
   let suite = Lazy.force small_suite in
   List.iter
-    (fun (id, text) ->
-      check bool (id ^ " non-empty") true (String.length text > 40))
+    (fun (id, render) ->
+      check bool (id ^ " non-empty") true (String.length (render ()) > 40))
     (Metrics.Figures.all suite)
 
 (* ------------------------------------------------------------------ *)
@@ -370,6 +370,31 @@ let test_validate_cross_family_replays () =
             (String.concat "; " (Check.Validate.to_strings issues)))
     reused
 
+(* Display names are not injective: a custom homogeneous machine with
+   other unit counts prints the default machine's name.  One suite asked
+   for both must answer each exactly as a fresh suite does. *)
+let test_runs_keyed_by_full_config () =
+  let loops = Lazy.force small_loops in
+  let custom =
+    Machine.Config.custom ~clusters:4 ~buses:1 ~bus_latency:2 ~registers:64
+      ~fus_per_cluster:(1, 1, 2)
+  in
+  check Alcotest.string "the names collide" (Machine.Config.name config)
+    (Machine.Config.name custom);
+  let shared = Metrics.Suite.create ~loops () in
+  List.iter
+    (fun c ->
+      let fresh = Metrics.Suite.create ~loops () in
+      let runs s =
+        List.map canon_run
+          (Metrics.Suite.runs s Metrics.Experiment.Baseline c)
+      in
+      check bool
+        (Machine.Config.cache_key c ^ " equals its fresh-suite runs")
+        true
+        (runs shared = runs fresh))
+    [ config; custom ]
+
 (* ------------------------------------------------------------------ *)
 (* Domain pool                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -487,4 +512,6 @@ let suite =
       test_rerecord_at_stricter_member;
     Alcotest.test_case "oracle validates cross-family replays" `Slow
       test_validate_cross_family_replays;
+    Alcotest.test_case "runs keyed by the full config" `Slow
+      test_runs_keyed_by_full_config;
   ]

@@ -26,7 +26,7 @@ let render_all ?jobs ?store () =
   let suite =
     Metrics.Suite.create ~loops:(Lazy.force small_loops) ?jobs ?store ()
   in
-  Metrics.Figures.all suite
+  List.map (fun (id, render) -> (id, render ())) (Metrics.Figures.all suite)
 
 let renders = Alcotest.(list (pair string string))
 
@@ -87,6 +87,18 @@ let test_disk_tier_byte_equal () =
   check renders "cache-served figures at jobs=8" cold warm8;
   check int "jobs=8 warm run has zero misses" 0
     (Metrics.Store.stats s3).misses
+
+(* Rendering one artifact schedules only what it reads: the static
+   Table 1 must not touch the suite's store at all. *)
+let test_table1_alone_schedules_nothing () =
+  let store = Metrics.Store.create () in
+  let suite =
+    Metrics.Suite.create ~loops:(Lazy.force small_loops) ~store ()
+  in
+  let render = List.assoc "table1" (Metrics.Figures.all suite) in
+  check bool "table1 rendered" true (String.length (render ()) > 0);
+  let st = Metrics.Store.stats store in
+  check int "no store lookups" 0 (st.hits + st.misses)
 
 (* Every schedule a cache-served sweep returns must satisfy the
    independent oracle, exactly like a direct run's ({!Check.Validate}
@@ -316,6 +328,8 @@ let suite =
       test_disk_tier_byte_equal;
     Alcotest.test_case "oracle over cache-served runs" `Slow
       test_validate_cache_served;
+    Alcotest.test_case "table1 alone schedules nothing" `Quick
+      test_table1_alone_schedules_nothing;
     Alcotest.test_case "record policy" `Quick test_record_policy;
     Alcotest.test_case "scheduler-version invalidation" `Quick
       test_version_invalidation;

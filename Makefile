@@ -37,18 +37,40 @@ fuzz-smoke:
 validate-quick:
 	dune exec bin/repro.exe -- validate --quick
 
-# Cache-equality gate: the quick suite cold (filling a fresh schedule
-# store on disk) and warm (served from it) must print byte-identical
-# stdout, and the warm run must not miss once (the store's hit/miss
-# line goes to stderr, keeping stdout comparable).
+# Cache-equality gate: the schedule store must be invisible in stdout
+# (its hit/miss line goes to stderr).  Each step fills a fresh store
+# directory and reruns the quick suite over it; every stdout must be
+# byte-identical to an uncached clean run.
+#  - cold/warm: the warm rerun must not miss once;
+#  - resume: the fill poisons tomcatv.1, whose quarantined runs are never
+#    stored, so the rerun computes exactly those two (misses=2);
+#  - budget: results computed under --budget are stored like any other,
+#    so the unbudgeted warm rerun must not miss once.
 check-cache:
+	dune exec bin/repro.exe -- suite --quick > /tmp/suite_clean.txt
 	rm -rf /tmp/sched_cache_gate
 	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
 	  > /tmp/suite_cold.txt 2> /tmp/suite_cold_err.txt
 	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
 	  > /tmp/suite_warm.txt 2> /tmp/suite_warm_err.txt
-	diff /tmp/suite_cold.txt /tmp/suite_warm.txt
+	cmp /tmp/suite_clean.txt /tmp/suite_cold.txt
+	cmp /tmp/suite_clean.txt /tmp/suite_warm.txt
 	grep -q "misses=0 " /tmp/suite_warm_err.txt
+	rm -rf /tmp/sched_cache_gate
+	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
+	  --poison tomcatv.1 > /tmp/suite_poisoned.txt 2> /tmp/suite_poisoned_err.txt
+	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
+	  > /tmp/suite_resumed.txt 2> /tmp/suite_resumed_err.txt
+	cmp /tmp/suite_clean.txt /tmp/suite_resumed.txt
+	grep -q "misses=2 " /tmp/suite_resumed_err.txt
+	rm -rf /tmp/sched_cache_gate
+	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
+	  --budget 60 > /tmp/suite_budget.txt 2> /tmp/suite_budget_err.txt
+	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
+	  > /tmp/suite_budget_warm.txt 2> /tmp/suite_budget_warm_err.txt
+	cmp /tmp/suite_clean.txt /tmp/suite_budget.txt
+	cmp /tmp/suite_clean.txt /tmp/suite_budget_warm.txt
+	grep -q "misses=0 " /tmp/suite_budget_warm_err.txt
 	rm -rf /tmp/sched_cache_gate
 
 # Serve gate: a real `repro serve` daemon driven through the whole

@@ -2,7 +2,7 @@
 
    repro figures   - regenerate the paper's tables and figures
    repro loop      - schedule one workload loop and show everything
-   repro suite     - fault-isolated per-benchmark IPC table (checkpointable)
+   repro suite     - fault-isolated per-benchmark IPC table (resumable via --cache)
    repro faults    - run the fault-injection catalog against the checker
    repro workload  - describe the synthetic 678-loop suite
    repro example   - walk through the paper's Figure-3 worked example
@@ -215,36 +215,18 @@ let effective_jobs jobs =
   Metrics.Log.clamp_warning ~requested:jobs ~effective:e;
   e
 
-let suite_run config quick jobs strict retry checkpoint poison budget cache =
+let suite_run config quick jobs strict retry poison budget cache =
   let jobs = effective_jobs jobs in
   let loops = loops_of ~quick in
   (* The store reports to stderr only: stdout stays byte-identical
-     between cold and warm runs (the CI cache-equality gate diffs it). *)
+     between cold, warm and resumed runs (the CI cache-equality gate
+     compares them). *)
   let store = Option.map (fun dir -> Metrics.Store.create ~dir ()) cache in
-  let resume =
-    match checkpoint with
-    | Some path when Sys.file_exists path -> (
-        match Metrics.Checkpoint.load ~path with
-        | Ok cp when String.equal cp.Metrics.Checkpoint.config
-                       (Machine.Config.name config) ->
-            Printf.printf "resuming from %s\n" path;
-            Some cp
-        | Ok cp ->
-            Printf.eprintf
-              "repro: checkpoint %s is for configuration %s, ignoring\n" path
-              cp.Metrics.Checkpoint.config;
-            None
-        | Error msg ->
-            Printf.eprintf "repro: cannot load checkpoint %s: %s\n" path msg;
-            None)
-    | _ -> None
-  in
   (* Retries are spaced by a jittered exponential backoff so a resource
      blip on a loaded machine is not retried straight back into. *)
   let backoff = if retry then Some (Metrics.Backoff.make ()) else None in
   let outcome =
-    Metrics.Robust.run ~jobs ~retry ?backoff ~poison ?budget_s:budget ?resume
-      ?store
+    Metrics.Robust.run ~jobs ~retry ?backoff ~poison ?budget_s:budget ?store
       ~modes:[ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ]
       config loops
   in
@@ -258,16 +240,8 @@ let suite_run config quick jobs strict retry checkpoint poison budget cache =
         ~bytes_written:st.Metrics.Store.bytes_written
         ~tables_saved:st.Metrics.Store.tables_saved
         ~tables_skipped:st.Metrics.Store.tables_skipped);
-  (match checkpoint with
-  | Some path ->
-      Metrics.Checkpoint.save outcome.Metrics.Robust.o_checkpoint ~path;
-      Printf.printf "checkpoint: %s (%d loop runs computed, %d reused)\n" path
-        outcome.Metrics.Robust.o_computed outcome.Metrics.Robust.o_reused
-  | None -> ());
   print_string
-    (Metrics.Robust.ipc_table config
-       ~base:(Metrics.Robust.summaries outcome ~mode:"base")
-       ~repl:(Metrics.Robust.summaries outcome ~mode:"repl"));
+    (Metrics.Robust.ipc_table config outcome.Metrics.Robust.o_runs);
   let quarantined = outcome.Metrics.Robust.o_quarantined in
   List.iter
     (fun (tag, (q : Metrics.Experiment.quarantined)) ->
@@ -306,14 +280,6 @@ let suite_cmd =
       & info [ "retry" ]
           ~doc:"Re-run quarantined loops once, sequentially.")
   in
-  let checkpoint =
-    Arg.(
-      value & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Save the run manifest to $(docv); if $(docv) exists, resume \
-             from it (finished loops are not recomputed).")
-  in
   let poison =
     Arg.(
       value & opt (list string) []
@@ -337,17 +303,18 @@ let suite_cmd =
           ~doc:
             "Content-addressed schedule store: answer loops already solved \
              under this scheduler version from $(docv) (byte-identical to a \
-             cold run) and persist everything this run computes.  Ignored \
-             when --budget is set.  Hit/miss statistics go to stderr.")
+             cold run) and persist everything this run computes.  A rerun \
+             over the same $(docv) resumes: only quarantined and new loops \
+             are computed.  Hit/miss statistics go to stderr.")
   in
   Cmd.v
     (Cmd.info "suite"
        ~doc:
-         "Fault-isolated per-benchmark IPC for one configuration, with \
-          optional checkpoint/resume.")
+         "Fault-isolated per-benchmark IPC for one configuration, \
+          resumable through the schedule store (--cache).")
     Term.(
       const suite_run $ config_arg $ quick_arg $ jobs_arg $ strict $ retry
-      $ checkpoint $ poison $ budget $ cache)
+      $ poison $ budget $ cache)
 
 (* ------------------------------------------------------------------ *)
 (* faults: the fault-injection catalog against the checker             *)

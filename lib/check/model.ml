@@ -93,41 +93,29 @@ type model = {
          already computed: the first burst of a pair must coalesce onto
          exactly one computation, later bursts must be all store hits *)
   mutable table : string option;   (* IPC table of a clean full run *)
-  mutable last_cp : (string * string * string) list option;
-  mutable saved : (string * string * string) list option;
+  mutable last_healthy : int option;
+      (* (mode, loop) entries the last suite run left in its store *)
+  mutable saved_healthy : int option;  (* the same, at the last Save *)
 }
 
 type env = {
   sabotage : string;
-  manifest_path : string;
+  root : string;  (* temp directory holding every disk tier below *)
   store : Metrics.Store.t;  (* memory-tier schedule store under test *)
   serve_dir : string;  (* disk tier of the serve engine under test *)
   serve_cc : Metrics.Serve.t;
       (* a second engine with a one-domain worker pool (memory-only
          store), driven only by Serve_concurrent *)
   mutable serve : Metrics.Serve.t;
-  mutable last_cp_real : Metrics.Checkpoint.t option;
-  mutable saved_real : Metrics.Checkpoint.t option;
+  mutable suite_dirs : int;  (* suite-run store directories handed out *)
+  mutable last_run : (Metrics.Store.t * string) option;
+      (* store of the last suite run, and its directory *)
+  mutable saved_dir : string option;  (* directory of the last Save *)
 }
 
 exception Post of string
 
 let post fmt = Printf.ksprintf (fun s -> raise (Post s)) fmt
-
-let sig_of_status = function
-  | Metrics.Checkpoint.Done s ->
-      Printf.sprintf "done ii=%d mii=%d comms=%d cycles=%d useful=%d"
-        s.Metrics.Checkpoint.s_ii s.s_mii s.s_n_comms s.s_cycles s.s_useful
-  | Metrics.Checkpoint.Skipped cls -> "skipped " ^ cls
-  | Metrics.Checkpoint.Quarantined (cls, _) -> "quarantined " ^ cls
-
-let entry_sigs (cp : Metrics.Checkpoint.t) =
-  List.map
-    (fun (e : Metrics.Checkpoint.entry) ->
-      (e.e_mode, e.e_loop, sig_of_status e.e_status))
-    cp.entries
-
-let quarantined s = String.length s >= 11 && String.sub s 0 11 = "quarantined"
 
 let observe m ~tag ~id sg =
   match Hashtbl.find_opt m.learned (tag, id) with
@@ -142,9 +130,10 @@ let observe_sweep m ~loop ~regs sg =
   | _ -> Hashtbl.replace m.sweeps (loop, regs) sg
 
 let run_sig = function
-  | Ok r ->
-      sig_of_status
-        (Metrics.Checkpoint.Done (Metrics.Checkpoint.summary_of_run r))
+  | Ok (r : Metrics.Experiment.loop_run) ->
+      Printf.sprintf "done ii=%d mii=%d comms=%d cycles=%d useful=%d"
+        r.outcome.ii r.outcome.mii r.outcome.n_comms r.counts.cycles
+        r.counts.useful_ops
   | Error e when Sched.Sched_error.is_bug e ->
       post "bug-class error: %s" (Sched.Sched_error.to_string e)
   | Error e -> "skipped " ^ Sched.Sched_error.class_name e
@@ -156,10 +145,23 @@ let sched_sig = function
       post "bug-class error: %s" (Sched.Sched_error.to_string e)
   | Error e -> "error " ^ Sched.Sched_error.class_name e
 
-let table_of (o : Metrics.Robust.outcome) =
-  Metrics.Robust.ipc_table base_config
-    ~base:(Metrics.Robust.summaries o ~mode:"base")
-    ~repl:(Metrics.Robust.summaries o ~mode:"repl")
+(* Every finished run of a suite outcome, observed under its pair. *)
+let observe_runs m (o : Metrics.Robust.outcome) =
+  List.iter
+    (fun (r : Metrics.Experiment.loop_run) ->
+      observe m
+        ~tag:(Metrics.Experiment.mode_tag r.mode)
+        ~id:r.loop.Workload.Generator.id (run_sig (Ok r)))
+    o.o_runs
+
+(* Each suite run gets its own store directory, so a later run can
+   never disturb what an earlier Save persisted. *)
+let suite_store env =
+  let dir =
+    Filename.concat env.root (Printf.sprintf "suite%d" env.suite_dirs)
+  in
+  env.suite_dirs <- env.suite_dirs + 1;
+  (Metrics.Store.create ~dir (), dir)
 
 (* --- the fake serve daemon's contract ------------------------------ *)
 
@@ -219,8 +221,8 @@ let serve_one env m ~mode ~loop =
 let exec env m cmd =
   let loops = Lazy.force env_loops in
   let loop_list = Array.to_list loops in
-  let check_table o =
-    let t = table_of o in
+  let check_table (o : Metrics.Robust.outcome) =
+    let t = Metrics.Robust.ipc_table base_config o.o_runs in
     match m.table with
     | Some t0 when t0 <> t -> post "IPC table not byte-identical to earlier run"
     | _ -> m.table <- Some t
@@ -247,69 +249,68 @@ let exec env m cmd =
           post "zero-attempt budget classified %s, not timeout"
             (Sched.Sched_error.class_name e))
   | Run_suite { jobs } ->
-      let o = Metrics.Robust.run ~jobs ~modes base_config loop_list in
-      if o.o_reused <> 0 then post "fresh run reused %d entries" o.o_reused;
+      let store, dir = suite_store env in
+      let o = Metrics.Robust.run ~jobs ~store ~modes base_config loop_list in
+      if o.o_cache_hits <> 0 then
+        post "fresh run hit %d store entries" o.o_cache_hits;
       if o.o_computed <> 2 * n_loops then
         post "fresh run computed %d of %d" o.o_computed (2 * n_loops);
       if o.o_quarantined <> [] then
         post "clean run quarantined %d loops" (List.length o.o_quarantined);
-      let entries = entry_sigs o.o_checkpoint in
-      List.iter (fun (tag, id, sg) -> observe m ~tag ~id sg) entries;
+      observe_runs m o;
       check_table o;
-      m.last_cp <- Some entries;
-      env.last_cp_real <- Some o.o_checkpoint
+      m.last_healthy <- Some (2 * n_loops);
+      env.last_run <- Some (store, dir)
   | Poison { loop } ->
       let victim = loops.(loop).Workload.Generator.id in
+      let store, dir = suite_store env in
       let o =
-        Metrics.Robust.run ~poison:[ victim ] ~modes base_config loop_list
+        Metrics.Robust.run ~poison:[ victim ] ~store ~modes base_config
+          loop_list
       in
       if List.length o.o_quarantined <> 2 then
         post "poisoned %s: %d quarantines, wanted one per mode" victim
           (List.length o.o_quarantined);
-      let entries = entry_sigs o.o_checkpoint in
       List.iter
-        (fun (tag, id, sg) ->
-          if id = victim then begin
-            if sg <> "quarantined internal" then
-              post "victim %s/%s has status %S" tag id sg
-          end
-          else observe m ~tag ~id sg)
-        entries;
-      m.last_cp <- Some entries;
-      env.last_cp_real <- Some o.o_checkpoint
+        (fun (tag, (q : Metrics.Experiment.quarantined)) ->
+          let cls = Sched.Sched_error.class_name q.q_error in
+          if q.q_loop.Workload.Generator.id <> victim || cls <> "internal" then
+            post "quarantined %s/%s as %s, wanted only the victim %s" tag
+              q.q_loop.Workload.Generator.id cls victim)
+        o.o_quarantined;
+      observe_runs m o;
+      m.last_healthy <- Some ((2 * n_loops) - 2);
+      env.last_run <- Some (store, dir)
   | Save -> (
-      match (env.last_cp_real, m.last_cp) with
-      | Some cp, Some abs -> (
-          Metrics.Checkpoint.save cp ~path:env.manifest_path;
-          match Metrics.Checkpoint.load ~path:env.manifest_path with
-          | Error msg -> post "manifest reload failed: %s" msg
-          | Ok cp' ->
-              if entry_sigs cp' <> abs then
-                post "disk round-trip changed the manifest";
-              env.saved_real <- Some cp';
-              m.saved <- Some abs)
-      | _ -> post "Save without a manifest (generator bug)")
+      match (env.last_run, m.last_healthy) with
+      | Some (store, dir), Some healthy ->
+          Metrics.Store.save store;
+          env.saved_dir <- Some dir;
+          m.saved_healthy <- Some healthy
+      | _ -> post "Save without a suite run (generator bug)")
   | Resume -> (
-      match (env.saved_real, m.saved) with
-      | Some cp, Some abs ->
-          let healthy =
-            List.length (List.filter (fun (_, _, sg) -> not (quarantined sg)) abs)
+      match (env.saved_dir, m.saved_healthy) with
+      | Some dir, Some healthy ->
+          (* The "resume-cold" sabotage resumes over a memory-only store,
+             as if the saved directory were lost: nothing can hit. *)
+          let store =
+            if env.sabotage = "resume-cold" then Metrics.Store.create ()
+            else Metrics.Store.create ~dir ()
           in
-          let o = Metrics.Robust.run ~resume:cp ~modes base_config loop_list in
-          if o.o_reused <> healthy then
-            post "resume reused %d entries, manifest held %d healthy" o.o_reused
-              healthy;
+          let o = Metrics.Robust.run ~store ~modes base_config loop_list in
+          if o.o_cache_hits <> healthy then
+            post "resume hit %d entries, the saved run held %d healthy"
+              o.o_cache_hits healthy;
           if o.o_computed <> (2 * n_loops) - healthy then
             post "resume recomputed %d, wanted %d" o.o_computed
               ((2 * n_loops) - healthy);
           if o.o_quarantined <> [] then
             post "resume quarantined %d loops" (List.length o.o_quarantined);
-          let entries = entry_sigs o.o_checkpoint in
-          List.iter (fun (tag, id, sg) -> observe m ~tag ~id sg) entries;
+          observe_runs m o;
           check_table o;
-          m.last_cp <- Some entries;
-          env.last_cp_real <- Some o.o_checkpoint
-      | _ -> post "Resume without a saved manifest (generator bug)")
+          m.last_healthy <- Some (2 * n_loops);
+          env.last_run <- Some (store, dir)
+      | _ -> post "Resume without a saved store (generator bug)")
   | Schedule_direct { loop; regs } ->
       let config = Machine.Config.with_registers base_config ~registers:regs in
       let sg =
@@ -555,7 +556,7 @@ let exec env m cmd =
 (* ------------------------------------------------------------------ *)
 
 let gen_cmds rng ~len =
-  let has_cp = ref false and has_saved = ref false in
+  let has_run = ref false and has_saved = ref false in
   List.init len (fun _ ->
       let rec pick () =
         match Rng.int rng 20 with
@@ -563,12 +564,12 @@ let gen_cmds rng ~len =
             Run_loop { mode = Rng.int rng 2; loop = Rng.int rng n_loops }
         | 3 -> Budget_timeout { mode = Rng.int rng 2; loop = Rng.int rng n_loops }
         | 4 ->
-            has_cp := true;
+            has_run := true;
             Run_suite { jobs = 1 + Rng.int rng 2 }
         | 5 ->
-            has_cp := true;
+            has_run := true;
             Poison { loop = Rng.int rng n_loops }
-        | 6 when !has_cp ->
+        | 6 when !has_run ->
             has_saved := true;
             Save
         | 7 when !has_saved -> Resume
@@ -609,7 +610,7 @@ let gen_cmds rng ~len =
       pick ())
 
 let valid cmds =
-  let has_cp = ref false and has_saved = ref false in
+  let has_run = ref false and has_saved = ref false in
   let loop_ok l = l >= 0 && l < n_loops in
   List.for_all
     (function
@@ -630,13 +631,13 @@ let valid cmds =
       | Serve_concurrent { mode; loop; n } ->
           (mode = 0 || mode = 1) && loop_ok loop && n >= 2
       | Run_suite { jobs } ->
-          has_cp := true;
+          has_run := true;
           jobs >= 1
       | Poison { loop } ->
-          has_cp := true;
+          has_run := true;
           loop_ok loop
       | Save ->
-          let ok = !has_cp in
+          let ok = !has_run in
           if ok then has_saved := true;
           ok
       | Resume -> !has_saved
@@ -648,35 +649,36 @@ let valid cmds =
 
 type failure = { x_index : int; x_cmd : cmd; x_msg : string }
 
-let remove_dir dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Sys.rmdir dir with Sys_error _ -> ()
-  end
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      try Sys.rmdir path with Sys_error _ -> ()
+    end
+    else try Sys.remove path with Sys_error _ -> ()
 
 let run_cmds ?(sabotage = "") cmds =
-  let manifest_path = Filename.temp_file "model" ".json" in
-  let serve_dir = Filename.temp_file "model_serve" "" in
-  Sys.remove serve_dir;
+  let root = Filename.temp_dir "model" "" in
+  let serve_dir = Filename.concat root "serve" in
   let env =
     {
       sabotage;
-      manifest_path;
+      root;
       store = Metrics.Store.create ();
       serve_dir;
       serve_cc = fresh_serve_cc ();
       serve = fresh_serve ~dir:serve_dir;
-      last_cp_real = None;
-      saved_real = None;
+      suite_dirs = 0;
+      last_run = None;
+      saved_dir = None;
     }
   in
   Fun.protect
     ~finally:(fun () ->
       Metrics.Serve.shutdown env.serve_cc;
-      (try Sys.remove manifest_path with Sys_error _ -> ());
-      remove_dir serve_dir)
+      remove_tree root)
     (fun () ->
       let m =
         {
@@ -685,8 +687,8 @@ let run_cmds ?(sabotage = "") cmds =
           serve_replies = Hashtbl.create 16;
           cc_seen = Hashtbl.create 16;
           table = None;
-          last_cp = None;
-          saved = None;
+          last_healthy = None;
+          saved_healthy = None;
         }
       in
       let rec go i = function

@@ -1,18 +1,18 @@
-(** Stateful model-based testing of the driver / suite / checkpoint API.
+(** Stateful model-based testing of the driver / suite / store API.
 
     A random {e command sequence} — schedule one loop, run the
-    fault-isolated suite, poison a loop, save and reload the manifest,
-    resume from it, sweep a register family, inject an exhausted budget
-    — is executed against the real system while a tiny in-memory fake
-    tracks what the system has {e promised}: the status signature every
-    (mode, loop) pair has ever produced, the outcome signature of every
-    (loop, register-count) pair whether it came from a direct schedule
-    or a trace replay, the rendered IPC table of a clean full run, and
-    the abstract contents of the last / saved checkpoint.  After every
-    command the real response is checked against the fake
-    (postconditions: determinism of re-observations, reuse counts on
-    resume, byte-identical tables, quarantine classes, timeout
-    classification, disk round-trips).
+    fault-isolated suite, poison a loop, save the suite's schedule
+    store, resume from it, sweep a register family, inject an exhausted
+    budget — is executed against the real system while a tiny in-memory
+    fake tracks what the system has {e promised}: the status signature
+    every (mode, loop) pair has ever produced, the outcome signature of
+    every (loop, register-count) pair whether it came from a direct
+    schedule or a trace replay, the rendered IPC table of a clean full
+    run, and how many healthy entries the last and the saved suite run
+    left in their stores.  After every command the real response is
+    checked against the fake (postconditions: determinism of
+    re-observations, hit counts on resume, byte-identical tables,
+    quarantine classes, timeout classification, disk round-trips).
 
     A failing sequence is shrunk to a locally minimal one by greedy
     command removal, re-validating the sequence's preconditions on the
@@ -30,16 +30,18 @@ type cmd =
           [base; repl] *)
   | Budget_timeout of { mode : int; loop : int }
       (** same, under a zero-attempt budget: must classify [Timeout] *)
-  | Run_suite of { jobs : int }  (** fault-isolated full suite run *)
+  | Run_suite of { jobs : int }
+      (** fault-isolated full suite run over a fresh schedule store in
+          a directory of its own *)
   | Poison of { loop : int }
-      (** suite run with an injected fault: the victim must be
+      (** the same with an injected fault: the victim must be
           quarantined as ["internal"] in every mode, everyone else
           unaffected *)
-  | Save  (** persist the last manifest to disk and reload it *)
+  | Save  (** {!Metrics.Store.save} the last suite run's store *)
   | Resume
-      (** suite run resuming from the saved manifest: healthy entries
-          answered from disk, quarantined ones recomputed, table
-          byte-identical to a clean run *)
+      (** suite run over a fresh store on the directory of the last
+          [Save]: healthy entries are hits, the rest recomputed, nothing
+          quarantined, table byte-identical to a clean run *)
   | Schedule_direct of { loop : int; regs : int }
       (** bare [Driver.schedule_loop] at a register count *)
   | Sweep of { loop : int; regs : int list }
@@ -92,8 +94,8 @@ type cmd =
 val cmd_to_string : cmd -> string
 
 val valid : cmd list -> bool
-(** Precondition check for a whole sequence ([Save] needs a manifest,
-    [Resume] a saved one, indices in range) — generation always
+(** Precondition check for a whole sequence ([Save] needs a suite run,
+    [Resume] a saved store, indices in range) — generation always
     produces valid sequences; shrinking re-validates candidates. *)
 
 val gen_cmds : Workload.Rng.t -> len:int -> cmd list
@@ -107,7 +109,7 @@ type failure = {
 
 val run_cmds : ?sabotage:string -> cmd list -> (unit, failure) result
 (** Execute a sequence against the real system and the fake.  Each call
-    builds a fresh environment (loops, config, temp manifest file).
+    builds a fresh environment (loops, config, temp store directories).
     [sabotage] (for tests of the harness itself): ["ignore-budget"]
     silently drops the budget from [Budget_timeout] on the real side;
     ["serve-starve"] staples a zero-attempt budget to every serve
@@ -116,7 +118,9 @@ val run_cmds : ?sabotage:string -> cmd list -> (unit, failure) result
     engine appear to stamp the leader's rendered reply on every
     coalesced waiter instead of rendering each with its own id;
     ["gap-lie"] makes [Exact_gap] report an exact II one above the
-    heuristic II — a negative gap the postcondition must refuse. *)
+    heuristic II — a negative gap the postcondition must refuse;
+    ["resume-cold"] makes [Resume] run over a memory-only store, as if
+    the saved directory were lost, so no saved entry can hit. *)
 
 type counterexample = {
   c_seed : int;

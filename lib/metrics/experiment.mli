@@ -25,7 +25,7 @@ type mode =
 
 val mode_tag : mode -> string
 (** Stable short tag ("base", "repl", "repl0", "macro", "repllen") used
-    in cache keys and checkpoint manifests. *)
+    in store table names and the serve protocol. *)
 
 val mode_of_tag : string -> mode option
 (** Inverse of {!mode_tag} ([None] on an unknown tag) — the serve

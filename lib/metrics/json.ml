@@ -1,7 +1,8 @@
 (* A minimal JSON value type, writer helpers and a recursive-descent
-   parser.  The build deliberately has no JSON dependency; every
-   manifest this repo reads or writes (suite checkpoints, benchmark
-   timing files) speaks the subset implemented here. *)
+   parser.  The build deliberately has no JSON dependency; every file
+   and wire format this repo reads or writes (schedule store tables,
+   the serve protocol, fuzz corpora, benchmark timing files) speaks the
+   subset implemented here. *)
 
 type t =
   | Null

@@ -1,8 +1,9 @@
 (** A minimal hand-rolled JSON layer (value type, printer, parser).
 
     The build deliberately carries no JSON dependency; the grammar
-    needed by the suite checkpoints and the benchmark timing manifests
-    is tiny, so it is implemented here once and shared.  The parser
+    needed by the schedule store, the serve protocol, the fuzz corpora
+    and the benchmark timing files is tiny, so it is implemented here
+    once and shared.  The parser
     accepts the subset the printer emits (strings, numbers, booleans,
     null, arrays, objects; [\u] escapes decoded in the Latin-1
     range). *)

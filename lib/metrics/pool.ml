@@ -43,6 +43,15 @@ let in_worker f =
    with _ -> ());
   Fun.protect ~finally:Sched.Profile.flush f
 
+(* Backtrace recording is per domain, and a spawned domain does not
+   inherit the spawner's setting: carry it over, so a captured fault has
+   its backtrace whichever domain ran the item. *)
+let spawn_worker f =
+  let backtraces = Printexc.backtrace_status () in
+  Domain.spawn (fun () ->
+      Printexc.record_backtrace backtraces;
+      f ())
+
 type fault = { index : int; exn : exn; backtrace : string }
 
 exception Fault of fault
@@ -88,7 +97,7 @@ let run_domains eval ~jobs n =
     in
     go ()
   in
-  let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+  let domains = List.init (jobs - 1) (fun _ -> spawn_worker worker) in
   worker ();
   List.iter Domain.join domains
 
@@ -230,7 +239,7 @@ module Service = struct
     in
     t.domains <-
       List.init width (fun i ->
-          Domain.spawn (fun () -> in_worker (body i)));
+          spawn_worker (fun () -> in_worker (body i)));
     t
 
   let width t = t.width

@@ -26,7 +26,7 @@
    themselves — a hit returns the same structured data a cold run
    produced, so byte-identity of downstream tables is trivial.  The
    optional on-disk tier (one JSON file per (group, config) table,
-   written atomically like {!Checkpoint.save}) stores the transformed
+   written atomically: temp file, then rename) stores the transformed
    graph and partition instead of the routed schedule: routing is a
    pure function ({!Sched.Route.build}), so decoding rebuilds the
    routed graph exactly and revalidates the stored cycle/bus arrays

@@ -25,10 +25,14 @@
     Caching policy: successful runs and give-up errors
     ({!Sched.Sched_error.is_give_up}) are recorded; [Timeout] results
     are wall-clock-dependent and bug-class errors must surface, so
-    {!record} silently drops both.  Consumers ({!Suite}, {!Robust})
-    fall through to the normal scheduling path on {!Miss} — hits must
-    be byte-identical to cold runs, which the equality tests and the CI
-    cache-equality gate pin.
+    {!record} silently drops both.  This is the only record policy:
+    results computed under a budget are recorded like any other (a
+    budget can only turn a walk into a [Timeout]), and a quarantined
+    loop is never stored, which is what lets a rerun over the same
+    directory resume a suite run ({!Robust}).  Consumers ({!Suite},
+    {!Robust}) fall through to the normal scheduling path on {!Miss} —
+    hits must be byte-identical to cold runs, which the equality tests
+    and the CI cache-equality gate pin.
 
     A store instance is not domain-safe: consult it from the
     orchestrating domain only (the {!Suite}/{!Robust} integration does;
@@ -93,11 +97,11 @@ val evict :
 
 val save : t -> unit
 (** Write every dirty table of the disk tier (atomic per file:
-    temp-file + rename, like {!Checkpoint.save}).  A table untouched
-    since its last load or save is skipped, not rewritten — repeated
-    drains and warm all-hit shutdowns cost zero disk writes; the
-    {!stats} [tables_saved]/[tables_skipped] counters record both
-    sides.  No-op for memory-only stores. *)
+    temp-file + rename).  A table untouched since its last load or save
+    is skipped, not rewritten — repeated drains and warm all-hit
+    shutdowns cost zero disk writes; the {!stats}
+    [tables_saved]/[tables_skipped] counters record both sides.  No-op
+    for memory-only stores. *)
 
 val stats : t -> stats
 (** Counters since {!create}, for this store instance.  The global

@@ -3,8 +3,7 @@
    nested arrays/objects.  The generator only emits numbers the printer
    represents exactly (integral floats below 1e15, binary fractions
    with few significant digits), matching the layer's actual use —
-   checkpoint manifests and fuzz corpora carry ints and short
-   decimals. *)
+   store tables and fuzz corpora carry ints and short decimals. *)
 
 open Metrics.Json
 
@@ -75,7 +74,7 @@ let roundtrip_twice =
 open Alcotest
 
 let test_examples () =
-  (* pin the concrete grammar the manifests rely on *)
+  (* pin the concrete grammar the store tables and corpora rely on *)
   check string "integral without decimal point" "42" (print (Num 42.));
   check string "negative fraction" "-0.125" (print (Num (-0.125)));
   check string "escaping" "\"a\\\"b\\\\c\\n\\u0001\"" (print (Str "a\"b\\c\n\x01"));

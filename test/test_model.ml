@@ -1,5 +1,5 @@
 (* The stateful model-based harness (Check.Model): random command
-   sequences over the driver / suite / checkpoint API run against the
+   sequences over the driver / suite / store API run against the
    real system and the in-memory fake.  Three angles: the real system
    passes; the shrinker is correct on a pure predicate; and a deliberate
    lie on the real side (sabotage) is caught and shrunk to the single
@@ -54,7 +54,7 @@ let test_real_system_passes () =
 let test_minimize_pure_predicate () =
   (* fails iff the sequence contains both a Poison and a Resume; the
      minimal valid such sequence is Poison; Save; Resume (Save needs a
-     manifest, Resume a saved one) *)
+     suite run, Resume a saved store) *)
   let fails cmds =
     List.exists (function Poison _ -> true | _ -> false) cmds
     && List.exists (function Resume -> true | _ -> false) cmds
@@ -96,6 +96,37 @@ let test_sabotage_caught_and_shrunk () =
       match c.c_shrunk with
       | [ Budget_timeout _ ] -> ()
       | other -> failf "did not shrink to the lying command: %s" (pp_cmds other))
+
+(* Resume through the schedule store with a suite run between the Save
+   and the Resume: every suite run writes its own directory, so the
+   later run cannot disturb what the Save persisted. *)
+let test_resume_fixed_cases () =
+  List.iter
+    (fun cmds ->
+      if not (valid cmds) then failf "bad fixture: %s" (pp_cmds cmds);
+      match run_cmds cmds with
+      | Ok () -> ()
+      | Error f ->
+          failf "%s failed at %s: %s" (pp_cmds cmds) (cmd_to_string f.x_cmd)
+            f.x_msg)
+    [
+      [ Run_suite { jobs = 1 }; Save; Run_suite { jobs = 1 }; Resume ];
+      [ Poison { loop = 1 }; Save; Run_suite { jobs = 1 }; Resume ];
+    ]
+
+let test_resume_cold_caught_and_shrunk () =
+  (* the resume-cold lie resumes over a memory-only store, as if the
+     saved directory were lost: the hit count must fail and shrink to a
+     suite run, its Save and the Resume *)
+  let seed =
+    seed_where ~len:8 (List.exists (function Resume -> true | _ -> false))
+  in
+  match Check.Model.check ~sabotage:"resume-cold" ~seeds:[ seed ] ~len:8 () with
+  | None -> failf "cold resume passed"
+  | Some c -> (
+      match c.c_shrunk with
+      | [ (Run_suite _ | Poison _); Save; Resume ] -> ()
+      | other -> failf "did not shrink to three commands: %s" (pp_cmds other))
 
 (* The serve-engine commands, exercised through a fixed sequence that
    walks every service path: cold request, warm re-request, evict +
@@ -215,6 +246,10 @@ let suite =
       test_minimize_pure_predicate;
     test_case "sabotage is caught and shrunk to one command" `Slow
       test_sabotage_caught_and_shrunk;
+    test_case "resume reads the directory of the last save" `Slow
+      test_resume_fixed_cases;
+    test_case "cold resume is caught and shrunk" `Slow
+      test_resume_cold_caught_and_shrunk;
     test_case "serve commands satisfy the model" `Slow
       test_serve_commands_pass;
     test_case "serve sabotage is caught and shrunk" `Slow

@@ -1,5 +1,6 @@
 (* The fault-isolation layer: pool fault capture, escalation budgets,
-   error classification, quarantine, and checkpoint/resume. *)
+   error classification, quarantine, and resume through the schedule
+   store. *)
 
 open Alcotest
 
@@ -246,121 +247,128 @@ let test_suite_retry_threads_backoff () =
     (List.rev !slept)
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoints                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let sample_checkpoint () =
-  Metrics.Checkpoint.create ~config:"4c1b2l64r"
-    [
-      {
-        Metrics.Checkpoint.e_mode = "base";
-        e_loop = "tomcatv.0";
-        e_status =
-          Metrics.Checkpoint.Done
-            {
-              Metrics.Checkpoint.s_id = "tomcatv.0";
-              s_benchmark = "tomcatv";
-              s_visits = 7;
-              s_trip = 30;
-              s_ii = 4;
-              s_mii = 4;
-              s_n_comms = 2;
-              s_cycles = 131;
-              s_useful = 420;
-            };
-      };
-      {
-        Metrics.Checkpoint.e_mode = "base";
-        e_loop = "swim.3";
-        e_status = Metrics.Checkpoint.Skipped "escalation-cap";
-      };
-      {
-        Metrics.Checkpoint.e_mode = "repl";
-        e_loop = "apsi.2";
-        e_status =
-          Metrics.Checkpoint.Quarantined
-            ( "internal",
-              "tricky \"quoted\" text, back\\slash, tab\t, newline\n, \
-               control \001 done" );
-      };
-    ]
-
-let test_checkpoint_roundtrip () =
-  let cp = sample_checkpoint () in
-  match Metrics.Checkpoint.of_string (Metrics.Checkpoint.to_string cp) with
-  | Error msg -> failf "roundtrip failed: %s" msg
-  | Ok cp' ->
-      check bool "roundtrip preserves everything" true (cp = cp')
-
-let test_checkpoint_save_load () =
-  let cp = sample_checkpoint () in
-  let path = Filename.temp_file "checkpoint" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Metrics.Checkpoint.save cp ~path;
-      match Metrics.Checkpoint.load ~path with
-      | Ok cp' -> check bool "disk roundtrip" true (cp = cp')
-      | Error msg -> failf "load failed: %s" msg)
-
-let test_checkpoint_rejects_garbage () =
-  List.iter
-    (fun text ->
-      match Metrics.Checkpoint.of_string text with
-      | Error _ -> ()
-      | Ok _ -> failf "accepted %S" text)
-    [ ""; "{"; "[]"; "{\"version\":99,\"config\":\"x\",\"entries\":[]}";
-      "{\"version\":1}"; "{\"version\":1,\"config\":\"x\",\"entries\":[]} x" ]
-
-(* ------------------------------------------------------------------ *)
-(* Resume                                                               *)
+(* Resume through the schedule store                                    *)
 (* ------------------------------------------------------------------ *)
 
 let modes = [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ]
 
-let table_of outcome =
-  Metrics.Robust.ipc_table config4c
-    ~base:(Metrics.Robust.summaries outcome ~mode:"base")
-    ~repl:(Metrics.Robust.summaries outcome ~mode:"repl")
+let table_of (outcome : Metrics.Robust.outcome) =
+  Metrics.Robust.ipc_table config4c outcome.o_runs
+
+let with_store_dir f =
+  let dir = Filename.temp_dir "robust_store" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n -> Sys.remove (Filename.concat dir n))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
 
 let test_resume_completes_without_recompute () =
   let loops = Lazy.force tomcatv_loops in
   let victim = (List.nth loops 2).Workload.Generator.id in
-  let poisoned =
-    Metrics.Robust.run ~poison:[ victim ] ~modes config4c loops
-  in
-  (* the manifest of the poisoned run names the victim in both modes *)
-  List.iter
-    (fun mode ->
-      match
-        Metrics.Checkpoint.find poisoned.Metrics.Robust.o_checkpoint ~mode
-          ~loop:victim
-      with
-      | Some (Metrics.Checkpoint.Quarantined ("internal", msg)) ->
+  with_store_dir (fun dir ->
+      let store = Metrics.Store.create ~dir () in
+      let poisoned =
+        Metrics.Robust.run ~poison:[ victim ] ~store ~modes config4c loops
+      in
+      (* the poisoned run names the victim once per mode *)
+      check (list string) "victim quarantined in every mode" [ "base"; "repl" ]
+        (List.map fst poisoned.o_quarantined);
+      List.iter
+        (fun (mode, (q : Metrics.Experiment.quarantined)) ->
+          check string (mode ^ " victim") victim q.q_loop.Workload.Generator.id;
+          check string (mode ^ " class") "internal"
+            (Sched.Sched_error.class_name q.q_error);
           check bool
             (mode ^ " quarantine names the victim")
             true
-            (Metrics.Experiment.contains msg ~sub:victim)
-      | _ -> failf "%s: victim not quarantined in manifest" mode)
-    [ "base"; "repl" ];
-  check int "poisoned run computed everything" (2 * List.length loops)
-    poisoned.Metrics.Robust.o_computed;
-  (* resume (victim healthy again): only the quarantined entries are
-     recomputed, and the tables come out byte-identical to a fresh
-     healthy run *)
-  let resumed =
-    Metrics.Robust.run ~resume:poisoned.Metrics.Robust.o_checkpoint ~modes
-      config4c loops
+            (Metrics.Experiment.contains
+               (Sched.Sched_error.to_string q.q_error)
+               ~sub:victim))
+        poisoned.o_quarantined;
+      check int "poisoned run computed everything" (2 * List.length loops)
+        poisoned.o_computed;
+      Metrics.Store.save store;
+      (* resume over the saved directory (victim healthy again): only
+         the quarantined entries are recomputed, and the tables come out
+         byte-identical to a fresh healthy run *)
+      let resumed =
+        Metrics.Robust.run ~store:(Metrics.Store.create ~dir ()) ~modes
+          config4c loops
+      in
+      check int "resume recomputed only the victim" 2 resumed.o_computed;
+      check int "resume hit the rest"
+        (2 * (List.length loops - 1))
+        resumed.o_cache_hits;
+      check int "resume quarantined nothing" 0
+        (List.length resumed.o_quarantined);
+      let fresh = Metrics.Robust.run ~modes config4c loops in
+      check string "byte-identical tables" (table_of fresh) (table_of resumed))
+
+(* A budget can only turn a walk into a timeout, so a budgeted run reads
+   and fills the store like any other; the timeouts themselves are
+   dropped by the store's record policy. *)
+let test_budget_runs_use_the_store () =
+  let loops = Lazy.force tomcatv_loops in
+  let n = 2 * List.length loops in
+  let store = Metrics.Store.create () in
+  let budgeted =
+    Metrics.Robust.run ~budget_s:3600. ~store ~modes config4c loops
   in
-  check int "resume recomputed only the victim" 2
-    resumed.Metrics.Robust.o_computed;
-  check int "resume reused the rest"
-    (2 * (List.length loops - 1))
-    resumed.Metrics.Robust.o_reused;
-  check int "resume quarantined nothing" 0
-    (List.length resumed.Metrics.Robust.o_quarantined);
-  let fresh = Metrics.Robust.run ~modes config4c loops in
-  check string "byte-identical tables" (table_of fresh) (table_of resumed)
+  check int "generous budget computed everything" n budgeted.o_computed;
+  check int "generous budget quarantined nothing" 0
+    (List.length budgeted.o_quarantined);
+  let warm = Metrics.Robust.run ~store ~modes config4c loops in
+  check int "unbudgeted rerun is all hits" n warm.o_cache_hits;
+  check int "unbudgeted rerun computes nothing" 0 warm.o_computed;
+  check string "byte-identical tables" (table_of budgeted) (table_of warm);
+  let store = Metrics.Store.create () in
+  let starved = Metrics.Robust.run ~budget_s:0. ~store ~modes config4c loops in
+  check (list string) "zero budget times every loop out"
+    (List.init n (fun _ -> "timeout"))
+    (List.map
+       (fun (_, (q : Metrics.Experiment.quarantined)) ->
+         Sched.Sched_error.class_name q.q_error)
+       starved.o_quarantined);
+  let after = Metrics.Robust.run ~store ~modes config4c loops in
+  check int "zero budget recorded nothing" 0 after.o_cache_hits
+
+(* A benchmark with no finished runs on one side has no IPC there: its
+   cells and its gain read n/a, never 0.00 and a nan or inf gain. *)
+let test_ipc_table_without_runs () =
+  let loops = Lazy.force tomcatv_loops in
+  let base =
+    Metrics.Experiment.run_suite Metrics.Experiment.Baseline config4c loops
+  and repl =
+    Metrics.Experiment.run_suite Metrics.Experiment.Replication config4c loops
+  in
+  let rows table =
+    match String.split_on_char '\n' table with
+    | _config :: _header :: _rule :: rows ->
+        List.map
+          (fun row ->
+            List.filter (( <> ) "") (String.split_on_char ' ' row))
+          (List.filter (( <> ) "") rows)
+    | _ -> failf "malformed table %S" table
+  in
+  let expect ~tomcatv =
+    List.map
+      (fun (b : Workload.Benchmark.t) ->
+        if b.name = "tomcatv" then tomcatv else [ b.name; "n/a"; "n/a"; "n/a" ])
+      Workload.Benchmark.all
+  in
+  let ipc runs = Metrics.Table.f2 (Metrics.Experiment.ipc runs) in
+  check (list (list string)) "both sides empty"
+    (expect ~tomcatv:[ "tomcatv"; "n/a"; "n/a"; "n/a" ])
+    (rows (Metrics.Robust.ipc_table config4c []));
+  check (list (list string)) "replication side empty"
+    (expect ~tomcatv:[ "tomcatv"; ipc base; "n/a"; "n/a" ])
+    (rows (Metrics.Robust.ipc_table config4c base));
+  check (list (list string)) "baseline side empty"
+    (expect ~tomcatv:[ "tomcatv"; "n/a"; ipc repl; "n/a" ])
+    (rows (Metrics.Robust.ipc_table config4c repl))
 
 let suite =
   [
@@ -386,10 +394,10 @@ let suite =
       test_backoff_none_never_sleeps;
     test_case "suite retry threads the backoff" `Quick
       test_suite_retry_threads_backoff;
-    test_case "checkpoint string roundtrip" `Quick test_checkpoint_roundtrip;
-    test_case "checkpoint disk roundtrip" `Quick test_checkpoint_save_load;
-    test_case "checkpoint rejects garbage" `Quick
-      test_checkpoint_rejects_garbage;
     test_case "resume: no recompute, identical tables" `Quick
       test_resume_completes_without_recompute;
+    test_case "budget: runs read and fill the store" `Quick
+      test_budget_runs_use_the_store;
+    test_case "ipc table: n/a for a side without runs" `Quick
+      test_ipc_table_without_runs;
   ]

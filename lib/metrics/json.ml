@@ -18,8 +18,7 @@ exception Bad of string
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let add_escaped b s =
   String.iter
     (fun c ->
       match c with
@@ -31,28 +30,57 @@ let escape s =
       | c when Char.code c < 0x20 ->
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
+    s
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  add_escaped b s;
   Buffer.contents b
 
+(* Below 1e15 an integral float is an exact [int], and [string_of_int]
+   prints what ["%.0f"] would, at a fraction of the cost; only the sign
+   of negative zero needs care. *)
 let number f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
+    if Float.sign_bit f && f = 0. then "-0" else string_of_int (int_of_float f)
   else Printf.sprintf "%g" f
 
-let rec print = function
-  | Null -> "null"
-  | Bool b -> if b then "true" else "false"
-  | Num f -> number f
-  | Str s -> Printf.sprintf "\"%s\"" (escape s)
-  | List xs ->
-      Printf.sprintf "[%s]" (String.concat "," (List.map print xs))
-  | Obj fields ->
-      Printf.sprintf "{%s}"
-        (String.concat ","
-           (List.map
-              (fun (k, v) ->
-                Printf.sprintf "\"%s\":%s" (escape k) (print v))
-              fields))
+(* One buffer for the whole document: a store table runs to megabytes,
+   and nested sprintf/concat would copy every byte once per level of
+   nesting. *)
+let print v =
+  let b = Buffer.create 4096 in
+  let str s =
+    Buffer.add_char b '"';
+    add_escaped b s;
+    Buffer.add_char b '"'
+  in
+  let rec add = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (if x then "true" else "false")
+    | Num f -> Buffer.add_string b (number f)
+    | Str s -> str s
+    | List xs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            add x)
+          xs;
+        Buffer.add_char b ']'
+    | Obj fields ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, x) ->
+            if i > 0 then Buffer.add_char b ',';
+            str k;
+            Buffer.add_char b ':';
+            add x)
+          fields;
+        Buffer.add_char b '}'
+  in
+  add v;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Parser (recursive descent)                                          *)

@@ -22,6 +22,17 @@
     stderr, and the run continues cold on that table instead of
     surfacing a load failure.
 
+    Values decoded from disk are shared store-wide by exact content:
+    every table's entries for one graph (same name, labels and
+    {!Ddg.Graph.structural_encoding}) hold one decoded graph, and one
+    routed graph per distinct partition and routing input.  Hits from
+    different tables may therefore return physically equal [graph],
+    [assign] and [schedule.route] values.  That is safe because none of
+    them is ever mutated in place ({!Sim.Faults} clones a schedule
+    before corrupting it); callers must keep it that way.  Each entry
+    still passes its own shape check, and a malformed entry is dropped
+    alone.
+
     Caching policy: successful runs and give-up errors
     ({!Sched.Sched_error.is_give_up}) are recorded; [Timeout] results
     are wall-clock-dependent and bug-class errors must surface, so

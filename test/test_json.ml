@@ -71,12 +71,25 @@ let roundtrip_twice =
   QCheck.Test.make ~name:"print is a fixpoint under reparsing" ~count:300
     value_arb (fun v -> print (parse (print v)) = print v)
 
+(* The printer renders integral numbers below 1e15 through
+   [string_of_int]; the bytes must stay those of ["%.0f"]. *)
+let integral_as_printf =
+  QCheck.Test.make ~name:"integral numbers print as %.0f" ~count:1000
+    (QCheck.int_range (-999_999_999_999_999) 999_999_999_999_999)
+    (fun n ->
+      let f = float_of_int n in
+      print (Num f) = Printf.sprintf "%.0f" f)
+
 open Alcotest
 
 let test_examples () =
   (* pin the concrete grammar the store tables and corpora rely on *)
   check string "integral without decimal point" "42" (print (Num 42.));
   check string "negative fraction" "-0.125" (print (Num (-0.125)));
+  check string "negative zero keeps its sign" "-0" (print (Num (-0.)));
+  check string "largest fixed-point integral" "999999999999999"
+    (print (Num 999999999999999.));
+  check string "1e15 switches to %g" "1e+15" (print (Num 1e15));
   check string "escaping" "\"a\\\"b\\\\c\\n\\u0001\"" (print (Str "a\"b\\c\n\x01"));
   check string "nested arrays compact" "[[1,2],[],[[3]]]"
     (print (List [ List [ Num 1.; Num 2. ]; List []; List [ List [ Num 3. ] ] ]));
@@ -102,7 +115,8 @@ let test_roundtrip_examples () =
     ]
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ roundtrip; roundtrip_twice ]
+  List.map QCheck_alcotest.to_alcotest
+    [ roundtrip; roundtrip_twice; integral_as_printf ]
   @ [
       test_case "printer grammar examples" `Quick test_examples;
       test_case "round-trip corner cases" `Quick test_roundtrip_examples;

@@ -134,7 +134,7 @@ let test_validate_cache_served () =
   check int "oracle pass was fully cache-served" 0
     (Metrics.Store.stats serve).misses
 
-let lookup_is_miss store l =
+let lookup_is_miss ?(config = config) store l =
   match
     Metrics.Store.lookup store ~mode:Metrics.Experiment.Baseline ~config l
   with
@@ -260,6 +260,226 @@ let test_corrupt_file_quarantined () =
   ignore (record_success reread l);
   check bool "recomputed entry answers again" false (lookup_is_miss reread l)
 
+(* 4c1b2l64r's register-family sibling: the same routing inputs, a
+   smaller register file. *)
+let config32 = Option.get (Machine.Config.of_name "4c1b2l32r")
+
+let hit ?(config = config) store l =
+  match
+    Metrics.Store.lookup store ~mode:Metrics.Experiment.Baseline ~config l
+  with
+  | Metrics.Store.Hit r -> r
+  | Metrics.Store.Hit_give_up _ | Metrics.Store.Miss ->
+      Alcotest.failf "%s: no cached run" l.Workload.Generator.id
+
+(* The one table file under [dir] that holds [config]'s table. *)
+let table_file dir config =
+  let key = Machine.Config.cache_key config in
+  let holds f =
+    Filename.check_suffix f ".json"
+    &&
+    let path = Filename.concat dir f in
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    Metrics.Json.(to_str (member "config" (parse text))) = key
+  in
+  match List.filter holds (Array.to_list (Sys.readdir dir)) with
+  | [ f ] -> Filename.concat dir f
+  | fs ->
+      Alcotest.failf "expected one table file for %s, found %d" key
+        (List.length fs)
+
+(* Record the Baseline runs of [loops] under 4c1b2l64r and 4c1b2l32r in
+   a store over [dir] and save it; returns the loops that ran under
+   both (the smaller register file makes some give up). *)
+let fill_both dir loops =
+  let fill = Metrics.Store.create ~dir () in
+  let both =
+    List.filter
+      (fun l ->
+        List.for_all
+          (fun config ->
+            match
+              Metrics.Experiment.run_loop Metrics.Experiment.Baseline config l
+            with
+            | Ok r ->
+                Metrics.Store.record fill ~mode:Metrics.Experiment.Baseline
+                  ~config l (Ok r);
+                true
+            | Error _ -> false)
+          [ config; config32 ])
+      loops
+  in
+  Metrics.Store.save fill;
+  check bool "some loops run under both configurations" true (both <> []);
+  both
+
+(* A loop stored under two configurations decodes, in a fresh store
+   over the saved directory, to one shared graph, and to one shared
+   routed graph when its partition is the same in both tables. *)
+let test_disk_tier_shares_values () =
+  with_dir @@ fun dir ->
+  let loops = fill_both dir (take 8 (Lazy.force small_loops)) in
+  let warm = Metrics.Store.create ~dir () in
+  let same_partition = ref 0 in
+  List.iter
+    (fun l ->
+      let a = (hit warm l).Metrics.Experiment.outcome
+      and b = (hit ~config:config32 warm l).Metrics.Experiment.outcome in
+      let id = l.Workload.Generator.id in
+      check bool (id ^ ": one decoded graph") true
+        (a.Sched.Driver.graph == b.Sched.Driver.graph);
+      if a.Sched.Driver.assign = b.Sched.Driver.assign then begin
+        incr same_partition;
+        check bool (id ^ ": one routed graph") true
+          (a.schedule.route.Sched.Route.graph
+          == b.schedule.route.Sched.Route.graph)
+      end)
+    loops;
+  check bool "some loop keeps its partition across the two tables" true
+    (!same_partition > 0)
+
+(* Everything a decoded graph is interned by: name, labels and
+   structure. *)
+let graph_content g =
+  Ddg.Graph.
+    (name g, List.map (label g) (nodes g), structural_encoding g)
+
+(* Every run served from the disk tier carries exactly the graph its
+   cold run held and the routed graph its own table would build: sharing
+   never hands a latency-0 table the route of a normal one, one bus
+   latency's route to another, or one graph (or its route) to a twin
+   that differs only in its name or only in its labels (each twin runs
+   more iterations, so it is an entry of its own). *)
+let test_shared_routes_exact () =
+  with_dir @@ fun dir ->
+  let first = List.hd (Lazy.force small_loops) in
+  let twin k field value =
+    let open Metrics.Json in
+    match Metrics.Store.Graph_json.encode first.graph with
+    | Obj fields ->
+        let graph =
+          Metrics.Store.Graph_json.decode
+            (Obj ((field, value) :: List.remove_assoc field fields))
+        in
+        { first with id = field ^ " twin"; graph; trip = first.trip + k }
+    | _ -> Alcotest.fail "graph codec changed shape"
+  in
+  let relabelled =
+    List.map
+      (fun v -> Metrics.Json.Str ("t" ^ string_of_int v))
+      (Ddg.Graph.nodes first.graph)
+  in
+  let loops =
+    twin 1 "name" (Metrics.Json.Str "twin")
+    :: twin 2 "labels" (Metrics.Json.List relabelled)
+    :: take 8 (Lazy.force small_loops)
+  in
+  let cfg name = Option.get (Machine.Config.of_name name) in
+  let tables =
+    Metrics.Experiment.
+      [
+        (Replication, config);
+        (Replication_latency0, config);
+        (Baseline, cfg "4c2b2l64r");
+        (Baseline, cfg "4c2b4l64r");
+      ]
+  in
+  let fill = Metrics.Store.create ~dir () in
+  let cold =
+    List.concat_map
+      (fun (mode, config) ->
+        List.filter_map
+          (fun l ->
+            let result = Metrics.Experiment.run_loop mode config l in
+            Metrics.Store.record fill ~mode ~config l result;
+            Result.to_option result
+            |> Option.map (fun (r : Metrics.Experiment.loop_run) ->
+                   (mode, config, l, r.outcome)))
+          loops)
+      tables
+  in
+  Metrics.Store.save fill;
+  check bool "cold runs finished" true (cold <> []);
+  let warm = Metrics.Store.create ~dir () in
+  let content = Alcotest.(triple string (list string) string) in
+  List.iter
+    (fun (mode, config, (l : Workload.Generator.loop), cold) ->
+      let what =
+        Printf.sprintf "%s %s %s" (Metrics.Experiment.mode_tag mode)
+          (Machine.Config.name config) l.id
+      in
+      match Metrics.Store.lookup warm ~mode ~config l with
+      | Metrics.Store.Hit r ->
+          let o = r.Metrics.Experiment.outcome in
+          check content (what ^ ": cold graph")
+            (graph_content cold.Sched.Driver.graph)
+            (graph_content o.Sched.Driver.graph);
+          let own =
+            Sched.Route.build
+              ~latency0:(mode = Metrics.Experiment.Replication_latency0)
+              config o.graph ~assign:o.assign
+          in
+          check content (what ^ ": own route")
+            (graph_content own.Sched.Route.graph)
+            (graph_content o.schedule.route.Sched.Route.graph)
+      | Metrics.Store.Hit_give_up _ | Metrics.Store.Miss ->
+          Alcotest.failf "%s: recorded run not served" what)
+    cold
+
+(* Sharing leaves the shape check per entry: an entry whose stored
+   cycle array does not fit its routed graph is dropped alone.  The
+   same loop's entry in the other table, which decodes to the same
+   graph, still hits, so do the other entries of its file, and the file
+   is not quarantined. *)
+let test_shape_check_per_entry () =
+  with_dir @@ fun dir ->
+  let loops = fill_both dir (take 8 (Lazy.force small_loops)) in
+  let file = table_file dir config32 in
+  let open Metrics.Json in
+  let doc = parse (In_channel.with_open_bin file In_channel.input_all) in
+  let victim, others =
+    match to_list (member "entries" doc) with
+    | e :: es -> (e, es)
+    | [] -> Alcotest.fail "empty table file"
+  in
+  check bool "the file holds other entries" true (others <> []);
+  let lengthen = function
+    | "cycles", List cs -> ("cycles", List (Num 0. :: cs))
+    | field -> field
+  in
+  let corrupted =
+    match (doc, victim) with
+    | Obj fields, Obj victim_fields ->
+        let victim = Obj (List.map lengthen victim_fields) in
+        Obj
+          (List.map
+             (function
+               | "entries", _ -> ("entries", List (victim :: others))
+               | field -> field)
+             fields)
+    | _ -> Alcotest.fail "table file is not an object"
+  in
+  Out_channel.with_open_bin file (fun oc ->
+      Out_channel.output_string oc (print corrupted));
+  let loop_of e =
+    List.find
+      (fun (l : Workload.Generator.loop) ->
+        Ddg.Graph.structural_encoding l.graph = to_str (member "x" e))
+      loops
+  in
+  let warm = Metrics.Store.create ~dir () in
+  let l = loop_of victim in
+  check bool "entry with a misfit cycle array misses" true
+    (lookup_is_miss ~config:config32 warm l);
+  check bool "its sibling entry still hits" false (lookup_is_miss warm l);
+  List.iter
+    (fun e ->
+      check bool "the file's other entries still hit" false
+        (lookup_is_miss ~config:config32 warm (loop_of e)))
+    others;
+  check bool "file kept in place" true (Sys.file_exists file);
+  check bool "file not quarantined" false (Sys.file_exists (file ^ ".corrupt"))
+
 let test_evict () =
   let l = List.hd (Lazy.force small_loops) in
   let store = Metrics.Store.create () in
@@ -335,6 +555,12 @@ let suite =
       test_version_invalidation;
     Alcotest.test_case "corrupt table file quarantined" `Quick
       test_corrupt_file_quarantined;
+    Alcotest.test_case "disk tier shares decoded values" `Quick
+      test_disk_tier_shares_values;
+    Alcotest.test_case "shared routes are each table's own" `Quick
+      test_shared_routes_exact;
+    Alcotest.test_case "shape check stays per entry" `Quick
+      test_shape_check_per_entry;
     Alcotest.test_case "evict" `Quick test_evict;
     Alcotest.test_case "save skips clean tables" `Quick
       test_save_skips_clean_tables;

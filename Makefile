@@ -1,7 +1,7 @@
 # Convenience entry points; everything is plain dune underneath.
 
 .PHONY: all check check-fast test check-faults fuzz-smoke validate-quick \
-  check-cache check-serve check-exact bench bench-smoke bench-scaling \
+  check-cache check-figures check-serve check-exact bench bench-smoke bench-scaling \
   bench-warm bench-serve bench-gap bench-diff clean
 
 all:
@@ -72,6 +72,21 @@ check-cache:
 	cmp /tmp/suite_clean.txt /tmp/suite_budget_warm.txt
 	grep -q "misses=0 " /tmp/suite_budget_warm_err.txt
 	rm -rf /tmp/sched_cache_gate
+
+# Figure-order gate: the order in which the artifacts first request
+# their sweeps must never change a byte.  The quick report rendered
+# whole must equal the concatenation of every artifact rendered alone
+# (`--only <id>`, ids taken from the whole report's `=== id ===` lines),
+# each alone on a fresh suite that records and caches only what that
+# artifact reads.
+check-figures:
+	dune exec bin/repro.exe -- figures --quick > /tmp/figures_all.txt
+	rm -f /tmp/figures_each.txt
+	for id in $$(sed -n 's/^=== \(.*\) ===$$/\1/p' /tmp/figures_all.txt); do \
+	  dune exec bin/repro.exe -- figures --quick --only $$id \
+	    >> /tmp/figures_each.txt || exit 1; \
+	done
+	cmp /tmp/figures_all.txt /tmp/figures_each.txt
 
 # Serve gate: a real `repro serve` daemon driven through the whole
 # degradation ladder — cold/warm/restart replies byte-identical to

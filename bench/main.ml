@@ -51,7 +51,7 @@
 
 module Json = Metrics.Json
 
-(* The suite retains every recorded escalation trace, so the major heap
+(* The suite retains every run and register-sweep trace, so the major heap
    grows to hundreds of MB and the default GC settings spend a fifth of
    the bench marking it; the orchestrating domain also runs all the
    scheduling work itself whenever the pool clamps to one job, without
@@ -366,7 +366,7 @@ let run_scaling ~quick () =
     List.map
       (fun requested ->
         let jobs = Metrics.Pool.clamp_jobs requested in
-        (* The previous point's suite retains hundreds of MB of traces;
+        (* The previous point's suite retains hundreds of MB of runs;
            left in place, that major-heap carryover taxes the next
            point's marking and skews the curve (the 2-job point used to
            read slower than 1 job on a clamped single-core host purely
@@ -466,7 +466,7 @@ let run_warm ~quick ~jobs ~dir () =
   in
   let cold_dt, cold_ok, n_loops, _ = pass "cold" in
   (* Same heap-carryover correction as the scaling points: the warm
-     pass should not pay for marking the cold pass's retained traces. *)
+     pass should not pay for marking the cold pass's retained runs. *)
   Gc.compact ();
   let warm_dt, warm_ok, _, warm_st = pass "warm" in
   if owned then remove_dir dir;

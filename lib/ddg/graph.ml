@@ -71,8 +71,7 @@ let name t = t.graph_name
    classes per node id and every edge with its latency, distance and
    kind, in insertion order.  Names and labels are excluded — two loops
    that differ only in naming schedule identically, and the digest is
-   the sharing key for cross-loop artifacts (partition skeletons,
-   cross-configuration trace stores). *)
+   the sharing key for cross-loop artifacts (partition skeletons). *)
 let structural_encoding t =
   let b = Buffer.create 256 in
   Buffer.add_string b (string_of_int (n_nodes t));

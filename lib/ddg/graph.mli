@@ -128,8 +128,7 @@ val digest : t -> string
 (** [Digest.string (structural_encoding t)].  Names and labels are
     excluded: two graphs with equal digests schedule identically under
     every configuration, which makes the digest the sharing key for
-    cross-loop artifacts (partition skeletons, cross-configuration
-    trace stores). *)
+    cross-loop artifacts (partition skeletons). *)
 
 (** {1 Export} *)
 

@@ -266,10 +266,10 @@ let replay_traced ?spiller ?hier tr config =
         Sched.Driver.Trace.replay ~transform:t ?spiller ?hier tr.tr_trace
           config
   in
-  (* Whenever the replay invoked the member's transform — live fallback,
-     cross-config verification, a promoted fit — the hook's last-run
-     stats describe this member; a pure replay reuses the recording's
-     final attempt, whose stats were captured at record time. *)
+  (* Whenever the replay invoked the member's transform — live fallback
+     or a promoted fit — the hook's last-run stats describe this member;
+     a pure replay reuses the recording's final attempt, whose stats
+     were captured at record time. *)
   let stats =
     match basis with
     | `Pure -> tr.tr_stats0

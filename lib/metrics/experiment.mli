@@ -161,7 +161,8 @@ val run_suite_isolated :
     machines that differ only in register-file size.  Since only the
     driver's terminal register check reads that size, one recorded
     escalation trace ({!Sched.Driver.Trace}) answers the whole family:
-    record once at the most permissive member, replay per member. *)
+    record once (the suite records at the strictest member), replay per
+    member. *)
 
 type traced
 (** A loop's escalation trace plus the transform instance and replication
@@ -175,8 +176,8 @@ val record_trace :
   Machine.Config.t ->
   Workload.Generator.loop ->
   traced
-(** Record the escalation trace of a loop at [config] (typically the
-    most permissive member of the register family).  Only [Baseline],
+(** Record the escalation trace of a loop at [config] (any member of
+    the register family).  Only [Baseline],
     [Replication] and [Macro_replication] are register-sweepable.
     [hier] as in {!run_loop}.
     @raise Invalid_argument on the latency-0 and length-pass modes. *)
@@ -189,13 +190,14 @@ val replay_traced :
   (loop_run, Sched.Sched_error.t) result
 (** Answer one family member from the trace — checker and simulator
     included, exactly as {!run_loop} would have produced (the test suite
-    pins the equality).  The member may differ from the recording in
-    registers, buses and bus latency ({!Sched.Driver.Trace.replay});
-    replication statistics follow the replay's basis, so they describe
-    the member's own run either way.  With [spiller], replays fall back
-    to live scheduling at the first register overflow.  [hier] — the
-    member's hierarchy view — seeds cross-config verification and live
-    fallback. *)
+    pins the equality).  The member may differ from the recording in its
+    register file only ({!Sched.Driver.Trace.replay}); replication
+    statistics follow the replay's basis, so they describe the member's
+    own run either way.  With [spiller], a recorded level whose
+    placement overflows the member runs its spill rounds in place.
+    [hier] — the member's hierarchy view — seeds live fallback.
+    @raise Invalid_argument if [config] is outside the trace's register
+    family. *)
 
 val lengthen_run : loop_run -> (loop_run, Sched.Sched_error.t) result
 (** Derive the [Replication_length] run of a loop from its

@@ -469,8 +469,8 @@ let sec4_regs_spill_row suite =
   ]
 
 let sec4_regs suite =
-  (* data rows first: they record the family traces at 128 registers,
-     which the spill row then replays at 32 *)
+  (* data rows first: the family records its traces at its strictest
+     member, 32 registers, and the spill row then replays them there *)
   let data_rows =
     List.map
       (fun r ->

@@ -2,17 +2,14 @@ type t = {
   loops_ : Workload.Generator.loop list;
   cache : (string, Experiment.loop_run list) Hashtbl.t;
   family : (string, Machine.Config.t * Experiment.traced list) Hashtbl.t;
-      (* one trace set per (mode, register-blind machine family); any
+      (* one trace set per (mode, register-blind machine family), filled
+         by register sweeps ({!sweep_runs}, {!spill_runs}) only; any
          recording answers every register member — tighter files by
          re-judging, roomier ones by promotion.  The set is re-recorded
          when a member with a *stricter* register file arrives: its
          escalations run deeper than the recording, so replaying them
          live once and keeping the longer trace makes every later pass
          over the family (notably the spill sweep) a dry replay. *)
-  structure : (string, Machine.Config.t * Experiment.traced list) Hashtbl.t;
-      (* the first trace set recorded per (mode, cluster/unit structure):
-         members differing in buses or latency replay it cross-config
-         (per-level verification) instead of scheduling from scratch *)
   skels : (string, Sched.Partition.Hier.skel) Hashtbl.t;
       (* partition skeletons per (machine structure, canonical DDG
          digest) — mode-blind and config-blind, shared by every loop
@@ -31,8 +28,8 @@ type t = {
   digests : (string, string) Hashtbl.t;  (* loop id -> DDG digest *)
   store : Store.t option;
       (* content-addressed schedule store, consulted before any
-         scheduling (direct, replay or recording) and fed by every pass;
-         only touched on the orchestrating domain *)
+         scheduling (direct or traced) and fed by every pass; only
+         touched on the orchestrating domain *)
   jobs_ : int;
 }
 
@@ -44,7 +41,6 @@ let create ?loops ?(jobs = 1) ?store () =
     loops_;
     cache = Hashtbl.create 32;
     family = Hashtbl.create 8;
-    structure = Hashtbl.create 8;
     skels = Hashtbl.create 64;
     views = Hashtbl.create 256;
     digests = Hashtbl.create 64;
@@ -76,11 +72,6 @@ let units_of (c : Machine.Config.t) =
 let family_key mode (c : Machine.Config.t) =
   Printf.sprintf "%s/%db%dl[%s]" (mode_tag mode) c.Machine.Config.buses
     c.Machine.Config.bus_latency (units_of c)
-
-(* Bus- and register-blind identity: the cluster/unit structure alone,
-   the widest class {!Sched.Driver.Trace.replay} can re-judge across. *)
-let structure_key mode (c : Machine.Config.t) =
-  Printf.sprintf "%s/[%s]" (mode_tag mode) (units_of c)
 
 (* ------------------------------------------------------------------ *)
 (* Shared partition skeletons                                          *)
@@ -149,11 +140,10 @@ let classify_record t mode ?(variant = "") config pairs =
     pairs
 
 (* Serve a whole (mode, config) sweep from the schedule store, or
-   nothing: partial hits would leave the trace machinery below with a
-   partial view of the sweep, so either every loop answers (a success
-   or a recorded give-up) or the sweep computes cold.  Length runs are
-   always derived from the replication runs (cheap, deterministic), so
-   they bypass the store entirely. *)
+   nothing: either every loop answers (a success or a recorded give-up)
+   or the sweep computes cold, as one pass over every loop.  Length runs
+   are always derived from the replication runs (cheap, deterministic),
+   so they bypass the store entirely. *)
 let store_served t mode ?(variant = "") config =
   match t.store with
   | None -> None
@@ -179,27 +169,16 @@ let direct_runs t mode config =
   in
   classify_record t mode config pairs
 
-(* Record one trace per loop at [config] and register the set for both
-   its register family and its structure.  The structure slot keeps the
-   first family that recorded, except that a family superseding its own
-   earlier recording (stricter register member, see {!family_traces})
-   carries the replacement along. *)
+(* Record one trace per loop at [config] for its register family,
+   replacing any earlier set of the family. *)
 let record_family t mode config =
   let items = List.map (fun l -> (l, view_for t config l)) t.loops_ in
   let trs =
     Pool.map ~jobs:t.jobs_
-      (fun (l, hier) ->
-        Experiment.record_trace ~hier mode config l)
+      (fun (l, hier) -> Experiment.record_trace ~hier mode config l)
       items
   in
-  let fkey = family_key mode config in
-  Hashtbl.replace t.family fkey (config, trs);
-  let skey = structure_key mode config in
-  (match Hashtbl.find_opt t.structure skey with
-  | None -> Hashtbl.replace t.structure skey (config, trs)
-  | Some (sc, _) when String.equal (family_key mode sc) fkey ->
-      Hashtbl.replace t.structure skey (config, trs)
-  | Some _ -> ());
+  Hashtbl.replace t.family (family_key mode config) (config, trs);
   trs
 
 let replay_all t ?(variant = "") ?spiller mode trs config =
@@ -234,14 +213,8 @@ let family_traces t mode ~at =
 (* The caching policy                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Every sweep of a schedulable mode runs as a recording: a cache miss
-   first tries the member's register family (verbatim replay), then any
-   same-structure recording under different buses/latency (cross-config
-   replay), and only then schedules — recording while it does, so the
-   work is never repeated.  The latency-0 ablation keeps the direct
-   path (its routing flag is outside the trace contract), and the
-   length mode is derived from the replication runs without scheduling
-   at all. *)
+(* Traces pay only inside register sweeps (below): a plain sweep that
+   misses the run cache and the store schedules every loop directly. *)
 let rec runs t mode config =
   let key = runs_key mode config in
   match Hashtbl.find_opt t.cache key with
@@ -252,7 +225,6 @@ let rec runs t mode config =
         | Some served -> served
         | None -> (
             match mode with
-            | Experiment.Replication_latency0 -> direct_runs t mode config
             | Experiment.Replication_length ->
                 List.filter_map
                   (fun (r : Experiment.loop_run) ->
@@ -261,31 +233,51 @@ let rec runs t mode config =
                       (Experiment.lengthen_run r))
                   (runs t Experiment.Replication config)
             | Experiment.Baseline | Experiment.Replication
-            | Experiment.Macro_replication -> (
-                match Hashtbl.find_opt t.family (family_key mode config) with
-                | Some (rc, trs)
-                  when rc.Machine.Config.total_registers
-                       <= config.Machine.Config.total_registers ->
-                    replay_all t mode trs config
-                | Some _ ->
-                    (* stricter register member than the recording: replay
-                       would walk live past the trace for every
-                       register-bound loop, and the spill sweep would walk
-                       the same levels again — re-record here instead
-                       (see {!family_traces}) *)
-                    replay_all t mode (record_family t mode config) config
-                | None -> (
-                    match
-                      Hashtbl.find_opt t.structure (structure_key mode config)
-                    with
-                    | Some (_, trs) -> replay_all t mode trs config
-                    | None ->
-                        replay_all t mode (record_family t mode config) config)))
+            | Experiment.Replication_latency0 | Experiment.Macro_replication ->
+                direct_runs t mode config)
       in
       Hashtbl.replace t.cache key r;
       r
 
-let sweep_runs t mode configs = List.map (fun c -> (c, runs t mode c)) configs
+(* Each register family records at its strictest missing member:
+   roomier members then replay by promotion, so no replay walks live
+   past its trace.  The store is asked first, so a warm sweep records
+   nothing.  The latency-0 ablation's routing flag is outside the trace
+   contract. *)
+let sweep_runs t mode configs =
+  (match mode with
+  | Experiment.Baseline | Experiment.Replication
+  | Experiment.Macro_replication ->
+      let cached c = Hashtbl.mem t.cache (runs_key mode c) in
+      let keep c r = Hashtbl.replace t.cache (runs_key mode c) r in
+      let served c =
+        match store_served t mode c with
+        | Some r ->
+            keep c r;
+            true
+        | None -> false
+      in
+      let missing = List.filter (fun c -> not (cached c || served c)) configs in
+      List.iter
+        (fun c ->
+          if not (cached c) then begin
+            let members =
+              List.filter (Sched.Driver.Trace.same_family c) missing
+            in
+            let strictest =
+              List.fold_left
+                (fun (a : Machine.Config.t) (m : Machine.Config.t) ->
+                  if m.total_registers < a.total_registers then m else a)
+                c members
+            in
+            let trs = family_traces t mode ~at:strictest in
+            List.iter
+              (fun m -> if not (cached m) then keep m (replay_all t mode trs m))
+              members
+          end)
+        missing
+  | Experiment.Replication_latency0 | Experiment.Replication_length -> ());
+  List.map (fun c -> (c, runs t mode c)) configs
 
 let spill_runs t mode config =
   match store_served t mode ~variant:"spill" config with

@@ -7,16 +7,17 @@
     Beyond result memoization the suite shares work {e across}
     configurations:
 
-    - Every sweep of a schedulable mode runs as a recording
-      ({!Experiment.record_trace}).  A later sweep of any machine in the
-      same register family replays the recorded escalations verbatim
-      ({!Sched.Driver.Trace.replay}, both register directions); a machine
-      sharing only the cluster/unit structure — different buses or bus
-      latency — replays them cross-config with per-level verification.
-      A member with a {e stricter} register file than its family's
-      recording re-records there instead (its walks run deeper than the
-      trace, and replaying them live would be repaid by every later
-      pass), replacing the set with the longer trace.
+    - Register sweeps ({!sweep_runs}, {!spill_runs}) record escalation
+      traces ({!Experiment.record_trace}): one trace set per register
+      family — machines equal in everything but the register file —
+      recorded at the strictest member still missing, and replayed
+      verbatim for every member ({!Sched.Driver.Trace.replay}, both
+      register directions).  A member with a {e stricter} register file
+      than its family's recording re-records there instead (its walks
+      run deeper than the trace, and replaying them live would be repaid
+      by every later pass), replacing the set with the longer trace.
+      Plain sweeps ({!runs}) never record or replay; machines differing
+      in buses or bus latency share no trace.
     - Partition coarsening hierarchies are shared through config-blind
       {e skeletons} keyed by machine structure and canonical DDG digest
       ({!Ddg.Graph.digest}), so a loop's hierarchy — and that of every
@@ -34,14 +35,15 @@
     A third, cross-run layer sits in front of both: when the suite holds
     a content-addressed schedule {!Store}, every sweep first asks it for
     the whole (mode, config) result set — served only when {e every}
-    loop answers with a cached success or a recorded give-up, so the
-    trace machinery below never sees a partial sweep — and every pass
-    the suite does run feeds its per-loop results (successes and
-    give-ups alike) back into the store.  Store hits are byte-identical
-    to cold runs by construction (the store returns the very payload a
-    cold run produced, or a pure-function reconstruction of it from the
-    disk tier).  [Replication_length] sweeps bypass the store: they are
-    derived from the replication runs without scheduling. *)
+    loop answers with a cached success or a recorded give-up — and
+    every pass the suite does run feeds its per-loop results (successes
+    and give-ups alike) back into the store.  A register sweep asks for
+    each member before it records anything, so a warm sweep schedules
+    nothing.  Store hits are byte-identical to cold runs by construction
+    (the store returns the very payload a cold run produced, or a
+    pure-function reconstruction of it from the disk tier).
+    [Replication_length] sweeps bypass the store: they are derived from
+    the replication runs without scheduling. *)
 
 type t
 
@@ -66,27 +68,29 @@ val runs :
   t -> Experiment.mode -> Machine.Config.t -> Experiment.loop_run list
 (** Cached sweep of every loop under the mode and configuration.
 
-    On a cache miss: [Replication_length] runs are derived from the
-    cached [Replication] runs of the same configuration without touching
-    the scheduler ({!Experiment.lengthen_run});
-    [Replication_latency0] always schedules directly (its routing flag
-    is outside the trace contract); the remaining modes look for a
-    recorded trace set — first the exact register family (re-recording
-    if this member's register file is stricter than the recording's),
-    then any same-structure recording under different buses/latency —
-    and replay it, recording at this configuration only when neither
-    exists. *)
+    On a miss in both the run cache and the store, [Replication_length]
+    runs are derived from the cached [Replication] runs of the same
+    configuration without touching the scheduler
+    ({!Experiment.lengthen_run}); every other mode schedules each loop
+    directly ({!Experiment.run_loop}).  Never records or replays a
+    trace, though it returns what an earlier register sweep cached. *)
 
 val sweep_runs :
   t ->
   Experiment.mode ->
   Machine.Config.t list ->
   (Machine.Config.t * Experiment.loop_run list) list
-(** [List.map] of {!runs} over the members, in input order.  A register
-    family therefore costs one scheduling pass per distinct depth — the
-    first uncached member records, roomier members replay dry, and a
-    stricter member re-records once — and a bus/latency sweep over one
-    structure likewise records only its first member. *)
+(** {!runs} for every member, in input order — the suite's only trace
+    recorder for plain runs.  Members the run cache or the store answers
+    are taken first.  The rest are grouped by register family; each
+    family records one trace set at its strictest missing member (or
+    reuses a recording at least that strict) and replays it for every
+    missing member, roomier ones by promotion.  A register family
+    therefore costs one scheduling pass, and members of different
+    bus/latency families are each answered by their own.
+    [Replication_latency0] (its routing flag is outside the trace
+    contract) and [Replication_length] sweep member by member through
+    {!runs}. *)
 
 val spill_runs :
   t ->
@@ -94,9 +98,10 @@ val spill_runs :
   Machine.Config.t ->
   Experiment.loop_run list
 (** Like a {!runs} sweep with {!Sched.Spill.spiller} installed, answered
-    from the family's recorded traces (get-or-record, re-recording for a
-    stricter register file like {!runs}): spill-and-retry rounds run in
-    place on recorded levels whose placement overflows this member
+    from the family's recorded traces (get-or-record at this
+    configuration, re-recording for a stricter register file like
+    {!sweep_runs}): spill-and-retry rounds run in place on recorded
+    levels whose placement overflows this member
     ({!Sched.Driver.Trace.replay}), so only loops that actually overflow
     — and among those only levels where spilling could help — pay for
     rescheduling.  Not stored in the plain-runs cache; in the schedule

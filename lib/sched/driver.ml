@@ -44,45 +44,17 @@ type placed = {
   p_pressure : int array;  (* MaxLive per cluster; [||] in latency0 mode *)
 }
 
-type attempt_result = Placed of placed | Failed of cause
-
-(* Where exactly in the pipeline an attempt ended, with the bus-pressure
-   observations ({!Place.stats}) that decide whether the very same
-   placement run would have happened on a family member with a different
-   bus count — buses are assigned first-fit, so a run that never saw a
-   full bus table transfers to any machine with at least as many buses,
-   and one whose highest reserved index fits transfers to any with
-   fewer.  [D_regs] additionally keeps the placement the register check
-   rejected: a member with a larger register file than the recording
-   admits exactly that placement, so the replay can promote it to the
-   member's success without rescheduling. *)
-type detail =
-  | D_bus_check  (** failed the communication-capacity check *)
-  | D_infeasible of { copies : int }
-      (** routed graph infeasible at the II (copy-stretched recurrence) *)
-  | D_place of { max_bus : int; sat : bool; copies : int }
-      (** placement failed; [sat] = some probe found every bus busy *)
-  | D_regs of { max_bus : int; sat : bool; copies : int; rejected : placed }
+(* How an attempt ended.  [Rejected] keeps the placement the register
+   check finally rejected and how many spill rounds ran before it: a
+   trace member with a larger register file than the recording admits
+   exactly that placement, so the replay can promote it to the member's
+   success without rescheduling, and the stationarity check below
+   compares consecutive levels' rejections. *)
+type attempt_result =
+  | Placed of placed
+  | Failed of cause  (** bus or recurrence *)
+  | Rejected of { placed : placed; rounds : int }
       (** placed, but MaxLive exceeded the register file *)
-  | D_ok of { max_bus : int; sat : bool; copies : int }  (** success *)
-
-(* Per-attempt recording payload: the detail above plus a digest of the
-   transform hook's output — [None] when the hook was absent or
-   declined — so a replay under a different bus count or latency can
-   re-run the member's transform and check the structures agree before
-   trusting the recorded mechanics. *)
-type info = { i_detail : detail; i_tf : string option }
-
-(* Canonical digest of a transformed (graph, partition) pair. *)
-let tf_digest g assign =
-  let b = Buffer.create 64 in
-  Buffer.add_string b (Ddg.Graph.digest g);
-  Array.iter
-    (fun c ->
-      Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int c))
-    assign;
-  Digest.string (Buffer.contents b)
 
 type counters = {
   mutable c_bus : int;
@@ -163,26 +135,11 @@ let route_feasible entry ~ii =
     b
   end
 
-(* Signature of a register-caused failure: the placement the register
-   check finally rejected (cycles and MaxLive), and how many spill
-   rounds ran.  When two consecutive II levels produce equal signatures
-   for equal partitions, the escalation has stopped responding to the II
-   — see [stationary_limit] below. *)
-type reg_sig = {
-  rs_pressure : int array;
-  rs_cycles : int array;
-  rs_rounds : int;
-}
-
 (* One full attempt — transform hook, bus check, routing, placement,
    register check (with optional spill-and-retry) — at a fixed II and
-   partition.  Also returns the register-failure signature when the
-   attempt died on the register check, and — under [digests], the
-   recording mode — the {!info} payload for cross-configuration
-   re-judging.  Recordings never pass a spiller, so the info always
-   describes the attempt's only route-and-place round. *)
-let try_once_sig ?transform ~latency0 ?spiller ~reuse ~digests ~rcache config
-    g ~ii ~assign =
+   partition. *)
+let try_once ?transform ~latency0 ?spiller ~reuse ~rcache config g ~ii
+    ~assign =
   let g0', assign0' =
     match transform with
     | None -> (g, assign)
@@ -194,22 +151,9 @@ let try_once_sig ?transform ~latency0 ?spiller ~reuse ~digests ~rcache config
         | Some (g', a') -> (g', a')
         | None -> (g, assign))
   in
-  let tf =
-    if digests && (g0' != g || assign0' != assign) then
-      Some (tf_digest g0' assign0')
-    else None
-  in
-  let stats = if digests then Some (Place.fresh_stats ()) else None in
-  let info d = if digests then Some { i_detail = d; i_tf = tf } else None in
-  let pstats () =
-    match stats with
-    | Some s -> (s.Place.max_bus, s.Place.bus_full_probes > 0)
-    | None -> (-1, false)
-  in
   let limit = Machine.Config.registers_per_cluster config in
   let rec route_and_place g' assign' spills_left =
-    if Comm.extra config g' ~assign:assign' ~ii > 0 then
-      (Failed Bus, None, info D_bus_check)
+    if Comm.extra config g' ~assign:assign' ~ii > 0 then Failed Bus
     else begin
       (* Only the graph the attempt started from goes through the route
          cache: consecutive levels retry it with settled partitions, so
@@ -231,14 +175,10 @@ let try_once_sig ?transform ~latency0 ?spiller ~reuse ~digests ~rcache config
         (* Copies stretched a recurrence beyond the current II: the bus
            latency is to blame (the plain graph is feasible at
            ii >= mii). *)
-        (Failed Bus, None, info (D_infeasible { copies = Route.n_copies route }))
+        Failed Bus
       else
-        match Place.try_schedule ?stats config route ~ii with
-        | Error f ->
-            let max_bus, sat = pstats () in
-            ( Failed (if f.Place.copy_involved then Bus else Recurrence),
-              None,
-              info (D_place { max_bus; sat; copies = Route.n_copies route }) )
+        match Place.try_schedule config route ~ii with
+        | Error f -> Failed (if f.Place.copy_involved then Bus else Recurrence)
         | Ok schedule ->
             (* The latency-0 upper-bound schedule is knowingly wrong
                (Section 5.1); register feasibility is not enforced on
@@ -257,21 +197,10 @@ let try_once_sig ?transform ~latency0 ?spiller ~reuse ~digests ~rcache config
                 p_pressure = pressure;
               }
             in
-            let max_bus, sat = pstats () in
-            let copies = Route.n_copies route in
             if latency0 || Array.for_all (fun p -> p <= limit) pressure then
-              (Placed placed, None, info (D_ok { max_bus; sat; copies }))
+              Placed placed
             else begin
-              let fail () =
-                ( Failed Registers,
-                  Some
-                    {
-                      rs_pressure = pressure;
-                      rs_cycles = schedule.Schedule.cycles;
-                      rs_rounds = 4 - spills_left;
-                    },
-                  info (D_regs { max_bus; sat; copies; rejected = placed }) )
-              in
+              let fail () = Rejected { placed; rounds = 4 - spills_left } in
               (* One spill round splits one live range: it removes at
                  most one value from a cluster's peak window, so a
                  summed per-cluster excess beyond the remaining rounds
@@ -310,37 +239,42 @@ let try_once_sig ?transform ~latency0 ?spiller ~reuse ~digests ~rcache config
    placement or pressure vector — resets the count. *)
 let stationary_limit = 12
 
-(* Level signature for the stationarity check: only register-caused
+(* Signature of a register-caused failure: the rejected placement's
+   MaxLive and cycles, and how many spill rounds ran.  Only register
    failures qualify (bus and recurrence failures genuinely depend on the
    II and do resolve as it grows). *)
-let level_sig ~assign ~lsig ~fresh_result =
-  match (lsig : reg_sig option) with
+let reg_sig = function
+  | Rejected { placed; rounds } ->
+      Some (placed.p_pressure, placed.p_schedule.Schedule.cycles, rounds)
+  | Placed _ | Failed _ -> None
+
+(* Level signature for the stationarity check: the lineage partition and
+   its rejection, plus the fresh partition and its rejection when a
+   second chance ran. *)
+let level_sig ~assign lineage fresh_try =
+  match reg_sig lineage with
   | None -> None
   | Some ls -> (
-      match fresh_result with
+      match fresh_try with
       | None -> Some (assign, ls, None)
-      | Some (_, (None : reg_sig option)) -> None
-      | Some (fresh, Some fs) -> Some (assign, ls, Some (fresh, fs)))
+      | Some (fresh, r) ->
+          Option.map (fun fs -> (assign, ls, Some (fresh, fs))) (reg_sig r))
 
 (* One II level of the escalation as the recorder sees it: the refined
    lineage attempt and, when the lineage failed and a from-scratch
-   partition differed, the second-chance attempt.  Only recordings
-   observe levels, and they run with [digests], so every attempt here
-   carries its {!info}. *)
+   partition differed, the second-chance attempt. *)
 type level = {
   l_ii : int;
   l_assign : int array;  (* lineage partition the level started from *)
   l_lineage : attempt_result;
-  l_info : info;
-  l_fresh : (int array * attempt_result * info) option;
+  l_fresh : (int array * attempt_result) option;
       (* the from-scratch partition and its attempt; [None] when the
          lineage attempt succeeded, or when the fresh partition was
          identical to the lineage one (no second try) *)
 }
 
 (* The Figure-2 escalation loop from an arbitrary (ii, assign) state.
-   [on_level] observes every II level tried, for trace recording, and
-   turns on the recording payload ([digests] of {!try_once_sig}).
+   [on_level] observes every II level tried, for trace recording.
    [budget] is spent before every level runs; both the cap and the
    stationarity cut report the same {!Sched_error.Escalation_cap} (the
    cut is an early conclusion of the walk-to-cap failure, so direct runs
@@ -351,8 +285,7 @@ let escalate ?transform ?(latency0 = false) ?spiller ?on_level ?budget
   let give_up () = Error (Sched_error.Escalation_cap { mii; cap }) in
   let rcache = ref [] in
   let try_once ~ii ~assign =
-    try_once_sig ?transform ~latency0 ?spiller ~reuse
-      ~digests:(on_level <> None) ~rcache config g ~ii ~assign
+    try_once ?transform ~latency0 ?spiller ~reuse ~rcache config g ~ii ~assign
   in
   (* [reuse = false] reproduces the pre-hierarchy walk for A/B
      benchmarking: every fresh partition re-coarsens from scratch at the
@@ -381,13 +314,13 @@ let escalate ?transform ?(latency0 = false) ?spiller ?on_level ?budget
                  elapsed_s = Budget.elapsed b;
                })
       | _ -> (
-          let lineage, lsig, inf = try_once ~ii ~assign in
+          let lineage = try_once ~ii ~assign in
           (* The from-scratch second chance, only when the lineage
              failed and the fresh partition differs. *)
           let fresh_try =
             match lineage with
             | Placed _ -> None
-            | Failed _ ->
+            | Failed _ | Rejected _ ->
                 let f = fresh_at ii in
                 if f <> assign then Some (f, try_once ~ii ~assign:f) else None
           in
@@ -398,23 +331,15 @@ let escalate ?transform ?(latency0 = false) ?spiller ?on_level ?budget
                   l_ii = ii;
                   l_assign = assign;
                   l_lineage = lineage;
-                  l_info = Option.get inf;
-                  l_fresh =
-                    Option.map
-                      (fun (f, (r, _, fi)) -> (f, r, Option.get fi))
-                      fresh_try;
+                  l_fresh = fresh_try;
                 }
           | None -> ());
           match (lineage, fresh_try) with
-          | Placed p, _ | Failed _, Some (_, (Placed p, _, _)) ->
-              finish ~mii ~counters p ii
-          | Failed cause, _ ->
-              bump counters cause;
-              let here =
-                level_sig ~assign ~lsig
-                  ~fresh_result:
-                    (Option.map (fun (f, (_, fs, _)) -> (f, fs)) fresh_try)
-              in
+          | Placed p, _ | _, Some (_, Placed p) -> finish ~mii ~counters p ii
+          | (Failed _ | Rejected _), _ ->
+              bump counters
+                (match lineage with Failed c -> c | _ -> Registers);
+              let here = level_sig ~assign lineage fresh_try in
               let streak =
                 if here <> None && here = prev_sig then streak + 1 else 0
               in
@@ -547,26 +472,14 @@ module Trace = struct
       t_result = result;
     }
 
-  (* The cluster/unit structure every reuse depends on: partitioning
-     capacity, functional-unit tables and the copy issue rule.  Members
-     sharing it may still differ in buses, bus latency and registers —
-     the dimensions the replay re-judges. *)
-  let same_structure (a : Machine.Config.t) (b : Machine.Config.t) =
-    a.Machine.Config.clusters = b.Machine.Config.clusters
-    && a.Machine.Config.fu_matrix = b.Machine.Config.fu_matrix
-    && a.Machine.Config.copy_uses_int_slot = b.Machine.Config.copy_uses_int_slot
-
   (* Everything except the register-file size matches: partitioning,
      routing and placement only look at these fields, so every recorded
      attempt is valid verbatim for the whole family. *)
-  let same_family (a : Machine.Config.t) (b : Machine.Config.t) =
-    same_structure a b
-    && a.Machine.Config.buses = b.Machine.Config.buses
-    && a.Machine.Config.bus_latency = b.Machine.Config.bus_latency
+  let same_family = Machine.Config.partition_compatible
 
   let replay ?transform ?spiller ?hier t config =
-    if not (same_structure t.t_config config) then
-      invalid_arg "Driver.Trace.replay: config outside the recorded structure";
+    if not (same_family t.t_config config) then
+      invalid_arg "Driver.Trace.replay: config outside the recorded family";
     let g = t.t_graph in
     (match hier with
     | Some h
@@ -577,16 +490,6 @@ module Trace = struct
                    (Partition.Hier.config h) config) ->
         invalid_arg "Driver.Trace.replay: hierarchy from another loop"
     | _ -> ());
-    (* [cross]: the member differs from the recording in buses or bus
-       latency.  Partitions, transforms and routed graphs are then
-       config-dependent, so every recorded level must be re-verified
-       against member-side recomputation before its mechanics are
-       trusted; matching levels reuse the recorded placement via the
-       first-fit bus compatibility test below. *)
-    let cross = not (same_family t.t_config config) in
-    let lat_eq =
-      config.Machine.Config.bus_latency = t.t_config.Machine.Config.bus_latency
-    in
     let limit = Machine.Config.registers_per_cluster config in
     let counters = { c_bus = 0; c_recur = 0; c_regs = 0 } in
     let live = ref false in
@@ -632,26 +535,23 @@ module Trace = struct
        too, with the same cause — recorded bus/recurrence failures are
        register-invariant, and a rejected placement's pressure exceeds
        the member limit too.  [`Spill p]: the member overflows on
-       placement [p] and a spiller is installed — the member's
-       spill-and-retry rounds run live from [p] ([spill_rounds] below;
-       same-family members only, where [p] is exactly the placement a
-       direct member run reaches).  [`Live]: a live run would
-       diverge. *)
-    let judge_regs result inf =
-      let judge p ~promoted =
+       placement [p] and a spiller is installed — [p] is exactly the
+       placement a direct member run reaches, so the member's
+       spill-and-retry rounds run live from it ([spill_rounds] below). *)
+    let judge result =
+      let fit p ~promoted =
         if Array.for_all (fun x -> x <= limit) p.p_pressure then
           `Fit (p, promoted)
         else if spiller = None then `Fail Registers
-        else if cross then `Live
         else `Spill p
       in
-      match (result, inf.i_detail) with
-      | Placed p, _ -> judge p ~promoted:false
-      | Failed _, D_regs { rejected; _ } -> judge rejected ~promoted:true
-      | Failed c, _ -> `Fail c
+      match result with
+      | Placed p -> fit p ~promoted:false
+      | Rejected { placed; _ } -> fit placed ~promoted:true
+      | Failed c -> `Fail c
     in
     (* The member's spill-and-retry rounds, live, from a recorded
-       placement its file rejects — exactly [try_once_sig]'s rounds: the
+       placement its file rejects — exactly [try_once]'s rounds: the
        spiller rewrites, the rewrite is bus-checked, routed (uncached,
        as in a direct run's spill rounds) and re-placed at the same II,
        at most 4 rounds.  A fitting round ends the member's walk at this
@@ -661,8 +561,8 @@ module Trace = struct
     let spilled = ref false in
     let spill_rounds ~ii p0 =
       let f = Option.get spiller in
-      (* same hopelessness gate as [try_once_sig]: a round removes at
-         most one value from a cluster's peak *)
+      (* same hopelessness gate as [try_once]: a round removes at most
+         one value from a cluster's peak *)
       let excess (p : placed) =
         Array.fold_left (fun acc x -> acc + max 0 (x - limit)) 0 p.p_pressure
       in
@@ -706,79 +606,26 @@ module Trace = struct
       in
       go p0 4
     in
-    (* Would the recorded placement run have made the identical
-       cycle-for-cycle, bus-for-bus decisions on the member?  Buses are
-       assigned first-fit over identical routed graphs ([lat_eq]), so:
-       with no copies the buses are never consulted; with more buses the
-       run transfers unless some probe saw a full table (extra buses
-       would then have answered it); with fewer, unless it reserved an
-       index the member lacks. *)
-    let bus_compatible ~max_bus ~sat ~copies =
-      copies = 0
-      || (lat_eq
-          &&
-          if config.Machine.Config.buses >= t.t_config.Machine.Config.buses
-          then not sat
-          else max_bus < config.Machine.Config.buses)
-    in
-    (* Cross-config judging of a recorded attempt whose member-side
-       structures (partition, transform output) were verified equal and
-       whose member-side bus check passed. *)
-    let judge_cross result inf =
-      match inf.i_detail with
-      | D_bus_check ->
-          (* The recording died on its own bus check; the member's
-             passed — nothing further was recorded. *)
-          `Live
-      | D_infeasible { copies } ->
-          (* Feasibility of the routed graph never reads the bus count;
-             with copies the copy-edge latencies must match. *)
-          if copies = 0 || lat_eq then `Fail Bus else `Live
-      | D_place { max_bus; sat; copies }
-      | D_regs { max_bus; sat; copies; _ }
-      | D_ok { max_bus; sat; copies } ->
-          if bus_compatible ~max_bus ~sat ~copies then judge_regs result inf
-          else `Live
-    in
-    let judge result inf =
-      if cross then judge_cross result inf else judge_regs result inf
-    in
     (* Judge, then settle any [`Spill] live: a fitting spill round is a
        success at this II that the recording (spiller-less) walked past —
        finished like a promoted fit, re-invoking the member transform
        there; an exhausted sequence is this attempt's failure, with the
        final round's cause. *)
-    let resolve ~ii result inf =
-      match judge result inf with
+    let resolve ~ii result =
+      match judge result with
       | `Spill p -> (
           match spill_rounds ~ii p with
           | `Placed p' -> `Fit (p', true)
           | `Fail c -> `Fail c)
-      | (`Fit _ | `Fail _ | `Live) as r -> r
+      | (`Fit _ | `Fail _) as r -> r
     in
+    (* A promoted fit ends the member's walk at an attempt the recording
+       walked past: re-run the member's transform there so hook state
+       matches a direct run. *)
     let finish_fit ~pre ~promoted ii p =
-      (* A promoted fit ends the member's walk at an attempt the
-         recording walked past: re-run the member's transform there so
-         hook state matches a direct run.  Cross replays already ran the
-         member transform for this very attempt during verification. *)
-      if promoted && not cross then rehook ~pre ~ii;
+      if promoted then rehook ~pre ~ii;
       finish ~mii:t.t_mii ~counters (refit p) ii
     in
-    (* The member's transform output at (assign, ii), with its digest in
-       the recorded format — [None] when the hook is absent or
-       declined. *)
-    let member_tf ~ii assign =
-      match transform with
-      | None -> (g, assign, None)
-      | Some f -> (
-          hook := true;
-          match
-            Profile.time Profile.Replication (fun () -> f config g ~assign ~ii)
-          with
-          | Some (g', a') -> (g', a', Some (tf_digest g' a'))
-          | None -> (g, assign, None))
-    in
-    (* ---------- same-family walk: recorded attempts apply verbatim ---------- *)
     let rec walk = function
       | [] ->
           (* No level was ever attempted: the cap sat below the MII. *)
@@ -809,106 +656,30 @@ module Trace = struct
                     let ii = level.l_ii + 1 in
                     go_live ii (Partition.Hier.refine hier ~ii level.l_assign))
           in
-          match resolve ~ii:level.l_ii level.l_lineage level.l_info with
+          match resolve ~ii:level.l_ii level.l_lineage with
           | `Fit (p, promoted) ->
               finish_fit ~pre:level.l_assign ~promoted level.l_ii p
-          | `Live -> go_live level.l_ii level.l_assign
           | `Fail cause -> (
               match level.l_fresh with
-              | Some (fa, fr, finf) -> (
-                  match resolve ~ii:level.l_ii fr finf with
+              | Some (fa, fr) -> (
+                  match resolve ~ii:level.l_ii fr with
                   | `Fit (p, promoted) ->
                       finish_fit ~pre:fa ~promoted level.l_ii p
-                  | `Live -> go_live level.l_ii level.l_assign
                   | `Fail _ -> continue_failed cause)
-              | None ->
+              | None -> (
                   (* The recording never tried a fresh partition here:
                      either its lineage attempt succeeded (so the oracle's
                      behaviour past the register check is unrecorded —
                      explore it live), or the fresh partition was
                      identical to the lineage one (then a live run skips
                      it too). *)
-                  (match level.l_lineage with
+                  match level.l_lineage with
                   | Placed _ -> go_live level.l_ii level.l_assign
-                  | Failed _ -> continue_failed cause)))
-    in
-    (* ---------- cross walk: verify each level member-side, then judge ---------- *)
-    (* [member_assign] is the member's own lineage partition at this
-       level, derived through the member's hierarchy — the chain is a
-       pure function of the II, independent of attempt outcomes, so it
-       can be walked alongside the recorded one and compared. *)
-    let rec walk_cross member_assign = function
-      | [] ->
-          Error
-            (Sched_error.Infeasible_partition { mii = t.t_mii; cap = t.t_cap })
-      | level :: rest -> (
-          let ii = level.l_ii in
-          if member_assign <> level.l_assign then go_live ii member_assign
-          else
-            let next_level cause =
-              bump counters cause;
-              let nii = ii + 1 in
-              let next_assign = Partition.Hier.refine hier ~ii:nii member_assign in
-              match rest with
-              | _ :: _ -> walk_cross next_assign rest
-              | [] ->
-                  (* Dry: the recording's conclusion does not transfer
-                     across bus/latency members (future partitions may
-                     diverge); continue live. *)
-                  go_live nii next_assign
-            in
-            let g', a', dig = member_tf ~ii member_assign in
-            if level.l_info.i_tf <> dig then go_live ii member_assign
-            else
-              (* Structures verified: the member's bus check is
-                 computed exactly; past it, the recorded mechanics are
-                 re-judged for the member's buses and registers. *)
-              let lineage_j =
-                if Comm.extra config g' ~assign:a' ~ii > 0 then `Fail Bus
-                else resolve ~ii level.l_lineage level.l_info
-              in
-              match lineage_j with
-              | `Fit (p, _) -> finish_fit ~pre:member_assign ~promoted:false ii p
-              | `Live -> go_live ii member_assign
-              | `Fail cause -> (
-                  let member_fresh = Partition.Hier.initial hier ~ii in
-                  if member_fresh = member_assign then next_level cause
-                  else
-                    match level.l_fresh with
-                    | Some (fa, fr, finf) when fa = member_fresh -> (
-                        let gf, af, digf = member_tf ~ii member_fresh in
-                        if finf.i_tf <> digf then go_live ii member_assign
-                        else
-                          let fresh_j =
-                            if Comm.extra config gf ~assign:af ~ii > 0 then
-                              `Fail Bus
-                            else resolve ~ii fr finf
-                          in
-                          match fresh_j with
-                          | `Fit (p, _) ->
-                              finish_fit ~pre:member_fresh ~promoted:false ii p
-                          | `Fail _ -> next_level cause
-                          | `Live -> go_live ii member_assign)
-                    | _ ->
-                        (* The member tries a fresh partition the
-                           recording lacks (or recorded a different
-                           one): unrecorded territory. *)
-                        go_live ii member_assign))
+                  | Failed _ | Rejected _ -> continue_failed cause)))
     in
     (* Same fault isolation as a direct run: replays must stay
        observably equal to [schedule_loop], failures included. *)
-    let result =
-      guard (fun () ->
-          if not cross then walk t.t_levels
-          else
-            match t.t_levels with
-            | [] ->
-                Error
-                  (Sched_error.Infeasible_partition
-                     { mii = t.t_mii; cap = t.t_cap })
-            | { l_ii; _ } :: _ ->
-                walk_cross (Partition.Hier.initial hier ~ii:l_ii) t.t_levels)
-    in
+    let result = guard (fun () -> walk t.t_levels) in
     let basis : basis =
       if !live then `Live else if !hook then `Hook else `Pure
     in

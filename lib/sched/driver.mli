@@ -119,26 +119,20 @@ val schedule_loop :
     and latencies alone.  Sweeping register configurations (the Section-4
     sensitivity experiment) therefore repeats identical escalation work
     per register count.  A {!Trace} records every attempt of one
-    escalation run; any machine with the same cluster/unit structure can
-    then be answered by re-judging the recorded attempts, falling back
-    to live escalation — resumed mid-trace, not from MII — only where a
-    live run would genuinely diverge.
+    escalation run; any member of the same register family — a machine
+    equal to the recording one in everything but the register file —
+    can then be answered by re-judging the recorded attempts, falling
+    back to live escalation — resumed mid-trace, not from MII — only
+    where a live run would genuinely diverge.
 
-    Register-family members (same buses and latency) reuse recorded
-    attempts verbatim, in both directions: a tighter file re-judges each
-    placement's MaxLive, a roomier one additionally {e promotes} a
-    recorded register rejection whose pressure it admits into the
-    success a direct run would have found (every rejected placement is
-    recorded for this).  Members differing in bus count or bus latency
-    are answered by per-level verification: the member's own lineage
-    partitions and transform outputs are recomputed and compared (by
-    canonical digest) against the recorded ones, its communication
-    check is evaluated exactly, and a matching level transfers the
-    recorded placement run whenever first-fit bus assignment provably
-    makes the identical decisions on the member's buses (no probe ever
-    saw a full bus table when the member has more; the highest reserved
-    index fits when it has fewer; always when the attempt routed no
-    copies). *)
+    Members reuse recorded attempts verbatim, in both directions: a
+    tighter file re-judges each placement's MaxLive, a roomier one
+    additionally {e promotes} a recorded register rejection whose
+    pressure it admits into the success a direct run would have found
+    (every rejected placement is recorded for this).  Machines that
+    differ in buses or bus latency are outside the family: partitioning
+    and routing read those fields, so no recorded attempt answers them
+    and {!Trace.replay} refuses them. *)
 
 module Trace : sig
   type t
@@ -150,9 +144,8 @@ module Trace : sig
       - [`Pure] — recorded attempts alone; the hook was never invoked,
         its state still describes the {e recording} run.
       - [`Hook] — recorded attempts, but the member's transform was
-        (re-)invoked along the way — cross-config verification, or a
-        promoted fit — so the hook state now describes the {e member}'s
-        direct run.
+        re-invoked to finish a promoted fit, so the hook state now
+        describes the {e member}'s direct run.
       - [`Live] — live fallback ran; hook state likewise the member's. *)
 
   val record :
@@ -163,14 +156,13 @@ module Trace : sig
     Machine.Config.t ->
     Ddg.Graph.t ->
     t
-  (** Run the escalation loop at [config] — typically the most
-      permissive member of the register family — recording every
-      attempt: the II, the partition it started from, the outcome (a
-      placed schedule with its MaxLive per cluster, a rejected placement
-      with its pressure, or the failure cause), the attempt's
-      bus-pressure observations and a digest of its transform output.
-      [hier] as in {!schedule_loop} — the recording run draws its
-      partitions from the shared hierarchy.
+  (** Run the escalation loop at [config] — any member of the register
+      family; recorded at the strictest one, every roomier member
+      replays dry — recording every attempt: the II, the partition it started
+      from, and the outcome (a placed schedule with its MaxLive per
+      cluster, a rejected placement with its pressure, or the failure
+      cause).  [hier] as in {!schedule_loop} — the recording run draws
+      its partitions from the shared hierarchy.
       @raise Invalid_argument if [hier] was built for another loop or
       configuration. *)
 
@@ -180,12 +172,9 @@ module Trace : sig
 
   val config : t -> Machine.Config.t
 
-  val same_structure : Machine.Config.t -> Machine.Config.t -> bool
-  (** Same clusters, unit matrix and copy issue rule — the widest class
-      {!replay} accepts; buses, bus latency and registers may differ. *)
-
   val same_family : Machine.Config.t -> Machine.Config.t -> bool
-  (** {!same_structure} plus equal buses and bus latency: members whose
+  (** Equal in everything but the register file
+      ({!Machine.Config.partition_compatible}): the members whose
       recorded attempts apply verbatim up to the register check. *)
 
   val replay :
@@ -203,17 +192,13 @@ module Trace : sig
       mirror of the direct driver's), and a failed sequence resumes the
       recorded continuation — spill rewrites never survive an attempt,
       so the remaining levels still apply.  [`Live] means the replay
-      fell back to live scheduling: the trace ran dry without a
-      transferable conclusion, a level's member-side verification
-      diverged (cross-config members), or a spiller met an overflow on
-      a cross-config member, where the rewrite's equivalence to the
-      member's own is unproven.  [transform] must be the hook the trace was
-      recorded with, applied at the member configuration.  [hier] — the
-      member's own hierarchy (it must be built for [config] over the
-      trace's graph) — seeds both the cross-config partition
-      verification and any live fallback; omitted, one is created.
-      @raise Invalid_argument if [config] differs from the recording
-      configuration beyond {!same_structure}, or [hier] mismatches. *)
+      fell back to live scheduling because the trace ran dry without a
+      transferable conclusion.  [transform] must be the hook the trace
+      was recorded with, applied at the member configuration.  [hier] —
+      the member's own hierarchy (it must be built for [config] over the
+      trace's graph) — seeds any live fallback; omitted, one is created.
+      @raise Invalid_argument if [config] is not in the recording's
+      {!same_family}, or [hier] mismatches. *)
 end
 
 val schedule_sweep :
@@ -230,4 +215,6 @@ val schedule_sweep :
     it for each.  Results (in input order) are the ones the independent
     [schedule_loop] calls would produce.  [spiller_for] selects a spiller
     per member (spill rounds run in place on overflowing recorded
-    levels; see {!Trace.replay}). *)
+    levels; see {!Trace.replay}).
+    @raise Invalid_argument if [configs] span more than one register
+    family. *)

@@ -4,11 +4,7 @@ type reason = Window_closed | Fu_busy | Bus_busy
 
 type failure = { node : int; reason : reason; copy_involved : bool }
 
-type stats = { mutable bus_full_probes : int; mutable max_bus : int }
-
-let fresh_stats () = { bus_full_probes = 0; max_bus = -1 }
-
-let try_schedule ?stats config route ~ii =
+let try_schedule config route ~ii =
   let g = route.Route.graph in
   let n = Graph.n_nodes g in
   (* The slack analysis and the node ordering are one profiling phase;
@@ -78,15 +74,8 @@ let try_schedule ?stats config route ~ii =
               cycles.(v) <- cyc;
               placed.(v) <- true;
               buses.(v) <- b;
-              (match stats with
-              | Some s -> if b > s.max_bus then s.max_bus <- b
-              | None -> ());
               true
-          | None ->
-              (match stats with
-              | Some s -> s.bus_full_probes <- s.bus_full_probes + 1
-              | None -> ());
-              false
+          | None -> false
       end
       else begin
         match Machine.Opclass.fu_kind (Graph.op g v) with

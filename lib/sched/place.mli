@@ -20,29 +20,7 @@ type failure = {
           copy — the paper attributes such failures to the bus *)
 }
 
-type stats = {
-  mutable bus_full_probes : int;
-      (** probes that found every bus window occupied *)
-  mutable max_bus : int;  (** highest bus index reserved; -1 if none *)
-}
-(** Bus-pressure observations of one placement run, recorded into the
-    escalation traces: buses are assigned first-fit (lowest free index,
-    {!Mrt.find_bus}), so a placement that never saw a full bus table and
-    never reserved an index >= b would have made the identical
-    cycle-for-cycle, bus-for-bus decisions on the same machine with any
-    bus count > max_bus — what lets a recorded attempt be re-judged for
-    a machine-family member with a different bus count
-    ({!Driver.Trace.replay}). *)
-
-val fresh_stats : unit -> stats
-
 val try_schedule :
-  ?stats:stats ->
-  Machine.Config.t ->
-  Route.t ->
-  ii:int ->
-  (Schedule.t, failure) result
+  Machine.Config.t -> Route.t -> ii:int -> (Schedule.t, failure) result
 (** Requires [ii] to satisfy the routed graph's recurrences
-    ({!Ddg.Mii.feasible_ii}); the driver checks this beforehand.
-    [stats], when given, accumulates the run's bus observations —
-    success or failure. *)
+    ({!Ddg.Mii.feasible_ii}); the driver checks this beforehand. *)

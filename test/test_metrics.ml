@@ -274,18 +274,19 @@ let test_spill_runs_match_direct () =
         [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ])
     [ 1; 2 ]
 
-(* Cross-family reuse: members sharing only the cluster/unit structure
-   (different buses or bus latency) replay the first member's recording
-   with per-level verification.  Results must be observably identical
-   to direct sweeps, at any pool size — jobs=8 clamps to the machine
-   but must not change a byte either way. *)
-let cross_family =
+(* One sweep over three bus/latency families of one cluster/unit
+   structure: no trace answers a member of another bus/latency family
+   ({!Sched.Driver.Trace.replay} refuses one), so each member is
+   answered by its own family's recording.  Results must be observably
+   identical to direct sweeps, at any pool size — jobs=8 clamps to the
+   machine but must not change a byte either way. *)
+let bus_latency_families =
   List.map
     (fun (buses, bus_latency) ->
       Machine.Config.make ~clusters:4 ~buses ~bus_latency ~registers:64)
     [ (1, 2); (2, 2); (2, 4) ]
 
-let test_cross_family_matches_direct () =
+let test_bus_latency_sweeps_match_direct () =
   let loops = take 10 (Lazy.force small_loops) in
   List.iter
     (fun jobs ->
@@ -296,25 +297,27 @@ let test_cross_family_matches_direct () =
             (fun (config, runs) ->
               let direct = Metrics.Experiment.run_suite mode config loops in
               check int
-                (Printf.sprintf "jobs=%d %s cross run count" jobs
+                (Printf.sprintf "jobs=%d %s run count" jobs
                    (Machine.Config.name config))
                 (List.length direct) (List.length runs);
               List.iter2
                 (fun a b ->
                   check bool
-                    (Printf.sprintf "jobs=%d %s cross run equal" jobs
+                    (Printf.sprintf "jobs=%d %s run equal" jobs
                        (Machine.Config.name config))
                     true
                     (canon_run a = canon_run b))
                 direct runs)
-            (Metrics.Suite.sweep_runs suite mode cross_family))
+            (Metrics.Suite.sweep_runs suite mode bus_latency_families))
         [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ])
     [ 1; 8 ]
 
-(* The stricter-member re-record: a roomy member recorded first, then a
-   tighter register file arrives — the family re-records there, and
-   every member (including the one answered before the re-record) must
-   still equal its direct run. *)
+(* The stricter-member re-record: sweeping one member at a time, a roomy
+   member records first, then a tighter register file arrives — the
+   family re-records there.  One sweep over the whole family, in the
+   same order, records at its strictest member at once.  Either way
+   every member (including one answered before a re-record) must equal
+   its direct run. *)
 let test_rerecord_at_stricter_member () =
   let loops = take 10 (Lazy.force small_loops) in
   let family order =
@@ -323,8 +326,15 @@ let test_rerecord_at_stricter_member () =
         Machine.Config.make ~clusters:4 ~buses:1 ~bus_latency:2 ~registers)
       order
   in
+  let sweep suite mode configs ~per_member =
+    if per_member then
+      List.concat_map
+        (fun c -> Metrics.Suite.sweep_runs suite mode [ c ])
+        configs
+    else Metrics.Suite.sweep_runs suite mode configs
+  in
   List.iter
-    (fun order ->
+    (fun (order, per_member) ->
       let suite = Metrics.Suite.create ~loops () in
       List.iter
         (fun mode ->
@@ -339,36 +349,15 @@ let test_rerecord_at_stricter_member () =
                     true
                     (canon_run a = canon_run b))
                 direct runs)
-            (Metrics.Suite.sweep_runs suite mode (family order));
+            (sweep suite mode (family order) ~per_member);
           (* the spill sweep replays whatever trace the re-record left *)
           ignore
             (Metrics.Suite.spill_runs suite mode
                (List.hd (family [ 32 ]))))
         [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ])
-    [ [ 64; 32; 128 ]; [ 128; 64; 32 ] ]
-
-(* Every schedule a cross-family replay emits must satisfy the
-   independent oracle, exactly like a direct run's. *)
-let test_validate_cross_family_replays () =
-  let loops = take 10 (Lazy.force small_loops) in
-  let suite = Metrics.Suite.create ~loops () in
-  let recording = Machine.Config.make ~clusters:4 ~buses:1 ~bus_latency:2 ~registers:64 in
-  let member = Machine.Config.make ~clusters:4 ~buses:2 ~bus_latency:4 ~registers:64 in
-  ignore (Metrics.Suite.runs suite Metrics.Experiment.Replication recording);
-  let reused = Metrics.Suite.runs suite Metrics.Experiment.Replication member in
-  check bool "cross-family replay produced runs" true (reused <> []);
-  List.iter
-    (fun (r : Metrics.Experiment.loop_run) ->
-      match
-        Check.Validate.run ~original:r.loop.Workload.Generator.graph
-          r.outcome.Sched.Driver.schedule
-      with
-      | Ok () -> ()
-      | Error issues ->
-          Alcotest.failf "oracle rejects replayed %s: %s"
-            r.loop.Workload.Generator.id
-            (String.concat "; " (Check.Validate.to_strings issues)))
-    reused
+    (List.concat_map
+       (fun order -> [ (order, true); (order, false) ])
+       [ [ 64; 32; 128 ]; [ 128; 64; 32 ] ])
 
 (* Display names are not injective: a custom homogeneous machine with
    other unit counts prints the default machine's name.  One suite asked
@@ -506,12 +495,10 @@ let suite =
       test_sweep_runs_match_direct;
     Alcotest.test_case "spill runs match direct" `Slow
       test_spill_runs_match_direct;
-    Alcotest.test_case "cross-family sweeps match direct" `Slow
-      test_cross_family_matches_direct;
+    Alcotest.test_case "bus and latency sweeps match direct" `Slow
+      test_bus_latency_sweeps_match_direct;
     Alcotest.test_case "re-record at stricter member" `Slow
       test_rerecord_at_stricter_member;
-    Alcotest.test_case "oracle validates cross-family replays" `Slow
-      test_validate_cross_family_replays;
     Alcotest.test_case "runs keyed by the full config" `Slow
       test_runs_keyed_by_full_config;
   ]

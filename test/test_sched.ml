@@ -303,6 +303,68 @@ let test_heterogeneous_end_to_end () =
         .Workload.Generator.graph;
     ]
 
+(* ---------------- escalation traces ---------------- *)
+
+(* A trace answers its register family only: a machine with other buses
+   or another bus latency is partitioned and routed differently, so
+   replay refuses it, while roomier and tighter register files replay
+   to exactly what [schedule_loop] returns. *)
+let test_trace_register_family_only () =
+  let make buses bus_latency registers =
+    Machine.Config.make ~clusters:4 ~buses ~bus_latency ~registers
+  in
+  let canon = function
+    | Ok (o : Sched.Driver.outcome) ->
+        Ok
+          ( o.mii,
+            o.ii,
+            List.sort compare o.increments,
+            o.n_comms,
+            Array.to_list o.assign,
+            Array.to_list o.schedule.Sched.Schedule.cycles,
+            Array.to_list o.schedule.Sched.Schedule.buses,
+            Machine.Config.name o.schedule.Sched.Schedule.config )
+    | Error e -> Error (Sched.Sched_error.to_string e)
+  in
+  let graphs =
+    Examples.figure3 ()
+    :: List.map
+         (fun b ->
+           (List.hd (Workload.Generator.generate (Workload.Benchmark.find b)))
+             .Workload.Generator.graph)
+         [ "tomcatv"; "swim"; "applu"; "wave5" ]
+  in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun replicate ->
+          let hook () =
+            if replicate then Some (fst (Replication.Replicate.transform ()))
+            else None
+          in
+          let transform = hook () in
+          let trace = Sched.Driver.Trace.record ?transform (make 1 2 64) g in
+          List.iter
+            (fun other ->
+              match Sched.Driver.Trace.replay ?transform trace other with
+              | exception Invalid_argument _ -> ()
+              | _ ->
+                  Alcotest.failf "replay answered %s from a 4c1b2l64r trace"
+                    (Machine.Config.name other))
+            [ make 2 2 64; make 1 4 64 ];
+          List.iter
+            (fun member ->
+              let replayed, _ = Sched.Driver.Trace.replay ?transform trace member in
+              check bool
+                (Machine.Config.name member ^ " replay equals schedule_loop")
+                true
+                (canon replayed
+                = canon
+                    (Sched.Driver.schedule_loop ?transform:(hook ()) member g)))
+            [ make 1 2 32; make 1 2 128 ])
+        [ false; true ])
+    graphs
+
 (* ---------------- register pressure ---------------- *)
 
 let test_regpressure_chain () =
@@ -368,6 +430,8 @@ let suite =
       test_schedule_length_and_sc;
     Alcotest.test_case "heterogeneous end to end" `Quick
       test_heterogeneous_end_to_end;
+    Alcotest.test_case "trace answers its register family only" `Quick
+      test_trace_register_family_only;
     Alcotest.test_case "regpressure chain" `Quick test_regpressure_chain;
     Alcotest.test_case "regpressure long lifetime" `Quick
       test_regpressure_long_lifetime;

@@ -88,6 +88,37 @@ let test_disk_tier_byte_equal () =
   check int "jobs=8 warm run has zero misses" 0
     (Metrics.Store.stats s3).misses
 
+(* A register sweep over a warm store must not schedule: the sweep asks
+   the store for every member (and the spilled row) before it records a
+   trace, so the warm Section-4 table charges no word to partitioning or
+   ordering.  Placement is not checked: the disk tier's decode rebuilds
+   routes with [Route.build], which is profiled there. *)
+let test_warm_register_sweep_schedules_nothing () =
+  with_dir @@ fun dir ->
+  let loops = Lazy.force small_loops in
+  let cold_store = Metrics.Store.create ~dir () in
+  let cold =
+    Metrics.Figures.sec4_regs (Metrics.Suite.create ~loops ~store:cold_store ())
+  in
+  Metrics.Store.save cold_store;
+  let warm_store = Metrics.Store.create ~dir () in
+  Sched.Profile.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sched.Profile.set_enabled false) @@ fun () ->
+  let warm =
+    Metrics.Figures.sec4_regs (Metrics.Suite.create ~loops ~store:warm_store ())
+  in
+  check Alcotest.string "warm sec4_regs is byte-identical" cold warm;
+  check int "warm sweep missed nothing" 0
+    (Metrics.Store.stats warm_store).misses;
+  List.iter
+    (fun phase ->
+      check
+        Alcotest.(pair int int)
+        (Sched.Profile.name phase ^ " words")
+        (0, 0)
+        (Sched.Profile.alloc_words phase))
+    [ Sched.Profile.Partition; Sched.Profile.Ordering ]
+
 (* Rendering one artifact schedules only what it reads: the static
    Table 1 must not touch the suite's store at all. *)
 let test_table1_alone_schedules_nothing () =
@@ -548,6 +579,8 @@ let suite =
       test_disk_tier_byte_equal;
     Alcotest.test_case "oracle over cache-served runs" `Slow
       test_validate_cache_served;
+    Alcotest.test_case "warm register sweep schedules nothing" `Quick
+      test_warm_register_sweep_schedules_nothing;
     Alcotest.test_case "table1 alone schedules nothing" `Quick
       test_table1_alone_schedules_nothing;
     Alcotest.test_case "record policy" `Quick test_record_policy;

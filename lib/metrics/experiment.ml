@@ -266,10 +266,12 @@ let replay_traced ?spiller ?hier tr config =
         Sched.Driver.Trace.replay ~transform:t ?spiller ?hier tr.tr_trace
           config
   in
-  (* Whenever the replay invoked the member's transform — live fallback
-     or a promoted fit — the hook's last-run stats describe this member;
-     a pure replay reuses the recording's final attempt, whose stats
-     were captured at record time. *)
+  (* A walk that finished on a rebuilt placement or live last invoked
+     the member's transform at its finishing attempt, so the hook's
+     last-run stats describe this member; one that finished on the
+     recorded success reuses the recording's final attempt, whose stats
+     were captured at record time (a failed rebuild may have run the
+     hook since). *)
   let stats =
     match basis with
     | `Pure -> tr.tr_stats0

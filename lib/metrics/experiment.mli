@@ -191,10 +191,14 @@ val replay_traced :
 (** Answer one family member from the trace — checker and simulator
     included, exactly as {!run_loop} would have produced (the test suite
     pins the equality).  The member may differ from the recording in its
-    register file only ({!Sched.Driver.Trace.replay}); replication
-    statistics follow the replay's basis, so they describe the member's
-    own run either way.  With [spiller], a recorded level whose
-    placement overflows the member runs its spill rounds in place.
+    register file only ({!Sched.Driver.Trace.replay}).  Replication
+    statistics follow the replay's {!Sched.Driver.Trace.basis}: the
+    recording's final statistics when the walk finished on the recorded
+    success, the hook's current ones when it finished on a rebuilt
+    placement (whose rebuild ran the member's transform) or live, so
+    they describe the member's own run either way.  With [spiller], a
+    recorded level whose placement overflows the member runs its spill
+    rounds in place.
     [hier] — the member's hierarchy view — seeds live fallback.
     @raise Invalid_argument if [config] is outside the trace's register
     family. *)

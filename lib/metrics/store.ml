@@ -35,16 +35,15 @@
    table, so entries cached by an older scheduler self-invalidate.
 
    The figure suite stores the same loops under many configurations,
-   register families and spill variants, so decoding shares values
-   store-wide by exact content: a graph by its name, labels and
-   {!Ddg.Graph.structural_encoding}; a routed graph and its partition
-   array by that graph, the partition and exactly what [Route.build]
-   reads besides them (latency0, the copy latency, whether the machine
-   has no buses); the [x] string by value.  No digest alone decides
-   identity.  Sharing is safe because graphs, partitions and routes are
-   never mutated in place: the cold path already shares one route
-   across register-family members, and {!Sim.Faults} clones a schedule
-   before corrupting it.
+   register families and spill variants, so each store holds one
+   {!Share} table for its decoded values: a graph is shared by its
+   name, labels and {!Ddg.Graph.structural_encoding}; a routed graph and
+   its partition array by that graph, the partition and exactly what
+   [Route.build] reads besides them (latency0, the copy latency, whether
+   the machine has no buses); the [x] string by value.  No digest alone
+   decides identity.  A {!Suite} over the store passes every run it
+   computes through the same table before recording it, so the memory
+   tier and the disk tier hold one value per distinct content.
 
    Counters.  Every lookup/IO updates both the per-store {!stats} and
    the global always-on counters in {!Sched.Profile}, which is how the
@@ -84,17 +83,9 @@ type t = {
   (* Per-loop fingerprint memo, revalidated by physical graph equality
      so a reused id (the fuzz shrinker) cannot serve a stale hash. *)
   fps : (string, G.t * string * string) Hashtbl.t;
-  (* Disk-tier values already decoded, one per distinct content (see
-     "Tiers" above).  They grow only while a table file loads, once per
-     table, so they never hold more than the loaded files did.  A
-     graph's id is its insertion rank and stands for it in the route
-     key. *)
-  strings : (string, string) Hashtbl.t;
-  graphs : (string * string * string array, int * G.t) Hashtbl.t;
-      (* (structural encoding, name, labels) *)
-  routes :
-    (int * int array * bool * int * bool, int array * Sched.Route.t) Hashtbl.t;
-      (* (graph id, partition, latency0, copy latency, no buses) *)
+  share : Share.t;
+      (* one value per distinct content: decoded entries, and the runs a
+         {!Suite} over this store computes (see "Tiers" above) *)
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_read : int;
@@ -113,9 +104,7 @@ let create ?dir () =
     dir;
     tables = Hashtbl.create 32;
     fps = Hashtbl.create 256;
-    strings = Hashtbl.create 256;
-    graphs = Hashtbl.create 256;
-    routes = Hashtbl.create 256;
+    share = Share.create ();
     s_hits = 0;
     s_misses = 0;
     s_read = 0;
@@ -123,6 +112,8 @@ let create ?dir () =
     s_saved = 0;
     s_skipped = 0;
   }
+
+let share t = t.share
 
 let stats t =
   {
@@ -302,23 +293,6 @@ let json_of_entry fp en =
             );
           ])
 
-(* The store's earlier decoded value for this exact content, or
-   [make ()], which becomes that value for later entries. *)
-let intern tbl key make =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-      let v = make () in
-      Hashtbl.add tbl key v;
-      v
-
-let intern_string t s = intern t.strings s (fun () -> s)
-
-let intern_graph t g =
-  let labels = Array.of_list (List.map (G.label g) (G.nodes g)) in
-  let key = (intern_string t (G.structural_encoding g), G.name g, labels) in
-  intern t.graphs key (fun () -> (Hashtbl.length t.graphs, g))
-
 (* Decoding rebuilds the routed schedule from the stored transformed
    graph + partition: [Route.build] is pure, so the result is the routed
    graph the cold run held, and an equal (graph, partition, routing
@@ -327,7 +301,7 @@ let intern_graph t g =
 let entry_of_json t ~config ~latency0 j =
   try
     let fp = Json.to_str (Json.member "fp" j) in
-    let e_struct = intern_string t (Json.to_str (Json.member "x" j)) in
+    let e_struct = Share.string t.share (Json.to_str (Json.member "x" j)) in
     let e_trip = Json.to_int (Json.member "trip" j) in
     let e_pay =
       match Json.to_str (Json.member "status" j) with
@@ -336,17 +310,12 @@ let entry_of_json t ~config ~latency0 j =
             ( Json.to_str (Json.member "class" j),
               Json.to_str (Json.member "message" j) )
       | _ ->
-          let gid, graph =
-            intern_graph t (graph_of_json (Json.member "graph" j))
-          in
-          let assign, route =
-            let assign = int_array (Json.member "assign" j) in
-            let key =
-              ( gid, assign, latency0, Machine.Config.copy_latency config,
-                config.Machine.Config.buses = 0 )
-            in
-            intern t.routes key (fun () ->
-                (assign, Sched.Route.build ~latency0 config graph ~assign))
+          let assign = int_array (Json.member "assign" j) in
+          let graph, assign, route =
+            Share.route t.share ~latency0 config
+              (graph_of_json (Json.member "graph" j))
+              ~assign
+              (fun g -> Sched.Route.build ~latency0 config g ~assign)
           in
           let ii = Json.to_int (Json.member "ii" j) in
           let mii = Json.to_int (Json.member "mii" j) in

@@ -22,16 +22,14 @@
     stderr, and the run continues cold on that table instead of
     surfacing a load failure.
 
-    Values decoded from disk are shared store-wide by exact content:
-    every table's entries for one graph (same name, labels and
-    {!Ddg.Graph.structural_encoding}) hold one decoded graph, and one
-    routed graph per distinct partition and routing input.  Hits from
-    different tables may therefore return physically equal [graph],
-    [assign] and [schedule.route] values.  That is safe because none of
-    them is ever mutated in place ({!Sim.Faults} clones a schedule
-    before corrupting it); callers must keep it that way.  Each entry
-    still passes its own shape check, and a malformed entry is dropped
-    alone.
+    Values decoded from disk are shared store-wide by exact content,
+    through the store's {!Share} table: every table's entries for one
+    graph (same name, labels and {!Ddg.Graph.structural_encoding}) hold
+    one decoded graph, and one routed graph per distinct partition and
+    routing input.  Hits from different tables may therefore return
+    physically equal [graph], [assign] and [schedule.route] values,
+    which callers must never mutate in place.  Each entry still passes
+    its own shape check, and a malformed entry is dropped alone.
 
     Caching policy: successful runs and give-up errors
     ({!Sched.Sched_error.is_give_up}) are recorded; [Timeout] results
@@ -73,6 +71,10 @@ type stats = {
 val create : ?dir:string -> unit -> t
 (** Memory-only when [dir] is omitted.  [dir] need not exist yet; it is
     created by the first {!save}. *)
+
+val share : t -> Share.t
+(** The table the disk tier decodes into; a {!Suite} over this store
+    shares the runs it computes through it as well. *)
 
 val lookup :
   t ->

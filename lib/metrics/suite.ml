@@ -30,6 +30,10 @@ type t = {
       (* content-addressed schedule store, consulted before any
          scheduling (direct or traced) and fed by every pass; only
          touched on the orchestrating domain *)
+  share : Share.t;
+      (* every run the suite computes is rebuilt around one graph and
+         one routed graph per distinct content before it is kept or
+         recorded; the store's own table when there is a store *)
   jobs_ : int;
 }
 
@@ -45,6 +49,8 @@ let create ?loops ?(jobs = 1) ?store () =
     views = Hashtbl.create 256;
     digests = Hashtbl.create 64;
     store;
+    share =
+      (match store with Some s -> Store.share s | None -> Share.create ());
     jobs_ = jobs;
   }
 
@@ -122,12 +128,16 @@ let view_for t config (l : Workload.Generator.loop) =
 (* ------------------------------------------------------------------ *)
 
 (* Classify a pass's per-loop results on the orchestrating domain:
-   record everything into the schedule store (it drops timeouts and
-   bugs itself), then keep the successes and raise on bugs exactly as
-   {!Experiment.keep_or_raise} always did.  Running the classification
-   here rather than inside the pool workers is what lets give-up errors
-   reach the store instead of dying in the worker's [filter_map]. *)
+   share every success's values, record everything into the schedule
+   store (it drops timeouts and bugs itself), then keep the successes
+   and raise on bugs exactly as {!Experiment.keep_or_raise} always did.
+   Running the classification here rather than inside the pool workers
+   is what lets give-up errors reach the store instead of dying in the
+   worker's [filter_map]. *)
 let classify_record t mode ?(variant = "") config pairs =
+  let pairs =
+    List.map (fun (l, res) -> (l, Result.map (Share.run t.share) res)) pairs
+  in
   (match t.store with
   | None -> ()
   | Some s ->
@@ -230,7 +240,8 @@ let rec runs t mode config =
                   (fun (r : Experiment.loop_run) ->
                     Experiment.keep_or_raise
                       ~id:r.Experiment.loop.Workload.Generator.id
-                      (Experiment.lengthen_run r))
+                      (Result.map (Share.run t.share)
+                         (Experiment.lengthen_run r)))
                   (runs t Experiment.Replication config)
             | Experiment.Baseline | Experiment.Replication
             | Experiment.Replication_latency0 | Experiment.Macro_replication ->

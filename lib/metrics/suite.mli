@@ -43,7 +43,15 @@
     (the store returns the very payload a cold run produced, or a
     pure-function reconstruction of it from the disk tier).
     [Replication_length] sweeps bypass the store: they are derived from
-    the replication runs without scheduling. *)
+    the replication runs without scheduling.
+
+    Runs computed apart often hold equal values: the two modes of a loop
+    replication never rewrote, machines with the same copy latency, the
+    members of a register family.  So every run a pass computes — direct,
+    replayed, spilled or lengthened — goes through a {!Share} table
+    before it is kept or recorded, and comes out holding the table's one
+    graph, partition and routed graph for its content.  With a store the
+    table is the store's own, so decoded runs share with computed ones. *)
 
 type t
 

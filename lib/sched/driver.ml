@@ -44,16 +44,23 @@ type placed = {
   p_pressure : int array;  (* MaxLive per cluster; [||] in latency0 mode *)
 }
 
-(* How an attempt ended.  [Rejected] keeps the placement the register
-   check finally rejected and how many spill rounds ran before it: a
-   trace member with a larger register file than the recording admits
-   exactly that placement, so the replay can promote it to the member's
-   success without rescheduling, and the stationarity check below
-   compares consecutive levels' rejections. *)
+(* What an attempt keeps of the placement the register check finally
+   rejected: its MaxLive, its cycle and bus arrays, and how many spill
+   rounds ran before it.  The stationarity check below compares these
+   across levels, and a trace member with a larger register file may
+   admit the placement: replay then rebuilds it from the attempt's
+   transform and [Route.build] around these arrays. *)
+type rejected = {
+  r_pressure : int array;
+  r_cycles : int array;
+  r_buses : int array;
+  r_rounds : int;
+}
+
 type attempt_result =
   | Placed of placed
   | Failed of cause  (** bus or recurrence *)
-  | Rejected of { placed : placed; rounds : int }
+  | Rejected of rejected
       (** placed, but MaxLive exceeded the register file *)
 
 type counters = {
@@ -89,16 +96,18 @@ let finish ~mii ~counters p ii =
 (* ------------------------------------------------------------------ *)
 
 (* Consecutive levels of one escalation frequently retry the same
-   (graph, partition) pair — the partitioner settles long before a
-   register-capped walk gives up — and [Route.build] does not read the
-   II at all, so the routed graph is cached per escalation, keyed by
-   graph identity and partition content.  The recurrence-feasibility
-   check on the routed graph *is* II-dependent, but monotone (a longer
-   period only loosens recurrences), so each entry caches its known
-   feasibility frontier and the Bellman-Ford re-runs only inside the
-   unknown gap.  Each escalation owns its cache, so it needs no lock. *)
+   partition of the untransformed graph — the partitioner settles long
+   before a register-capped walk gives up — and [Route.build] does not
+   read the II at all, so the routed graph is cached per escalation,
+   keyed by partition content.  A transformed or spilled graph is a
+   fresh object at every attempt, so its route could never be found
+   again: it bypasses the cache rather than keep dead routed graphs
+   alive across the escalation.  The recurrence-feasibility check on
+   the routed graph *is* II-dependent, but monotone (a longer period
+   only loosens recurrences), so each entry caches its known feasibility
+   frontier and the Bellman-Ford re-runs only inside the unknown gap.
+   Each escalation owns its cache, so it needs no lock. *)
 type route_entry = {
-  re_graph : Ddg.Graph.t;  (* physical identity key *)
   re_assign : int array;
   re_route : Route.t;
   mutable re_feas : int;  (* smallest II known feasible *)
@@ -109,14 +118,11 @@ let route_cache_cap = 8
 
 (* [rc] holds the entries newest first. *)
 let route_for (rc : route_entry list ref) ~latency0 config g ~assign =
-  match
-    List.find_opt (fun e -> e.re_graph == g && e.re_assign = assign) !rc
-  with
+  match List.find_opt (fun e -> e.re_assign = assign) !rc with
   | Some e -> e
   | None ->
       let entry =
         {
-          re_graph = g;
           re_assign = Array.copy assign;
           re_route = Route.build ~latency0 config g ~assign;
           re_feas = max_int;
@@ -126,7 +132,7 @@ let route_for (rc : route_entry list ref) ~latency0 config g ~assign =
       rc := entry :: List.filteri (fun i _ -> i < route_cache_cap - 1) !rc;
       entry
 
-let route_feasible entry ~ii =
+let route_feasible entry ii =
   if ii >= entry.re_feas then true
   else if ii <= entry.re_infeas then false
   else begin
@@ -135,96 +141,113 @@ let route_feasible entry ~ii =
     b
   end
 
+(* An uncached route and its recurrence-feasibility test. *)
+let route_uncached ~latency0 config g' assign' =
+  let route = Route.build ~latency0 config g' ~assign:assign' in
+  (route, Ddg.Mii.feasible_ii route.Route.graph)
+
+(* The transform hook at one attempt: the graph and partition the
+   attempt schedules. *)
+let transformed ?transform config g ~assign ~ii =
+  match transform with
+  | None -> (g, assign)
+  | Some f -> (
+      match
+        Profile.time Profile.Replication (fun () -> f config g ~assign ~ii)
+      with
+      | Some (g', a') -> (g', a')
+      | None -> (g, assign))
+
+let max_spill_rounds = 4
+
+(* One spill round splits one live range: it removes at most one value
+   from a cluster's peak window, so a summed per-cluster excess beyond
+   the remaining rounds cannot be spilled down to the limit. *)
+let spillable ~limit pressure spills_left =
+  spills_left > 0
+  && Array.fold_left (fun acc p -> acc + max 0 (p - limit)) 0 pressure
+     <= spills_left
+
+(* Bus check, routing, placement and the register check of one graph
+   at a fixed II.  [route] supplies the routed graph and its
+   recurrence-feasibility test. *)
+let rec place ~latency0 ?spiller ~route config ~ii g' assign' spills_left =
+  if Comm.extra config g' ~assign:assign' ~ii > 0 then Failed Bus
+  else begin
+    let routed, feasible = route g' assign' in
+    if not (feasible ii) then
+      (* Copies stretched a recurrence beyond the current II: the bus
+         latency is to blame (the plain graph is feasible at
+         ii >= mii). *)
+      Failed Bus
+    else
+      match Place.try_schedule config routed ~ii with
+      | Error f -> Failed (if f.Place.copy_involved then Bus else Recurrence)
+      | Ok schedule ->
+          (* The latency-0 upper-bound schedule is knowingly wrong
+             (Section 5.1); register feasibility is not enforced on
+             it. *)
+          let pressure =
+            if latency0 then [||]
+            else
+              Profile.time Profile.Regalloc (fun () ->
+                  Regpressure.max_per_cluster schedule)
+          in
+          settle ~latency0 ?spiller ~route config ~ii
+            {
+              p_schedule = schedule;
+              p_graph = g';
+              p_assign = assign';
+              p_pressure = pressure;
+            }
+            spills_left
+  end
+
+(* The register check that ends a placement, with spill-and-retry: an
+   overflowing placement is handed to the spiller and the rewrite
+   re-placed at the same II while rounds remain and the excess is still
+   spillable (else the attempt escalates — saving 4 rewrite-route-place
+   rounds per level on hopelessly overflowing loops). *)
+and settle ~latency0 ?spiller ~route config ~ii p spills_left =
+  let limit = Machine.Config.registers_per_cluster config in
+  if latency0 || Array.for_all (fun x -> x <= limit) p.p_pressure then
+    Placed p
+  else
+    let fail () =
+      Rejected
+        {
+          r_pressure = p.p_pressure;
+          r_cycles = p.p_schedule.Schedule.cycles;
+          r_buses = p.p_schedule.Schedule.buses;
+          r_rounds = max_spill_rounds - spills_left;
+        }
+    in
+    match spiller with
+    | Some f when spillable ~limit p.p_pressure spills_left -> (
+        match
+          Profile.time Profile.Regalloc (fun () ->
+              f config p.p_schedule ~graph:p.p_graph ~assign:p.p_assign)
+        with
+        | Some (g'', a'') ->
+            place ~latency0 ?spiller ~route config ~ii g'' a''
+              (spills_left - 1)
+        | None -> fail ())
+    | _ -> fail ()
+
 (* One full attempt — transform hook, bus check, routing, placement,
    register check (with optional spill-and-retry) — at a fixed II and
-   partition. *)
+   partition.  Only the untransformed graph goes through the route
+   cache (see above). *)
 let try_once ?transform ~latency0 ?spiller ~reuse ~rcache config g ~ii
     ~assign =
-  let g0', assign0' =
-    match transform with
-    | None -> (g, assign)
-    | Some f -> (
-        match
-          Profile.time Profile.Replication (fun () ->
-              f config g ~assign ~ii)
-        with
-        | Some (g', a') -> (g', a')
-        | None -> (g, assign))
+  let g', assign' = transformed ?transform config g ~assign ~ii in
+  let route g' assign' =
+    if reuse && g' == g then
+      let entry = route_for rcache ~latency0 config g ~assign:assign' in
+      (entry.re_route, route_feasible entry)
+    else route_uncached ~latency0 config g' assign'
   in
-  let limit = Machine.Config.registers_per_cluster config in
-  let rec route_and_place g' assign' spills_left =
-    if Comm.extra config g' ~assign:assign' ~ii > 0 then Failed Bus
-    else begin
-      (* Only the graph the attempt started from goes through the route
-         cache: consecutive levels retry it with settled partitions, so
-         it hits.  Spill rounds rewrite the graph every time — caching
-         those routes can never hit and only churns the cache (and keeps
-         dead routed graphs alive across the escalation). *)
-      let cached = reuse && spills_left = 4 in
-      let route, feasible =
-        if cached then begin
-          let entry = route_for rcache ~latency0 config g' ~assign:assign' in
-          (entry.re_route, fun () -> route_feasible entry ~ii)
-        end
-        else begin
-          let route = Route.build ~latency0 config g' ~assign:assign' in
-          (route, fun () -> Ddg.Mii.feasible_ii route.Route.graph ii)
-        end
-      in
-      if not (feasible ()) then
-        (* Copies stretched a recurrence beyond the current II: the bus
-           latency is to blame (the plain graph is feasible at
-           ii >= mii). *)
-        Failed Bus
-      else
-        match Place.try_schedule config route ~ii with
-        | Error f -> Failed (if f.Place.copy_involved then Bus else Recurrence)
-        | Ok schedule ->
-            (* The latency-0 upper-bound schedule is knowingly wrong
-               (Section 5.1); register feasibility is not enforced on
-               it. *)
-            let pressure =
-              if latency0 then [||]
-              else
-                Profile.time Profile.Regalloc (fun () ->
-                    Regpressure.max_per_cluster schedule)
-            in
-            let placed =
-              {
-                p_schedule = schedule;
-                p_graph = g';
-                p_assign = assign';
-                p_pressure = pressure;
-              }
-            in
-            if latency0 || Array.for_all (fun p -> p <= limit) pressure then
-              Placed placed
-            else begin
-              let fail () = Rejected { placed; rounds = 4 - spills_left } in
-              (* One spill round splits one live range: it removes at
-                 most one value from a cluster's peak window, so a
-                 summed per-cluster excess beyond the remaining rounds
-                 cannot be spilled down to the limit — skip the rounds
-                 and escalate (saves 4 rewrite-route-place rounds per
-                 level on hopelessly overflowing loops). *)
-              let excess =
-                Array.fold_left
-                  (fun acc p -> acc + max 0 (p - limit))
-                  0 pressure
-              in
-              match spiller with
-              | Some f when spills_left > 0 && excess <= spills_left -> (
-                  match
-                    Profile.time Profile.Regalloc (fun () ->
-                        f config schedule ~graph:g' ~assign:assign')
-                  with
-                  | Some (g'', a'') -> route_and_place g'' a'' (spills_left - 1)
-                  | None -> fail ())
-              | _ -> fail ()
-            end
-    end
-  in
-  route_and_place g0' assign0' 4
+  place ~latency0 ?spiller ~route config ~ii g' assign' max_spill_rounds
 
 (* The escalation loop visits every II from the MII up, but a loop the
    register file simply cannot hold keeps producing the exact same
@@ -244,8 +267,7 @@ let stationary_limit = 12
    failures qualify (bus and recurrence failures genuinely depend on the
    II and do resolve as it grows). *)
 let reg_sig = function
-  | Rejected { placed; rounds } ->
-      Some (placed.p_pressure, placed.p_schedule.Schedule.cycles, rounds)
+  | Rejected r -> Some (r.r_pressure, r.r_cycles, r.r_rounds)
   | Placed _ | Failed _ -> None
 
 (* Level signature for the stationarity check: the lineage partition and
@@ -492,8 +514,8 @@ module Trace = struct
     | _ -> ());
     let limit = Machine.Config.registers_per_cluster config in
     let counters = { c_bus = 0; c_recur = 0; c_regs = 0 } in
-    let live = ref false in
-    let hook = ref false in
+    (* Set where the walk finishes (see {!basis}). *)
+    let basis = ref `Pure in
     (* A live continuation must stand exactly where a from-scratch run
        would: its hierarchy is seeded at the trace's MII, so the fresh
        partitions it derives match a direct [schedule_loop]'s.  Creation
@@ -505,126 +527,82 @@ module Trace = struct
       | None ->
           Partition.Hier.create ~rec_mii:t.t_rec_mii config g ~base_ii:t.t_mii
     in
+    (* Whether any spill round ran: its rewrites could rescue levels
+       beyond the trace (see [continue_failed] below). *)
+    let spilled = ref false in
+    let spiller =
+      Option.map
+        (fun f config s ~graph ~assign ->
+          spilled := true;
+          f config s ~graph ~assign)
+        spiller
+    in
     let go_live ii assign =
-      live := true;
+      basis := `Live;
       escalate ?transform ?spiller config g ~hier ~mii:t.t_mii ~cap:t.t_cap
         ~counters ii assign
     in
-    let refit p =
-      { p with p_schedule = { p.p_schedule with Schedule.config } }
+    let finish_at b ii p =
+      basis := b;
+      finish ~mii:t.t_mii ~counters p ii
     in
-    (* Restore the transform hook's internal state (e.g. the replication
-       pass's last-run stats) to what a direct member run's final
-       invocation would have left: the member finishes at this level
-       from [pre], while the recording's own final invocation happened
-       at a later level. *)
-    let rehook ~pre ~ii =
-      match transform with
-      | Some f ->
-          ignore
-            (Profile.time Profile.Replication (fun () ->
-                 f config g ~assign:pre ~ii));
-          hook := true
-      | None -> ()
+    (* The placement a direct member run reaches at a recorded rejected
+       attempt from partition [pre]: the member's transform runs there
+       exactly as in a direct run (which also leaves the hook's state
+       describing this attempt), the result is re-routed, and the
+       recorded arrays are reattached.  Placement never reads the
+       register file, so no placement search runs again.  Recordings
+       carry no spiller, so a recorded rejection is always the attempt's
+       first placement. *)
+    let rebuild ~ii ~pre r =
+      let g', assign' = transformed ?transform config g ~assign:pre ~ii in
+      {
+        p_schedule =
+          {
+            Schedule.config;
+            route = Route.build config g' ~assign:assign';
+            ii;
+            cycles = r.r_cycles;
+            buses = r.r_buses;
+          };
+        p_graph = g';
+        p_assign = assign';
+        p_pressure = r.r_pressure;
+      }
     in
-    (* Judge a recorded attempt under this register file.  [`Fit]: the
-       member run produces exactly this placement — either the recorded
-       schedule is within the limit, or (promotion, [promoted = true])
-       the recording rejected it only because its own file was smaller
-       and the member's admits it.  [`Fail c]: the attempt fails here
-       too, with the same cause — recorded bus/recurrence failures are
-       register-invariant, and a rejected placement's pressure exceeds
-       the member limit too.  [`Spill p]: the member overflows on
-       placement [p] and a spiller is installed — [p] is exactly the
-       placement a direct member run reaches, so the member's
-       spill-and-retry rounds run live from it ([spill_rounds] below). *)
-    let judge result =
-      let fit p ~promoted =
-        if Array.for_all (fun x -> x <= limit) p.p_pressure then
-          `Fit (p, promoted)
-        else if spiller = None then `Fail Registers
-        else `Spill p
+    (* Judge a recorded attempt under this register file, as a direct
+       member run would end it: [`Fit (p, b)] — the walk finishes here
+       with placement [p] on basis [b]; [`Fail c] — the attempt fails
+       here too, with cause [c].  Bus and recurrence failures are
+       register-invariant.  A recorded placement — the success, or a
+       rejection the member's file admits (promotion) or may spill down
+       to it — goes through the member's register check and spill
+       rounds, the very step [try_once] ends with.  Spill rewrites never
+       survive a failed attempt, so the recorded continuation still
+       applies afterwards. *)
+    let judge ~ii ~pre result =
+      let settled b p =
+        match
+          settle ~latency0:false ?spiller
+            ~route:(route_uncached ~latency0:false config)
+            config ~ii p max_spill_rounds
+        with
+        | Placed p -> `Fit (p, b)
+        | Failed c -> `Fail c
+        | Rejected _ -> `Fail Registers
       in
       match result with
-      | Placed p -> fit p ~promoted:false
-      | Rejected { placed; _ } -> fit placed ~promoted:true
       | Failed c -> `Fail c
-    in
-    (* The member's spill-and-retry rounds, live, from a recorded
-       placement its file rejects — exactly [try_once]'s rounds: the
-       spiller rewrites, the rewrite is bus-checked, routed (uncached,
-       as in a direct run's spill rounds) and re-placed at the same II,
-       at most 4 rounds.  A fitting round ends the member's walk at this
-       II.  Exhaustion — or a declining spiller — fails the attempt with
-       the final round's cause; spill rewrites never survive an attempt,
-       so the recorded continuation applies again afterwards. *)
-    let spilled = ref false in
-    let spill_rounds ~ii p0 =
-      let f = Option.get spiller in
-      (* same hopelessness gate as [try_once]: a round removes at most
-         one value from a cluster's peak *)
-      let excess (p : placed) =
-        Array.fold_left (fun acc x -> acc + max 0 (x - limit)) 0 p.p_pressure
-      in
-      let rec go (p : placed) spills_left =
-        if spills_left <= 0 || excess p > spills_left then `Fail Registers
-        else begin
-          spilled := true;
-          match
-            Profile.time Profile.Regalloc (fun () ->
-                f config p.p_schedule ~graph:p.p_graph ~assign:p.p_assign)
-          with
-          | None -> `Fail Registers
-          | Some (g'', a'') ->
-              if Comm.extra config g'' ~assign:a'' ~ii > 0 then `Fail Bus
-              else
-                let route = Route.build ~latency0:false config g'' ~assign:a'' in
-                if not (Ddg.Mii.feasible_ii route.Route.graph ii) then
-                  `Fail Bus
-                else (
-                  match Place.try_schedule config route ~ii with
-                  | Error pf ->
-                      `Fail
-                        (if pf.Place.copy_involved then Bus else Recurrence)
-                  | Ok schedule ->
-                      let pressure =
-                        Profile.time Profile.Regalloc (fun () ->
-                            Regpressure.max_per_cluster schedule)
-                      in
-                      let p' =
-                        {
-                          p_schedule = schedule;
-                          p_graph = g'';
-                          p_assign = a'';
-                          p_pressure = pressure;
-                        }
-                      in
-                      if Array.for_all (fun x -> x <= limit) pressure then
-                        `Placed p'
-                      else go p' (spills_left - 1))
-        end
-      in
-      go p0 4
-    in
-    (* Judge, then settle any [`Spill] live: a fitting spill round is a
-       success at this II that the recording (spiller-less) walked past —
-       finished like a promoted fit, re-invoking the member transform
-       there; an exhausted sequence is this attempt's failure, with the
-       final round's cause. *)
-    let resolve ~ii result =
-      match judge result with
-      | `Spill p -> (
-          match spill_rounds ~ii p with
-          | `Placed p' -> `Fit (p', true)
-          | `Fail c -> `Fail c)
-      | (`Fit _ | `Fail _) as r -> r
-    in
-    (* A promoted fit ends the member's walk at an attempt the recording
-       walked past: re-run the member's transform there so hook state
-       matches a direct run. *)
-    let finish_fit ~pre ~promoted ii p =
-      if promoted then rehook ~pre ~ii;
-      finish ~mii:t.t_mii ~counters (refit p) ii
+      | Placed p ->
+          settled `Pure
+            { p with p_schedule = { p.p_schedule with Schedule.config } }
+      | Rejected r ->
+          if
+            Array.for_all (fun x -> x <= limit) r.r_pressure
+            || (spiller <> None
+               && spillable ~limit r.r_pressure max_spill_rounds)
+          then settled `Hook (rebuild ~ii ~pre r)
+          else `Fail Registers
     in
     let rec walk = function
       | [] ->
@@ -656,15 +634,13 @@ module Trace = struct
                     let ii = level.l_ii + 1 in
                     go_live ii (Partition.Hier.refine hier ~ii level.l_assign))
           in
-          match resolve ~ii:level.l_ii level.l_lineage with
-          | `Fit (p, promoted) ->
-              finish_fit ~pre:level.l_assign ~promoted level.l_ii p
+          match judge ~ii:level.l_ii ~pre:level.l_assign level.l_lineage with
+          | `Fit (p, b) -> finish_at b level.l_ii p
           | `Fail cause -> (
               match level.l_fresh with
               | Some (fa, fr) -> (
-                  match resolve ~ii:level.l_ii fr with
-                  | `Fit (p, promoted) ->
-                      finish_fit ~pre:fa ~promoted level.l_ii p
+                  match judge ~ii:level.l_ii ~pre:fa fr with
+                  | `Fit (p, b) -> finish_at b level.l_ii p
                   | `Fail _ -> continue_failed cause)
               | None -> (
                   (* The recording never tried a fresh partition here:
@@ -680,10 +656,7 @@ module Trace = struct
     (* Same fault isolation as a direct run: replays must stay
        observably equal to [schedule_loop], failures included. *)
     let result = guard (fun () -> walk t.t_levels) in
-    let basis : basis =
-      if !live then `Live else if !hook then `Hook else `Pure
-    in
-    (result, basis)
+    (result, !basis)
 end
 
 let schedule_sweep ?transform ?max_ii ?budget ?spiller_for configs g =

@@ -128,25 +128,30 @@ val schedule_loop :
     Members reuse recorded attempts verbatim, in both directions: a
     tighter file re-judges each placement's MaxLive, a roomier one
     additionally {e promotes} a recorded register rejection whose
-    pressure it admits into the success a direct run would have found
-    (every rejected placement is recorded for this).  Machines that
-    differ in buses or bus latency are outside the family: partitioning
-    and routing read those fields, so no recorded attempt answers them
-    and {!Trace.replay} refuses them. *)
+    pressure it admits into the success a direct run would have found.
+    A trace keeps a rejection lean — its MaxLive, cycle and bus arrays —
+    and rebuilds the placement only for a member that promotes it or
+    spills it.  Machines that differ in buses or bus latency are outside
+    the family: partitioning and routing read those fields, so no
+    recorded attempt answers them and {!Trace.replay} refuses them. *)
 
 module Trace : sig
   type t
 
   type basis = [ `Pure | `Hook | `Live ]
-  (** How a replay derived its answer, and whom the [transform] hook's
-      internal state (e.g. the replication pass's last-run statistics)
-      describes afterwards:
-      - [`Pure] — recorded attempts alone; the hook was never invoked,
-        its state still describes the {e recording} run.
-      - [`Hook] — recorded attempts, but the member's transform was
-        re-invoked to finish a promoted fit, so the hook state now
-        describes the {e member}'s direct run.
-      - [`Live] — live fallback ran; hook state likewise the member's. *)
+  (** Where a replay's walk finished, and so which [transform] hook
+      state (e.g. the replication pass's last-run statistics) describes
+      the member's direct run:
+      - [`Pure] — on the recorded success, as recorded or after member
+        spill rounds from it: the recording's final attempt, so the
+        state the {e recording} left applies.  The replay may have
+        invoked the hook since, on attempts that then failed, so the
+        hook's current state does not.
+      - [`Hook] — on a rebuilt rejection, promoted or spilled down to
+        the member's file: the member's transform ran at that very
+        attempt last, so the hook's current state applies.
+      - [`Live] — in live fallback; the hook's current state applies
+        likewise. *)
 
   val record :
     ?transform:transform ->
@@ -158,11 +163,13 @@ module Trace : sig
     t
   (** Run the escalation loop at [config] — any member of the register
       family; recorded at the strictest one, every roomier member
-      replays dry — recording every attempt: the II, the partition it started
-      from, and the outcome (a placed schedule with its MaxLive per
-      cluster, a rejected placement with its pressure, or the failure
-      cause).  [hier] as in {!schedule_loop} — the recording run draws
-      its partitions from the shared hierarchy.
+      replays dry — recording every attempt: the II, the partition it
+      started from, and the outcome.  The one successful placement is
+      kept whole with its MaxLive per cluster; a placement the register
+      check rejected keeps only its MaxLive, cycle and bus arrays; a bus
+      or recurrence failure keeps its cause.  [hier] as in
+      {!schedule_loop} — the recording run draws its partitions from
+      the shared hierarchy.
       @raise Invalid_argument if [hier] was built for another loop or
       configuration. *)
 
@@ -186,17 +193,22 @@ module Trace : sig
     (outcome, Sched_error.t) result * basis
   (** [replay t config] answers [config] from the trace; the result is
       exactly what [schedule_loop] with the same hooks would return (the
-      property suite checks outcome equality).  A [spiller] is applied
-      in place: a recorded level whose placement overflows the member's
-      register file runs its spill-and-retry rounds right there (the
-      mirror of the direct driver's), and a failed sequence resumes the
-      recorded continuation — spill rewrites never survive an attempt,
-      so the remaining levels still apply.  [`Live] means the replay
-      fell back to live scheduling because the trace ran dry without a
-      transferable conclusion.  [transform] must be the hook the trace
-      was recorded with, applied at the member configuration.  [hier] —
-      the member's own hierarchy (it must be built for [config] over the
-      trace's graph) — seeds any live fallback; omitted, one is created.
+      property suite checks outcome equality).  A recorded rejection the
+      member needs — to promote it, or to spill it — is rebuilt: the
+      member's [transform] runs at that attempt exactly as in a direct
+      run, the result is routed with {!Route.build}, and the recorded
+      arrays are reattached; no placement search runs again.  A
+      [spiller] is applied in place: a recorded level whose placement
+      overflows the member's register file runs the direct driver's own
+      spill-and-retry step right there, and a failed sequence resumes
+      the recorded continuation — spill rewrites never survive an
+      attempt, so the remaining levels still apply.  [`Live] means the
+      replay fell back to live scheduling because the trace ran dry
+      without a transferable conclusion.  [transform] must be the hook
+      the trace was recorded with, applied at the member configuration.
+      [hier] — the member's own hierarchy (it must be built for [config]
+      over the trace's graph) — seeds any live fallback; omitted, one is
+      created.
       @raise Invalid_argument if [config] is not in the recording's
       {!same_family}, or [hier] mismatches. *)
 end

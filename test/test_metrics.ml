@@ -192,18 +192,70 @@ let sec4_family =
       Machine.Config.make ~clusters:4 ~buses:1 ~bus_latency:2 ~registers)
     [ 32; 64; 128 ]
 
-(* Everything a figure can observe about a run. *)
+(* Everything a figure can observe about a run, and the replication
+   statistics a replayed member reports. *)
 let canon_run (r : Metrics.Experiment.loop_run) =
   ( r.loop.Workload.Generator.id,
     r.outcome.Sched.Driver.mii,
     r.outcome.Sched.Driver.ii,
     List.sort compare r.outcome.Sched.Driver.increments,
     r.outcome.Sched.Driver.n_comms,
+    Array.to_list r.outcome.Sched.Driver.assign,
     Array.to_list r.outcome.Sched.Driver.schedule.Sched.Schedule.cycles,
+    Array.to_list r.outcome.Sched.Driver.schedule.Sched.Schedule.buses,
     Machine.Config.name
       r.outcome.Sched.Driver.schedule.Sched.Schedule.config,
+    r.repl_stats,
     r.counts.Sim.Lockstep.cycles,
     r.counts.Sim.Lockstep.useful_ops )
+
+(* Runs computed apart share their values by exact content: every run
+   the suite keeps holds the one graph and the one routed graph of its
+   content, whichever mode, machine or register-family replay produced
+   it.  The key is the sharing rule itself — the graph's structure,
+   name and labels, the partition, and what routing reads of the
+   machine (both modes here route with the bus latency). *)
+let test_cached_runs_shared () =
+  let suite = Lazy.force small_suite in
+  ignore (Metrics.Figures.fig7 suite);
+  ignore (Metrics.Figures.sec4_regs suite);
+  let key (r : Metrics.Experiment.loop_run) =
+    let g = r.outcome.Sched.Driver.graph in
+    let c = r.outcome.Sched.Driver.schedule.Sched.Schedule.config in
+    ( Ddg.Graph.structural_encoding g,
+      Ddg.Graph.name g,
+      List.map (Ddg.Graph.label g) (Ddg.Graph.nodes g),
+      Array.to_list r.outcome.Sched.Driver.assign,
+      Machine.Config.copy_latency c,
+      c.Machine.Config.buses = 0 )
+  in
+  let first = Hashtbl.create 1024 in
+  let shared = ref 0 in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun config ->
+          List.iter
+            (fun (r : Metrics.Experiment.loop_run) ->
+              match Hashtbl.find_opt first (key r) with
+              | None -> Hashtbl.add first (key r) r
+              | Some (r0 : Metrics.Experiment.loop_run) ->
+                  incr shared;
+                  let what =
+                    Printf.sprintf "%s %s %s" r.loop.Workload.Generator.id
+                      (Metrics.Experiment.mode_tag mode)
+                      (Machine.Config.name config)
+                  in
+                  check bool (what ^ " shares its graph") true
+                    (r0.outcome.Sched.Driver.graph
+                    == r.outcome.Sched.Driver.graph);
+                  check bool (what ^ " shares its route") true
+                    (r0.outcome.Sched.Driver.schedule.Sched.Schedule.route
+                    == r.outcome.Sched.Driver.schedule.Sched.Schedule.route))
+            (Metrics.Suite.runs suite mode config))
+        (Machine.Config.paper_configs @ sec4_family))
+    [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ];
+  check bool "some runs share a key" true (!shared > 0)
 
 (* Trace-replayed sweeps must be observably identical to running every
    family member from scratch, at any pool size. *)
@@ -501,4 +553,5 @@ let suite =
       test_rerecord_at_stricter_member;
     Alcotest.test_case "runs keyed by the full config" `Slow
       test_runs_keyed_by_full_config;
+    Alcotest.test_case "cached runs are shared" `Slow test_cached_runs_shared;
   ]

@@ -305,6 +305,20 @@ let test_heterogeneous_end_to_end () =
 
 (* ---------------- escalation traces ---------------- *)
 
+(* Everything a caller can observe about a driver result. *)
+let canon = function
+  | Ok (o : Sched.Driver.outcome) ->
+      Ok
+        ( o.mii,
+          o.ii,
+          List.sort compare o.increments,
+          o.n_comms,
+          Array.to_list o.assign,
+          Array.to_list o.schedule.Sched.Schedule.cycles,
+          Array.to_list o.schedule.Sched.Schedule.buses,
+          Machine.Config.name o.schedule.Sched.Schedule.config )
+  | Error e -> Error (Sched.Sched_error.to_string e)
+
 (* A trace answers its register family only: a machine with other buses
    or another bus latency is partitioned and routed differently, so
    replay refuses it, while roomier and tighter register files replay
@@ -312,19 +326,6 @@ let test_heterogeneous_end_to_end () =
 let test_trace_register_family_only () =
   let make buses bus_latency registers =
     Machine.Config.make ~clusters:4 ~buses ~bus_latency ~registers
-  in
-  let canon = function
-    | Ok (o : Sched.Driver.outcome) ->
-        Ok
-          ( o.mii,
-            o.ii,
-            List.sort compare o.increments,
-            o.n_comms,
-            Array.to_list o.assign,
-            Array.to_list o.schedule.Sched.Schedule.cycles,
-            Array.to_list o.schedule.Sched.Schedule.buses,
-            Machine.Config.name o.schedule.Sched.Schedule.config )
-    | Error e -> Error (Sched.Sched_error.to_string e)
   in
   let graphs =
     Examples.figure3 ()
@@ -364,6 +365,65 @@ let test_trace_register_family_only () =
             [ make 1 2 32; make 1 2 128 ])
         [ false; true ])
     graphs
+
+(* A trace keeps a register-rejected attempt as its MaxLive, cycle and
+   bus arrays only.  wave5.80 at 4c1b2l32r climbs several
+   register-rejected levels whose attempts replication rewrote.  A
+   routed graph costs tens of words per node and an int array one word,
+   so a level that kept a routed graph would cost at least the result's
+   routed graph again, while a level of arrays stays under a quarter of
+   it.  The replays that need the rejected placements — promotion at 64
+   and 128 registers, spill rounds at 32 — rebuild them, and must still
+   equal [schedule_loop], replication statistics included. *)
+let test_trace_stays_lean () =
+  let make registers =
+    Machine.Config.make ~clusters:4 ~buses:1 ~bus_latency:2 ~registers
+  in
+  let g =
+    (List.nth (Workload.Generator.generate (Workload.Benchmark.find "wave5")) 80)
+      .Workload.Generator.graph
+  in
+  let transform, stats = Replication.Replicate.transform () in
+  let trace = Sched.Driver.Trace.record ~transform (make 32) g in
+  let recorded_stats = !stats in
+  let result = Sched.Driver.Trace.result trace in
+  let o =
+    match result with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "record: %s" (Sched.Sched_error.to_string e)
+  in
+  check bool "several register-rejected levels" true
+    (List.assoc Sched.Driver.Registers o.Sched.Driver.increments >= 3);
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let levels = o.Sched.Driver.ii - o.Sched.Driver.mii + 1 in
+  let beyond = words (trace, result, g) - words (result, g) in
+  let route_words = words o.Sched.Driver.schedule.Sched.Schedule.route in
+  check bool
+    (Printf.sprintf "%d words over %d levels (routed graph: %d words)" beyond
+       levels route_words)
+    true
+    (4 * beyond <= levels * route_words);
+  List.iter
+    (fun (registers, spiller) ->
+      let member = make registers in
+      let name = Machine.Config.name member in
+      let replayed, basis =
+        Sched.Driver.Trace.replay ~transform ?spiller trace member
+      in
+      let replayed_stats =
+        match basis with `Pure -> recorded_stats | `Hook | `Live -> !stats
+      in
+      let transform', direct_stats = Replication.Replicate.transform () in
+      let direct =
+        Sched.Driver.schedule_loop ~transform:transform' ?spiller member g
+      in
+      check bool (name ^ " finishes on a rebuilt placement") true
+        (basis = `Hook);
+      check bool (name ^ " replay equals schedule_loop") true
+        (canon replayed = canon direct);
+      check bool (name ^ " replication statistics") true
+        (replayed_stats = !direct_stats))
+    [ (64, None); (128, None); (32, Some Sched.Spill.spiller) ]
 
 (* ---------------- register pressure ---------------- *)
 
@@ -432,6 +492,8 @@ let suite =
       test_heterogeneous_end_to_end;
     Alcotest.test_case "trace answers its register family only" `Quick
       test_trace_register_family_only;
+    Alcotest.test_case "trace keeps rejected attempts lean" `Quick
+      test_trace_stays_lean;
     Alcotest.test_case "regpressure chain" `Quick test_regpressure_chain;
     Alcotest.test_case "regpressure long lifetime" `Quick
       test_regpressure_long_lifetime;

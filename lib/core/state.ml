@@ -70,13 +70,14 @@ let is_placed t v c =
 
 let needing t v =
   record t v;
-  let consumers = Graph.consumers t.graph_ v in
   let where_consumed =
     List.fold_left
-      (fun acc u ->
+      (fun acc e ->
+        let u = e.Graph.dst in
         record t u;
         Iset.union acc t.placement_.(u))
-      Iset.empty consumers
+      Iset.empty
+      (Graph.reg_succs t.graph_ v)
   in
   Iset.diff where_consumed t.placement_.(v)
 

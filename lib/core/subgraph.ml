@@ -43,10 +43,11 @@ let stranded_hypothetical hyp ~com =
   let removable = Hashtbl.create 8 in
   let blocked_by_consumer v h =
     List.exists
-      (fun w ->
+      (fun e ->
+        let w = e.Graph.dst in
         Iset.mem h (State.placement hyp w)
         && not (Hashtbl.mem removable w && State.home hyp w = h))
-      (Graph.consumers g v)
+      (Graph.reg_succs g v)
   in
   let try_mark v =
     let h = State.home hyp v in

@@ -14,20 +14,14 @@ type t = {
   labels : string array;
   all_edges : edge list;
   edge_arr : edge array;  (* same edges, for allocation-free fixpoints *)
-  nodes_ : int list;      (* [0; ...; n-1], shared by every [nodes] call *)
   succ : edge list array;
   pred : edge list array;
-  (* register-only views and value fan-in/fan-out, precomputed at build
-     time: the replication subgraph BFS, communication counting and
-     routing query these on every node of every round *)
+  (* register-only views, precomputed at build time: the replication
+     subgraph BFS, communication counting and routing query these on
+     every node of every round.  A [succ]/[pred] list without memory
+     edges is shared here, not copied. *)
   reg_succ : edge list array;
   reg_pred : edge list array;
-  consumer : int list array;
-  producer : int list array;
-  (* successor/predecessor node ids over all edges (duplicates kept, edge
-     order), for traversals that don't need the edge payloads *)
-  succ_id : int list array;
-  pred_id : int list array;
 }
 
 let n_nodes t = Array.length t.ops
@@ -39,14 +33,10 @@ let succs t i = t.succ.(i)
 let preds t i = t.pred.(i)
 let reg_succs t i = t.reg_succ.(i)
 let reg_preds t i = t.reg_pred.(i)
-let consumers t i = t.consumer.(i)
-let value_producers t i = t.producer.(i)
-let succ_ids t i = t.succ_id.(i)
-let pred_ids t i = t.pred_id.(i)
 
 let is_store t i = Machine.Opclass.is_store t.ops.(i)
 
-let nodes t = t.nodes_
+let nodes t = List.init (n_nodes t) Fun.id
 
 let n_ops_of_kind t kind =
   Array.fold_left
@@ -140,34 +130,38 @@ module Builder = struct
 
   let op_of b i = fst b.node_arr.(i)
 
+  (* Every edge enters through here, so a graph holds only edges that
+     pass these checks however they were added. *)
+  let edge b e =
+    check_id b e.src "src";
+    check_id b e.dst "dst";
+    if e.distance < 0 then invalid_arg "Ddg.Builder: negative distance";
+    if e.latency < 0 then invalid_arg "Ddg.Builder: negative latency";
+    (match e.kind with
+    | Reg ->
+        if Machine.Opclass.is_store (op_of b e.src) then
+          invalid_arg "Ddg.Builder: a store produces no register value"
+    | Mem ->
+        if
+          (not (Machine.Opclass.is_memory (op_of b e.src)))
+          || not (Machine.Opclass.is_memory (op_of b e.dst))
+        then
+          invalid_arg
+            "Ddg.Builder: both ends of a memory edge must be memory \
+             operations");
+    b.rev_edges <- e :: b.rev_edges
+
   let depend ?(distance = 0) ?latency b ~src ~dst =
     check_id b src "src";
-    check_id b dst "dst";
-    if distance < 0 then invalid_arg "Ddg.Builder.depend: negative distance";
-    let src_op = op_of b src in
-    if Machine.Opclass.is_store src_op then
-      invalid_arg "Ddg.Builder.depend: a store produces no register value";
     let latency =
       match latency with
-      | Some l ->
-          if l < 0 then invalid_arg "Ddg.Builder.depend: negative latency";
-          l
-      | None -> Machine.Opclass.latency src_op
+      | Some l -> l
+      | None -> Machine.Opclass.latency (op_of b src)
     in
-    b.rev_edges <- { src; dst; latency; distance; kind = Reg } :: b.rev_edges
+    edge b { src; dst; latency; distance; kind = Reg }
 
   let mem_depend ?(distance = 0) b ~src ~dst =
-    check_id b src "src";
-    check_id b dst "dst";
-    if distance < 0 then
-      invalid_arg "Ddg.Builder.mem_depend: negative distance";
-    if
-      (not (Machine.Opclass.is_memory (op_of b src)))
-      || not (Machine.Opclass.is_memory (op_of b dst))
-    then
-      invalid_arg
-        "Ddg.Builder.mem_depend: both endpoints must be memory operations";
-    b.rev_edges <- { src; dst; latency = 1; distance; kind = Mem } :: b.rev_edges
+    edge b { src; dst; latency = 1; distance; kind = Mem }
 
   (* Kahn's algorithm on distance-0 edges; a leftover node means a
      zero-distance cycle, which no execution order could satisfy. *)
@@ -212,21 +206,9 @@ module Builder = struct
       all_edges;
     Array.iteri (fun i l -> succ.(i) <- List.rev l) succ;
     Array.iteri (fun i l -> pred.(i) <- List.rev l) pred;
-    let reg_succ =
-      Array.map (List.filter (fun e -> e.kind = Reg)) succ
-    in
-    let reg_pred =
-      Array.map (List.filter (fun e -> e.kind = Reg)) pred
-    in
-    let consumer =
-      Array.map
-        (fun es -> List.map (fun e -> e.dst) es |> List.sort_uniq Stdlib.compare)
-        reg_succ
-    in
-    let producer =
-      Array.map
-        (fun es -> List.map (fun e -> e.src) es |> List.sort_uniq Stdlib.compare)
-        reg_pred
+    let regs es =
+      if List.for_all (fun e -> e.kind = Reg) es then es
+      else List.filter (fun e -> e.kind = Reg) es
     in
     {
       graph_name = b.bname;
@@ -234,15 +216,10 @@ module Builder = struct
       labels;
       all_edges;
       edge_arr = Array.of_list all_edges;
-      nodes_ = List.init n Fun.id;
       succ;
       pred;
-      succ_id = Array.map (List.map (fun e -> e.dst)) succ;
-      pred_id = Array.map (List.map (fun e -> e.src)) pred;
-      reg_succ;
-      reg_pred;
-      consumer;
-      producer;
+      reg_succ = Array.map regs succ;
+      reg_pred = Array.map regs pred;
     }
 end
 

@@ -47,31 +47,19 @@ val succs : t -> int -> edge list
 val preds : t -> int -> edge list
 
 val reg_succs : t -> int -> edge list
-(** Outgoing register edges only.  Precomputed at build time; O(1). *)
+(** Outgoing register edges only.  Precomputed at build time; O(1).
+    When no memory edge leaves the node this is the {!succs} list
+    itself ([==]), not a copy. *)
 
 val reg_preds : t -> int -> edge list
-(** Incoming register edges only.  Precomputed at build time; O(1). *)
-
-val consumers : t -> int -> int list
-(** Distinct nodes that read the register value produced by a node
-    (register successors, deduplicated, sorted).  Precomputed at build
-    time; O(1). *)
-
-val value_producers : t -> int -> int list
-(** Distinct nodes whose register value a node reads.  Precomputed at
-    build time; O(1). *)
-
-val succ_ids : t -> int -> int list
-(** Successor node ids over all edges (duplicates kept, edge order) —
-    {!succs} without the edge payloads.  Precomputed; O(1). *)
-
-val pred_ids : t -> int -> int list
-(** Predecessor node ids over all edges, likewise. *)
+(** Incoming register edges only, likewise: the {!preds} list itself
+    when no memory edge enters the node. *)
 
 val is_store : t -> int -> bool
 
 val nodes : t -> int list
-(** [0 .. n_nodes - 1]. *)
+(** [0 .. n_nodes - 1], built afresh on each call: loops that run once
+    per candidate move iterate [0 .. n_nodes - 1] instead. *)
 
 val n_ops_of_kind : t -> Machine.Fu.kind -> int
 (** Number of nodes executing on the given functional-unit kind. *)
@@ -98,13 +86,23 @@ module Builder : sig
       the scheduler uses this for edges whose producer is an inter-cluster
       copy, whose latency is the configuration's bus latency.  Default
       [distance] is [0].
-      @raise Invalid_argument if either id is unknown, if [distance < 0],
-      or if [src] is a store (stores produce no register value). *)
+      @raise Invalid_argument if either id is unknown, if [distance] or
+      [latency] is negative, or if [src] is a store (stores produce no
+      register value). *)
 
   val mem_depend : ?distance:int -> t -> src:int -> dst:int -> unit
   (** Add a memory ordering dependence; both endpoints must be memory
       operations.  Latency 1 (the consumer may not access memory until the
       cycle after the producer issues). *)
+
+  val edge : t -> edge -> unit
+  (** Add an existing edge record itself, not a copy: a graph derived
+      from another (the routed graph, a spill rewrite) shares the edges
+      it keeps unchanged with its source.  The record must pass the
+      checks {!depend} and {!mem_depend} make.
+      @raise Invalid_argument if either id is unknown, if the distance
+      or latency is negative, if a [Reg] edge leaves a store, or if a
+      [Mem] edge has an endpoint that is not a memory operation. *)
 
   val build : t -> graph
   (** Finalize.  @raise Invalid_argument if the intra-iteration subgraph

@@ -1,7 +1,8 @@
 type component = { members : int list; rec_mii : int }
 
 (* Tarjan's algorithm, iterative to be safe on deep graphs. *)
-let tarjan n succs_of =
+let tarjan g =
+  let n = Graph.n_nodes g in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -15,13 +16,14 @@ let tarjan n succs_of =
     stack := v :: !stack;
     on_stack.(v) <- true;
     List.iter
-      (fun w ->
+      (fun e ->
+        let w = e.Graph.dst in
         if index.(w) = -1 then begin
           strongconnect w;
           lowlink.(v) <- min lowlink.(v) lowlink.(w)
         end
         else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      (succs_of v);
+      (Graph.succs g v);
     if lowlink.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with
@@ -97,9 +99,7 @@ let is_trivial g = function
            (Graph.succs g v))
   | _ -> false
 
-let groups g =
-  let n = Graph.n_nodes g in
-  List.map (List.sort Stdlib.compare) (tarjan n (Graph.succ_ids g))
+let groups g = List.map (List.sort Stdlib.compare) (tarjan g)
 
 let rec_mii_of g members =
   if is_trivial g members then 1 else subset_rec_mii g members

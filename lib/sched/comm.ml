@@ -2,9 +2,9 @@ open Ddg
 
 let consumer_clusters g ~assign v =
   let own = assign.(v) in
-  Graph.consumers g v
-  |> List.filter_map (fun u ->
-         let c = assign.(u) in
+  Graph.reg_succs g v
+  |> List.filter_map (fun e ->
+         let c = assign.(e.Graph.dst) in
          if c <> own then Some c else None)
   |> List.sort_uniq Stdlib.compare
 
@@ -17,13 +17,14 @@ let producers g ~assign =
    communicates iff any consumer lives elsewhere, no need to collect the
    cluster set. *)
 let count g ~assign =
-  List.fold_left
-    (fun acc v ->
-      let own = assign.(v) in
-      if List.exists (fun u -> assign.(u) <> own) (Graph.consumers g v) then
-        acc + 1
-      else acc)
-    0 (Graph.nodes g)
+  let n = ref 0 in
+  for v = 0 to Graph.n_nodes g - 1 do
+    let own = assign.(v) in
+    if
+      List.exists (fun e -> assign.(e.Graph.dst) <> own) (Graph.reg_succs g v)
+    then incr n
+  done;
+  !n
 
 let extra config g ~assign ~ii =
   let nof_coms = count g ~assign in

@@ -159,7 +159,7 @@ let make_enc ?(replicate = true) ?horizon config g =
   in
   let has_copy =
     Array.init n (fun v ->
-        clusters > 1 && buses > 0 && Graph.consumers g v <> [])
+        clusters > 1 && buses > 0 && Graph.reg_succs g v <> [])
   in
   let copy0 = Array.init n (fun v -> asap.(v) + latv.(v)) in
   let zero3 () = Array.init n (fun _ -> [||]) in

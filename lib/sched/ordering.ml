@@ -5,7 +5,7 @@ open Ddg
    graph at every II attempt, so this runs thousands of times per suite;
    rows are Bytes, and only recurrence-set members ever need one —
    graphs with fewer than two recurrences compute none at all. *)
-let reach_rows g step_of =
+let reach_rows g step_of far_end =
   let n = Graph.n_nodes g in
   let rows = Array.make n None in
   fun v ->
@@ -18,7 +18,8 @@ let reach_rows g step_of =
         while not (Queue.is_empty queue) do
           let u = Queue.pop queue in
           List.iter
-            (fun w ->
+            (fun e ->
+              let w = far_end e in
               if Bytes.unsafe_get seen w = '\000' then begin
                 Bytes.unsafe_set seen w '\001';
                 Queue.add w queue
@@ -28,8 +29,8 @@ let reach_rows g step_of =
         rows.(v) <- Some seen;
         seen
 
-let descendants g = reach_rows g (Graph.succ_ids g)
-let ancestors g = reach_rows g (Graph.pred_ids g)
+let descendants g = reach_rows g (Graph.succs g) (fun e -> e.Graph.dst)
+let ancestors g = reach_rows g (Graph.preds g) (fun e -> e.Graph.src)
 
 let union into row =
   let n = Bytes.length into in

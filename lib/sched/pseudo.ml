@@ -10,15 +10,13 @@ type estimate = {
 let cluster_res_ii config g ~assign =
   let clusters = config.Machine.Config.clusters in
   let counts = Array.make_matrix clusters Machine.Fu.count 0 in
-  List.iter
-    (fun v ->
-      match Machine.Opclass.fu_kind (Graph.op g v) with
-      | Some k ->
-          let c = assign.(v) in
-          counts.(c).(Machine.Fu.index k) <-
-            counts.(c).(Machine.Fu.index k) + 1
-      | None -> ())
-    (Graph.nodes g);
+  for v = 0 to Graph.n_nodes g - 1 do
+    match Machine.Opclass.fu_kind (Graph.op g v) with
+    | Some k ->
+        let c = assign.(v) in
+        counts.(c).(Machine.Fu.index k) <- counts.(c).(Machine.Fu.index k) + 1
+    | None -> ()
+  done;
   let bound = ref 1 in
   for c = 0 to clusters - 1 do
     List.iter
@@ -37,8 +35,9 @@ let cluster_res_ii config g ~assign =
 
 let cluster_loads config g ~assign =
   let loads = Array.make config.Machine.Config.clusters 0 in
-  List.iter (fun v -> loads.(assign.(v)) <- loads.(assign.(v)) + 1)
-    (Graph.nodes g);
+  for v = 0 to Graph.n_nodes g - 1 do
+    loads.(assign.(v)) <- loads.(assign.(v)) + 1
+  done;
   loads
 
 (* Critical path when every cut register edge pays one bus latency (the

@@ -23,10 +23,9 @@ let build ?(latency0 = false) config g ~assign =
   let b = Graph.Builder.create ~name:(Graph.name g ^ "+copies") () in
   (* Original nodes keep their ids because they are added first, in
      order. *)
-  List.iter
-    (fun v ->
-      ignore (Graph.Builder.add b ~label:(Graph.label g v) (Graph.op g v)))
-    (Graph.nodes g);
+  for v = 0 to n - 1 do
+    ignore (Graph.Builder.add b ~label:(Graph.label g v) (Graph.op g v))
+  done;
   let copy_id = Hashtbl.create 16 in
   List.iter
     (fun v ->
@@ -42,23 +41,20 @@ let build ?(latency0 = false) config g ~assign =
     (fun v ->
       Graph.Builder.depend b ~src:v ~dst:(Hashtbl.find copy_id v))
     needs_copy;
+  (* Memory edges and same-cluster register edges are kept unchanged, so
+     the routed graph shares their records with [g]. *)
   List.iter
     (fun e ->
-      match e.Graph.kind with
-      | Graph.Mem ->
-          Graph.Builder.mem_depend b ~distance:e.Graph.distance
-            ~src:e.Graph.src ~dst:e.Graph.dst
-      | Graph.Reg ->
-          if assign.(e.Graph.src) = assign.(e.Graph.dst) then
-            Graph.Builder.depend b ~distance:e.Graph.distance
-              ~latency:e.Graph.latency ~src:e.Graph.src ~dst:e.Graph.dst
-          else
-            (* The consumer sees the value [bus_lat] cycles after the copy
-               issues. *)
-            Graph.Builder.depend b ~distance:e.Graph.distance
-              ~latency:bus_lat
-              ~src:(Hashtbl.find copy_id e.Graph.src)
-              ~dst:e.Graph.dst)
+      if
+        e.Graph.kind = Graph.Reg
+        && assign.(e.Graph.src) <> assign.(e.Graph.dst)
+      then
+        (* The consumer sees the value [bus_lat] cycles after the copy
+           issues. *)
+        Graph.Builder.depend b ~distance:e.Graph.distance ~latency:bus_lat
+          ~src:(Hashtbl.find copy_id e.Graph.src)
+          ~dst:e.Graph.dst
+      else Graph.Builder.edge b e)
     (Graph.edges g);
   let graph = Graph.Builder.build b in
   let total = Graph.n_nodes graph in

@@ -98,25 +98,19 @@ let rewrite config (sched : Schedule.t) ~graph ~assign =
         let moved = ref None in
         List.iter
           (fun e ->
-            match e.Graph.kind with
-            | Graph.Mem ->
-                Graph.Builder.mem_depend b ~distance:e.Graph.distance
-                  ~src:e.Graph.src ~dst:e.Graph.dst
-            | Graph.Reg ->
-                if
-                  !moved = None
-                  && e.Graph.src = r.producer
-                  && e.Graph.dst = r.latest_consumer
-                then begin
-                  moved := Some e.Graph.distance;
-                  (* the consumer now reads the reload, same iteration *)
-                  Graph.Builder.depend b
-                    ~latency:(Machine.Opclass.latency Machine.Opclass.Load)
-                    ~src:l ~dst:e.Graph.dst
-                end
-                else
-                  Graph.Builder.depend b ~distance:e.Graph.distance
-                    ~latency:e.Graph.latency ~src:e.Graph.src ~dst:e.Graph.dst)
+            if
+              e.Graph.kind = Graph.Reg
+              && !moved = None
+              && e.Graph.src = r.producer
+              && e.Graph.dst = r.latest_consumer
+            then begin
+              moved := Some e.Graph.distance;
+              (* the consumer now reads the reload, same iteration *)
+              Graph.Builder.depend b
+                ~latency:(Machine.Opclass.latency Machine.Opclass.Load)
+                ~src:l ~dst:e.Graph.dst
+            end
+            else Graph.Builder.edge b e)
           (Graph.edges graph);
         match !moved with
         | None -> None

@@ -28,11 +28,14 @@ let test_builder_basics () =
   check int "find_label" add (Graph.find_label g "add");
   check bool "missing label" true
     (try ignore (Graph.find_label g "zzz"); false with Not_found -> true);
-  check (Alcotest.list int) "consumers of ld" [ add ] (Graph.consumers g ld);
+  let dsts es = List.map (fun e -> e.Graph.dst) es in
+  let srcs es = List.map (fun e -> e.Graph.src) es in
+  check (Alcotest.list int) "consumers of ld" [ add ]
+    (dsts (Graph.reg_succs g ld));
   check (Alcotest.list int) "producers of add" [ ld ]
-    (Graph.value_producers g add);
+    (srcs (Graph.reg_preds g add));
   check (Alcotest.list int) "self consumer" (List.sort compare [ iv; ld ])
-    (List.sort compare (Graph.consumers g iv))
+    (List.sort compare (dsts (Graph.reg_succs g iv)))
 
 let test_edge_latency_from_table1 () =
   let g, ld, _, _, _ = mk_simple () in
@@ -60,6 +63,64 @@ let test_builder_rejects () =
     (bad (fun () -> Graph.Builder.depend b ~distance:(-1) ~src:x ~dst:x));
   check bool "mem dep needs memory ops" true
     (bad (fun () -> Graph.Builder.mem_depend b ~src:x ~dst:st))
+
+(* [Builder.edge] adds a record as it is, so it must refuse every edge
+   [depend] or [mem_depend] would refuse, and accept the ones they make. *)
+let test_builder_edge_checks () =
+  let b = Graph.Builder.create () in
+  let st = Graph.Builder.add b Machine.Opclass.Store in
+  let ld = Graph.Builder.add b Machine.Opclass.Load in
+  let x = Graph.Builder.add b Machine.Opclass.Int_arith in
+  let reg =
+    { Graph.src = x; dst = ld; latency = 1; distance = 0; kind = Reg }
+  in
+  let mem = { reg with src = st; kind = Mem } in
+  let bad e =
+    try Graph.Builder.edge b e; false with Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (what, e) -> check bool what true (bad e))
+    [
+      ("unknown src", { reg with src = 9 });
+      ("unknown dst", { reg with dst = -1 });
+      ("negative distance", { reg with distance = -1 });
+      ("negative latency", { reg with latency = -1 });
+      ("register edge out of a store", { reg with src = st });
+      ("memory edge from a non-memory op", { mem with src = x });
+      ("memory edge to a non-memory op", { mem with dst = x });
+      ("negative memory distance", { mem with distance = -1 });
+    ];
+  Graph.Builder.edge b reg;
+  Graph.Builder.edge b mem;
+  let g = Graph.Builder.build b in
+  check bool "records added as they are" true
+    (match Graph.edges g with [ r; m ] -> r == reg && m == mem | _ -> false)
+
+(* Each DDG fact is stored once: a node no memory edge touches shares
+   its register views with [succs]/[preds], and a whole graph costs at
+   most 16 words per node and edge (the edge record itself is 6). *)
+let test_one_copy_per_fact () =
+  List.iter
+    (fun (l : Workload.Generator.loop) ->
+      let g = l.graph in
+      let is_mem e = e.Graph.kind = Graph.Mem in
+      for v = 0 to Graph.n_nodes g - 1 do
+        if
+          not
+            (List.exists is_mem (Graph.succs g v)
+            || List.exists is_mem (Graph.preds g v))
+        then
+          check bool
+            (Printf.sprintf "%s node %d shares its lists" l.id v)
+            true
+            (Graph.reg_succs g v == Graph.succs g v
+            && Graph.reg_preds g v == Graph.preds g v)
+      done;
+      let words = Obj.reachable_words (Obj.repr g) in
+      let bound = 16 * (Graph.n_nodes g + List.length (Graph.edges g)) in
+      if words > bound then
+        Alcotest.failf "%s: %d words, bound %d" l.id words bound)
+    (Workload.Generator.suite ())
 
 let test_zero_distance_cycle_rejected () =
   let b = Graph.Builder.create () in
@@ -252,6 +313,8 @@ let suite =
       test_edge_latency_from_table1;
     Alcotest.test_case "latency override" `Quick test_latency_override;
     Alcotest.test_case "builder rejects" `Quick test_builder_rejects;
+    Alcotest.test_case "builder edge checks" `Quick test_builder_edge_checks;
+    Alcotest.test_case "one copy per fact" `Quick test_one_copy_per_fact;
     Alcotest.test_case "zero-distance cycle rejected" `Quick
       test_zero_distance_cycle_rejected;
     Alcotest.test_case "loop-carried cycle allowed" `Quick

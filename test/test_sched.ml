@@ -173,6 +173,45 @@ let test_route_copy_edge_latencies () =
     (fun e -> check int "latency0" 0 e.Graph.latency)
     (Graph.reg_succs rg0 cp_e0)
 
+(* A routed graph copies one fact per communication and no more: the
+   edges it keeps unchanged (memory edges and same-cluster register
+   edges, the ones between original nodes) are the source's records
+   themselves, and the route costs at most 16 words per routed node and
+   edge beyond its source. *)
+let test_route_shares_edges () =
+  let config =
+    Machine.Config.make ~clusters:4 ~buses:2 ~bus_latency:4 ~registers:64
+  in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  List.iter
+    (fun (l : Workload.Generator.loop) ->
+      let g = l.graph in
+      let n = Graph.n_nodes g in
+      let assign = Array.init n (fun v -> v mod 4) in
+      let route = Sched.Route.build config g ~assign in
+      let rg = route.Sched.Route.graph in
+      let kept =
+        List.filter
+          (fun e ->
+            e.Graph.kind = Graph.Mem
+            || assign.(e.Graph.src) = assign.(e.Graph.dst))
+          (Graph.edges g)
+      in
+      let between_originals =
+        List.filter
+          (fun e -> e.Graph.src < n && e.Graph.dst < n)
+          (Graph.edges rg)
+      in
+      check bool (l.id ^ " shares its kept edges") true
+        (List.length kept = List.length between_originals
+        && List.for_all2 ( == ) kept between_originals);
+      let beyond = words (route, g) - words g in
+      let bound = 16 * (Graph.n_nodes rg + List.length (Graph.edges rg)) in
+      if beyond > bound then
+        Alcotest.failf "%s: route takes %d words beyond its source, bound %d"
+          l.id beyond bound)
+    (Workload.Generator.suite ())
+
 (* ---------------- MRT ---------------- *)
 
 let test_mrt_fu () =
@@ -470,6 +509,8 @@ let suite =
     Alcotest.test_case "route fig3" `Quick test_route_fig3;
     Alcotest.test_case "route copy latencies" `Quick
       test_route_copy_edge_latencies;
+    Alcotest.test_case "route shares kept edges" `Quick
+      test_route_shares_edges;
     Alcotest.test_case "mrt fu" `Quick test_mrt_fu;
     Alcotest.test_case "mrt negative cycles" `Quick test_mrt_negative_cycles;
     Alcotest.test_case "mrt bus" `Quick test_mrt_bus;

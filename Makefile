@@ -1,8 +1,7 @@
 # Convenience entry points; everything is plain dune underneath.
 
 .PHONY: all check check-fast test check-faults fuzz-smoke validate-quick \
-  check-cache check-figures check-serve check-exact bench bench-smoke bench-scaling \
-  bench-warm bench-serve bench-gap bench-diff clean
+  check-cache check-figures check-serve check-exact clean
 
 all:
 	dune build
@@ -104,62 +103,6 @@ check-serve:
 # (docs/TESTING.md).
 check-exact:
 	dune exec bin/repro.exe -- gap --fuzz 12 --budget 5
-
-# Full benchmark run (all 678 loops; takes a while).  Requests 8 jobs;
-# the harness clamps to the machine's recommended domain count and
-# records both numbers in the payload.
-bench:
-	dune exec bench/main.exe -- --jobs 8 --bench-json BENCH_sched.json
-
-# Domain-pool scaling: the full figure suite once per job count in
-# {1, 2, 4, 8} (each clamped to the machine), a fresh suite per point so
-# nothing is answered from a previous point's cache.  Refreshes only the
-# "scaling" payload of BENCH_sched.json.
-bench-scaling:
-	dune exec bench/main.exe -- --scaling --bench-json BENCH_sched.json
-
-# Warm-cache benchmark: the full figure suite cold (filling the
-# content-addressed schedule store) then warm (served from it), into
-# the "warm" payload of BENCH_sched.json; ok requires zero warm misses.
-bench-warm:
-	dune exec bench/main.exe -- --warm --bench-json BENCH_sched.json
-
-# Serving benchmark: the figure suite's requests driven through the
-# in-process serve engine at worker counts {0, 1, 2, 4} (each point a
-# fresh engine and store, workers-0 the inline reference every other
-# point must match byte-for-byte), plus a 100-identical-request
-# coalescing burst; refreshes only the "serve" payload of
-# BENCH_sched.json.  ok requires byte equality at every point and the
-# burst collapsing onto exactly one computation.
-bench-serve:
-	dune exec bench/main.exe -- --serve --bench-json BENCH_sched.json
-
-# Heuristic-vs-exact gap benchmark: the exact SAT oracle over a fixed
-# subset of the suite's smallest loops, into the "gap" payload of
-# BENCH_sched.json.  Every value except wall time is deterministic, so
-# the diff gate holds the recorded IIs and proven bits to exact
-# equality.
-bench-gap:
-	dune exec bench/main.exe -- --gap --bench-json BENCH_sched.json
-
-# Quick smoke run on the deterministic small subset; writes the same
-# per-section timing JSON.  Exits non-zero if any section fails.
-bench-smoke:
-	dune exec bench/main.exe -- --quick --jobs 2 --bench-json BENCH_sched.json
-
-# Regression gate: re-run the quick benchmark and compare against the
-# committed BENCH_sched.json with bench/diff.exe — every payload
-# ("quick"/"full"/"scaling"/"warm"/"serve"/"gap") present in both files is
-# checked (total wall time within 25%, no section newly failing,
-# hard-loop reuse speedup kept, scaling's highest-job point within
-# tolerance, warm speedup and hit rate kept, serve throughput and
-# coalesce rate kept).  A quick re-run only refreshes the "quick"
-# payload, so the committed "full", "scaling", "warm" and "serve"
-# numbers ride along untouched and uncompared.
-bench-diff:
-	rm -f /tmp/bench_new.json
-	dune exec bench/main.exe -- --quick --jobs 2 --bench-json /tmp/bench_new.json
-	dune exec bench/diff.exe -- BENCH_sched.json /tmp/bench_new.json
 
 clean:
 	dune clean

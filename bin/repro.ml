@@ -1,6 +1,8 @@
 (* Command-line driver for the reproduction.
 
    repro figures   - regenerate the paper's tables and figures
+   repro ablate    - design-choice ablations of the replication heuristic
+   repro extensions - unrolling, acyclic blocks and cross-path copies
    repro loop      - schedule one workload loop and show everything
    repro suite     - fault-isolated per-benchmark IPC table (resumable via --cache)
    repro faults    - run the fault-injection catalog against the checker
@@ -34,13 +36,16 @@ let config_conv =
   in
   Arg.conv (parse, Machine.Config.pp)
 
+(* The paper's reference machine: the default configuration, and the
+   one ablations and extensions run on. *)
+let reference_config = Option.get (Machine.Config.of_name "4c1b2l64r")
+
 let config_arg =
   let doc =
     "Machine configuration, paper-style (e.g. 4c2b4l64r, unified64r)."
   in
   Arg.(
-    value
-    & opt config_conv (Option.get (Machine.Config.of_name "4c1b2l64r"))
+    value & opt config_conv reference_config
     & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
 
 let quick_arg =
@@ -92,6 +97,207 @@ let figures_cmd =
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")
     Term.(const figures $ quick_arg $ only $ csv)
+
+(* ------------------------------------------------------------------ *)
+(* ablate / extensions: beyond the paper's figures                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One loop under a fresh instance of an optional transform: a hook's
+   stats ref must not be shared between domains. *)
+let run_variant ~transform config l =
+  let transform, stats_ref =
+    match transform with
+    | Some make ->
+        let t, r = make () in
+        (Some t, r)
+    | None -> (None, ref None)
+  in
+  Metrics.Experiment.run_with ~transform ~stats_ref config l
+
+(* The figures' aggregate: the harmonic mean of per-benchmark IPC over
+   the benchmarks that kept a run. *)
+let hmean_ipc runs =
+  Metrics.Experiment.hmean
+    (List.filter_map
+       (fun (_, rs) ->
+         if rs = [] then None else Some (Metrics.Experiment.ipc rs))
+       (Metrics.Experiment.group_by_benchmark runs))
+
+let ablate quick =
+  let jobs = Metrics.Pool.default_jobs () in
+  let loops = loops_of ~quick in
+  let config = reference_config in
+  let row (name, make) =
+    let runs =
+      Metrics.Pool.map ~jobs
+        (fun l ->
+          match run_variant ~transform:(Some make) config l with
+          | Ok r -> r
+          | Error e -> failwith (Sched.Sched_error.to_string e))
+        loops
+    in
+    let added =
+      List.fold_left
+        (fun acc (r : Metrics.Experiment.loop_run) ->
+          match r.repl_stats with
+          | Some st -> acc + st.Replication.Replicate.added_instances
+          | None -> acc)
+        0 runs
+    in
+    [ name; Metrics.Table.f2 (hmean_ipc runs); string_of_int added ]
+  in
+  let variants =
+    Replication.
+      [
+        ("paper (lowest weight)", fun () -> Replicate.transform ());
+        ( "first feasible",
+          fun () -> Replicate.transform ~heuristic:Replicate.First_come () );
+        ( "fewest added instrs",
+          fun () -> Replicate.transform ~heuristic:Replicate.Fewest_added ()
+        );
+        ( "no sharing discount",
+          fun () -> Replicate.transform ~share_discount:false () );
+        ( "no removable credit",
+          fun () -> Replicate.transform ~removable_credit:false () );
+        ("macro-node cones (s5.2)", fun () -> Macro.transform ());
+      ]
+  in
+  Printf.printf "Ablations of the replication heuristic on %s:\n\n"
+    (Machine.Config.name config);
+  print_string
+    (Metrics.Table.render
+       ~header:[ "variant"; "HMEAN IPC"; "static replicas" ]
+       (List.map row variants))
+
+let ablate_cmd =
+  Cmd.v
+    (Cmd.info "ablate"
+       ~doc:
+         "HMEAN IPC and static replicas of the replication heuristic's \
+          design-choice variants on 4c1b2l64r.")
+    Term.(const ablate $ quick_arg)
+
+(* A loop body as straight-line code: its intra-iteration edges only. *)
+let acyclic_of g =
+  let b = Ddg.Graph.Builder.create ~name:(Ddg.Graph.name g ^ ".a") () in
+  List.iter
+    (fun v ->
+      ignore
+        (Ddg.Graph.Builder.add b ~label:(Ddg.Graph.label g v)
+           (Ddg.Graph.op g v)))
+    (Ddg.Graph.nodes g);
+  List.iter
+    (fun (e : Ddg.Graph.edge) ->
+      if e.distance = 0 then
+        match e.kind with
+        | Ddg.Graph.Reg ->
+            Ddg.Graph.Builder.depend b ~latency:e.latency ~src:e.src
+              ~dst:e.dst
+        | Ddg.Graph.Mem -> Ddg.Graph.Builder.mem_depend b ~src:e.src ~dst:e.dst)
+    (Ddg.Graph.edges g);
+  Ddg.Graph.Builder.build b
+
+let extensions quick =
+  let jobs = Metrics.Pool.default_jobs () in
+  (* unrolling multiplies the body; keep the evaluation affordable *)
+  let loops = if quick then loops_of ~quick else take 200 (loops_of ~quick) in
+  let config = reference_config in
+  let replicate = Some (fun () -> Replication.Replicate.transform ()) in
+  let unroll l = Workload.Unroll.unrolled_loop l ~factor:2 in
+  let evaluate name prepare transform =
+    let per_loop =
+      Metrics.Pool.filter_map ~jobs
+        (fun l ->
+          match run_variant ~transform config (prepare l) with
+          | Ok r ->
+              let sched = r.Metrics.Experiment.outcome.Sched.Driver.schedule in
+              Some
+                ( r,
+                  Ddg.Graph.n_nodes
+                    sched.Sched.Schedule.route.Sched.Route.graph )
+          | Error _ -> None)
+        loops
+    in
+    let kernel_ops = List.fold_left (fun acc (_, n) -> acc + n) 0 per_loop in
+    [
+      name;
+      Metrics.Table.f2 (hmean_ipc (List.rev_map fst per_loop));
+      string_of_int kernel_ops;
+    ]
+  in
+  Printf.printf
+    "Extension: unrolling vs replication on %s (%d loops).\n\
+     Unrolling also removes communications but multiplies the kernel,\n\
+     which is what the paper's DSP context cannot afford (Section 6).\n\n"
+    (Machine.Config.name config) (List.length loops);
+  let rows =
+    [
+      evaluate "baseline" Fun.id None;
+      evaluate "replication" Fun.id replicate;
+      evaluate "unroll x2" unroll None;
+      evaluate "unroll x2 + replication" unroll replicate;
+    ]
+  in
+  print_string
+    (Metrics.Table.render
+       ~header:[ "scheme"; "HMEAN IPC"; "static kernel ops" ]
+       rows);
+  (* acyclic blocks (Section 6: "can also be applied") *)
+  let blocks = take 120 loops in
+  let spans =
+    Metrics.Pool.filter_map ~jobs
+      (fun (l : Workload.Generator.loop) ->
+        match Replication.Acyclic.improve config (acyclic_of l.graph) with
+        | Error _ -> None
+        | Ok r ->
+            Some
+              ( r.Replication.Acyclic.baseline.Sched.Listsched.makespan,
+                r.Replication.Acyclic.improved.Sched.Listsched.makespan ))
+      blocks
+  in
+  let base_span = List.fold_left (fun acc (b, _) -> acc + b) 0 spans in
+  let repl_span = List.fold_left (fun acc (_, i) -> acc + i) 0 spans in
+  let improved = List.length (List.filter (fun (b, i) -> i < b) spans) in
+  Printf.printf
+    "\nAcyclic blocks (loop bodies as straight-line code, %d blocks):\n\
+    \  total makespan %d -> %d cycles (%.1f%% shorter), %d blocks improved\n"
+    (List.length blocks) base_span repl_span
+    (100.
+    *. (1. -. (float_of_int repl_span /. float_of_int (max 1 base_span))))
+    improved;
+  (* cross-path copies: transfers steal an int issue slot *)
+  let sample = take 120 loops in
+  let hmean_of cfg transform =
+    hmean_ipc
+      (Metrics.Pool.filter_map ~jobs
+         (fun l -> Result.to_option (run_variant ~transform cfg l))
+         sample)
+  in
+  Printf.printf
+    "\nCross-path copies (a transfer also issues through an integer unit\n\
+     of the producer cluster, as on machines without dedicated bus ports):\n\n";
+  print_string
+    (Metrics.Table.render
+       ~header:[ "machine"; "baseline"; "replication"; "gain" ]
+       (List.map
+          (fun cfg ->
+            let b = hmean_of cfg None and r = hmean_of cfg replicate in
+            [
+              Machine.Config.name cfg;
+              Metrics.Table.f2 b;
+              Metrics.Table.f2 r;
+              Printf.sprintf "%+.0f%%" (100. *. ((r /. b) -. 1.));
+            ])
+          [ config; Machine.Config.with_copy_int_slot config ]))
+
+let extensions_cmd =
+  Cmd.v
+    (Cmd.info "extensions"
+       ~doc:
+         "Beyond the paper on 4c1b2l64r: loop unrolling against \
+          replication, replication on acyclic blocks, and transfers that \
+          also take an integer issue slot.")
+    Term.(const extensions $ quick_arg)
 
 (* ------------------------------------------------------------------ *)
 (* loop                                                                *)
@@ -209,7 +415,7 @@ let loop_cmd =
 
 (* The pool silently clamps to the recommended domain count; surface the
    clamp here so a `--jobs 8` on a small machine isn't mistaken for an
-   eight-way run (the bench harness warns and records likewise). *)
+   eight-way run. *)
 let effective_jobs jobs =
   let e = Metrics.Pool.clamp_jobs jobs in
   Metrics.Log.clamp_warning ~requested:jobs ~effective:e;
@@ -1378,7 +1584,8 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            figures_cmd; loop_cmd; suite_cmd; faults_cmd; validate_cmd;
+            figures_cmd; ablate_cmd; extensions_cmd; loop_cmd; suite_cmd;
+            faults_cmd; validate_cmd;
             fuzz_cmd; gap_cmd; benchmark_cmd; workload_cmd; example_cmd;
             serve_cmd; client_cmd;
           ]))

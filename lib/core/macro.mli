@@ -6,7 +6,8 @@
     paper reports that it performs poorly: "too many unnecessary
     instructions were replicated when replicating macro-nodes", and
     resource conflicts mean only small replications are beneficial.  We
-    implement it so the comparison can be reproduced (the [sec52] bench).
+    implement it so the comparison can be reproduced (the [sec52_macro]
+    figure and [repro ablate]).
 
     The macro-node of a communicated value is approximated by the full
     ancestor cone within its home cluster (no stopping at communicated

@@ -68,8 +68,9 @@ val run_with :
   Machine.Config.t ->
   Workload.Generator.loop ->
   (loop_run, Sched.Sched_error.t) result
-(** Generalized runner for custom transforms — the ablation benchmarks
-    plug replication variants in here.  [mode] only tags the result. *)
+(** Generalized runner for custom transforms — [repro ablate] and
+    [repro extensions] plug replication variants in here.  [mode] only
+    tags the result. *)
 
 exception Illegal of string
 

@@ -1,6 +1,6 @@
 (* One shared stderr line format for operational diagnostics, so the
-   CLI tools stop drifting apart ("repro: ..." vs "bench: ..." vs a
-   stdout cache line) and CI can scrape a single stable prefix. *)
+   CLI and the daemon do not drift apart and CI can scrape a single
+   stable prefix. *)
 
 let line fmt =
   Printf.ksprintf (fun s -> Printf.eprintf "[repro] %s\n%!" s) fmt

@@ -2,8 +2,8 @@
 
     Every operational stderr line the tools emit — job-clamp warnings,
     schedule-store statistics, the serve daemon's lifecycle notes —
-    goes through {!line}, so [bin/repro], [bench/main] and the daemon
-    all print the same ["[repro] "]-prefixed single-line format and CI
+    goes through {!line}, so [bin/repro] and the daemon all print the
+    same ["[repro] "]-prefixed single-line format and CI
     log scraping matches one pattern instead of three dialects.
     (Structured {e error} lines keep their own
     ["repro: error class=..."] contract; this module is for

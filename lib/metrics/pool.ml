@@ -20,8 +20,8 @@ let chunk_divisor = 8
 
 (* Chunks are additionally capped so an 8-domain run over a few hundred
    items still re-balances its tail: with heavy-tailed item costs one
-   oversized chunk can serialize the end of the run.  Picked from the
-   bench --profile scaling runs (docs/ALGORITHMS.md). *)
+   oversized chunk can serialize the end of the run (docs/ALGORITHMS.md,
+   "Pool scaling"). *)
 let max_chunk = 24
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())

@@ -19,8 +19,8 @@ val default_jobs : unit -> int
 val clamp_jobs : int -> int
 (** [clamp_jobs j] is the job count a request for [j] domains actually
     runs on: at least 1 and at most {!default_jobs} — the clamp every
-    bulk map applies.  Callers that report a job count (the bench
-    harness's JSON payloads) should record this, not the request. *)
+    bulk map applies.  Callers that report a job count should report
+    this, not the request. *)
 
 type fault = {
   index : int;        (** position of the failing item in the input *)

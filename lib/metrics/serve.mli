@@ -114,7 +114,7 @@ type limits = {
 val default_limits : limits
 
 type t
-(** A serve engine.  Owner-side calls ({!admit}, {!pump}, {!step},
+(** A serve engine.  Owner-side calls ({!offer}, {!pump}, {!step},
     {!handle}, …) must come from one domain only (the select loop
     does); at [workers >= 1] computations run on pool domains and
     funnel back through {!pump}. *)
@@ -148,16 +148,11 @@ val handle : t -> string -> string
     array line.  Never raises: malformed input answers ["bad-request"],
     a crashing computation answers ["fault"]. *)
 
-val admit : t -> string -> (int, string) result
-(** Admit a request line into the bounded queue.  [Ok seq] = admitted
-    as entry [seq] (its reply line comes out of {!pump} with that
-    sequence number); [Error reply] = shed — not enough queue room for
-    the line's slots, or the engine is draining — and [reply] is the
-    ["overloaded"] line to send back immediately. *)
-
 val offer : t -> string -> string option
-(** {!admit} without the sequence number: [None] = admitted,
-    [Some reply] = shed. *)
+(** Admit a request line into the bounded queue: [None] = admitted (its
+    reply line comes out of {!pump}); [Some reply] = shed — not enough
+    queue room for the line's slots, or the engine is draining — and
+    [reply] is the ["overloaded"] line to send back immediately. *)
 
 val pump : t -> (int * string) list
 (** Make progress without blocking: integrate finished worker results,
@@ -191,7 +186,7 @@ val busy : t -> bool
     loop runs until [not (busy t)]. *)
 
 val begin_drain : t -> unit
-(** Stop admitting ({!admit} sheds everything); already-admitted
+(** Stop admitting ({!offer} sheds everything); already-admitted
     requests still run to completion.  Idempotent. *)
 
 val draining : t -> bool

@@ -46,8 +46,7 @@
    tier and the disk tier hold one value per distinct content.
 
    Counters.  Every lookup/IO updates both the per-store {!stats} and
-   the global always-on counters in {!Sched.Profile}, which is how the
-   bench payload and [bench/diff.exe] see hit rates. *)
+   the global always-on counters in {!Sched.Profile}. *)
 
 module G = Ddg.Graph
 

@@ -54,8 +54,6 @@ let create ?loops ?(jobs = 1) ?store () =
     jobs_ = jobs;
   }
 
-let loops t = t.loops_
-
 let mode_tag = Experiment.mode_tag
 
 (* Keyed on the injective {!Machine.Config.cache_key}: display names

@@ -70,8 +70,6 @@ val create :
     sweep (the suite only touches it on the calling domain; remember to
     {!Store.save} it afterwards when it has a disk tier). *)
 
-val loops : t -> Workload.Generator.loop list
-
 val runs :
   t -> Experiment.mode -> Machine.Config.t -> Experiment.loop_run list
 (** Cached sweep of every loop under the mode and configuration.

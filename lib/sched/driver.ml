@@ -238,11 +238,10 @@ and settle ~latency0 ?spiller ~route config ~ii p spills_left =
    register check (with optional spill-and-retry) — at a fixed II and
    partition.  Only the untransformed graph goes through the route
    cache (see above). *)
-let try_once ?transform ~latency0 ?spiller ~reuse ~rcache config g ~ii
-    ~assign =
+let try_once ?transform ~latency0 ?spiller ~rcache config g ~ii ~assign =
   let g', assign' = transformed ?transform config g ~assign ~ii in
   let route g' assign' =
-    if reuse && g' == g then
+    if g' == g then
       let entry = route_for rcache ~latency0 config g ~assign:assign' in
       (entry.re_route, route_feasible entry)
     else route_uncached ~latency0 config g' assign'
@@ -303,25 +302,11 @@ type level = {
    and trace replays — which may cut at different IIs — stay observably
    equal). *)
 let escalate ?transform ?(latency0 = false) ?spiller ?on_level ?budget
-    ?(reuse = true) config g ~hier ~mii ~cap ~counters ii0 assign0 =
+    config g ~hier ~mii ~cap ~counters ii0 assign0 =
   let give_up () = Error (Sched_error.Escalation_cap { mii; cap }) in
   let rcache = ref [] in
   let try_once ~ii ~assign =
-    try_once ?transform ~latency0 ?spiller ~reuse ~rcache config g ~ii ~assign
-  in
-  (* [reuse = false] reproduces the pre-hierarchy walk for A/B
-     benchmarking: every fresh partition re-coarsens from scratch at the
-     level's II and nothing is routed through the cache. *)
-  let fresh_at ii =
-    if reuse then Partition.Hier.initial hier ~ii
-    else
-      Partition.initial ~rec_mii:(Partition.Hier.rec_mii hier) config g ~ii
-  in
-  let refine_to ~ii assign =
-    if reuse then Partition.Hier.refine hier ~ii assign
-    else
-      Partition.refine ~rec_mii:(Partition.Hier.rec_mii hier) config g ~ii
-        assign
+    try_once ?transform ~latency0 ?spiller ~rcache config g ~ii ~assign
   in
   let rec walk ~streak ~prev_sig ii assign =
     if ii > cap then give_up ()
@@ -343,7 +328,7 @@ let escalate ?transform ?(latency0 = false) ?spiller ?on_level ?budget
             match lineage with
             | Placed _ -> None
             | Failed _ | Rejected _ ->
-                let f = fresh_at ii in
+                let f = Partition.Hier.initial hier ~ii in
                 if f <> assign then Some (f, try_once ~ii ~assign:f) else None
           in
           (match on_level with
@@ -368,7 +353,8 @@ let escalate ?transform ?(latency0 = false) ?spiller ?on_level ?budget
               if streak >= stationary_limit then give_up ()
               else
                 let ii = ii + 1 in
-                walk ~streak ~prev_sig:here ii (refine_to ~ii assign))
+                walk ~streak ~prev_sig:here ii
+                  (Partition.Hier.refine hier ~ii assign))
   in
   walk ~streak:0 ~prev_sig:None ii0 assign0
 
@@ -392,7 +378,7 @@ let hierarchy config g =
   Partition.Hier.create ~rec_mii config g ~base_ii:mii
 
 let schedule_loop ?transform ?max_ii ?(latency0 = false) ?spiller ?budget
-    ?reuse ?hier config g =
+    ?hier config g =
   (* rec_mii of the original graph is reused by every partition call of
      the escalation loop; compute the binary search once. *)
   let rec_mii =
@@ -426,8 +412,8 @@ let schedule_loop ?transform ?max_ii ?(latency0 = false) ?spiller ?budget
           | Some h -> h
           | None -> Partition.Hier.create ~rec_mii config g ~base_ii:mii
         in
-        escalate ?transform ~latency0 ?spiller ?budget ?reuse config g ~hier
-          ~mii ~cap ~counters mii
+        escalate ?transform ~latency0 ?spiller ?budget config g ~hier ~mii
+          ~cap ~counters mii
           (Partition.Hier.initial hier ~ii:mii))
   end
 

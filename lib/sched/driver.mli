@@ -74,7 +74,6 @@ val schedule_loop :
   ?latency0:bool ->
   ?spiller:spiller ->
   ?budget:Budget.t ->
-  ?reuse:bool ->
   ?hier:Partition.Hier.t ->
   Machine.Config.t ->
   Ddg.Graph.t ->
@@ -95,16 +94,6 @@ val schedule_loop :
     fault-isolated: a raising transform hook or an internal scheduler
     exception surfaces as [Error Internal] rather than an exception
     (only [Out_of_memory] propagates).
-
-    [reuse] (default [true]) is an A/B benchmarking knob: [false]
-    disables every cross-level reuse the escalation performs —
-    from-scratch partitions re-coarsen from singletons at each level's
-    II instead of continuing the cached hierarchy, and routed graphs
-    are rebuilt instead of cached — reproducing the pre-hierarchy
-    walk.  Results under [reuse:false] may differ slightly from the
-    default path (the hierarchy analyses slacks once at the base II;
-    a scratch walk re-analyses at every level), so it exists for
-    measuring the reuse speedup, not for production runs.
 
     [hier] shares a partition hierarchy built by {!hierarchy} across
     calls over the same graph; omitted, each call builds its own.

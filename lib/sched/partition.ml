@@ -279,9 +279,9 @@ let refine_impl ?(metric = `Pseudo) ?rec_mii config g ~ii assign =
     assign
   end
 
-let refine ?metric ?rec_mii config g ~ii assign =
+let refine ?metric config g ~ii assign =
   Profile.time Profile.Partition (fun () ->
-      refine_impl ?metric ?rec_mii config g ~ii assign)
+      refine_impl ?metric config g ~ii assign)
 
 (* ------------------------------------------------------------------ *)
 (* The coarsening hierarchy as a reusable artifact                     *)
@@ -463,6 +463,7 @@ module Hier = struct
             match Hashtbl.find_opt t.h_init ii with
             | Some a -> a
             | None ->
+                Profile.count Profile.Partition_computed;
                 let lvl, analysis = coarsest_and_analysis t.h_skel ~ii in
                 let cluster_of_macro =
                   assign_macros t.h_config t.h_graph analysis ~ii
@@ -489,6 +490,7 @@ module Hier = struct
             match Hashtbl.find_opt t.h_refine (ii, assign) with
             | Some a -> a
             | None ->
+                Profile.count Profile.Partition_computed;
                 let refined =
                   refine_impl ~rec_mii:t.h_skel.s_rec_mii t.h_config
                     t.h_graph ~ii assign
@@ -509,8 +511,8 @@ end
    original coarsen-assign-refine pipeline exactly (same analysis II,
    same coarsening walk from singletons, same assignment and
    refinement). *)
-let initial ?rec_mii config g ~ii =
-  Hier.initial (Hier.create ?rec_mii config g ~base_ii:ii) ~ii
+let initial config g ~ii =
+  Hier.initial (Hier.create config g ~base_ii:ii) ~ii
 
 let is_valid config assign =
   Array.for_all

@@ -22,11 +22,9 @@
 
 type t = int array
 
-val initial : ?rec_mii:int -> Machine.Config.t -> Ddg.Graph.t -> ii:int -> t
+val initial : Machine.Config.t -> Ddg.Graph.t -> ii:int -> t
 (** Coarsen, assign and refine at the given II.  For a unified machine the
-    result is all zeros.  [rec_mii], when known (the scheduling driver
-    computes it once per loop), spares the binary search of
-    {!Ddg.Mii.rec_mii}.  Equivalent to a one-shot {!Hier.initial} on a
+    result is all zeros.  Equivalent to a one-shot {!Hier.initial} on a
     hierarchy seeded at [ii]. *)
 
 (** The coarsening hierarchy as a reusable artifact.
@@ -63,9 +61,10 @@ module Hier : sig
 
   val create :
     ?rec_mii:int -> Machine.Config.t -> Ddg.Graph.t -> base_ii:int -> t
-  (** Analyse and coarsen at [base_ii] (the escalation's MII).  [rec_mii]
-      as in {!initial}.  Equivalent to a {!view} over a private fresh
-      skeleton. *)
+  (** Analyse and coarsen at [base_ii] (the escalation's MII).
+      [rec_mii], when known (the scheduling driver computes it once per
+      loop), spares the binary search of {!Ddg.Mii.rec_mii}.  Equivalent
+      to a {!view} over a private fresh skeleton. *)
 
   val skeleton : t -> skel
   (** The skeleton underneath this view, shareable via {!view}. *)
@@ -113,7 +112,6 @@ end
 
 val refine :
   ?metric:[ `Pseudo | `Cut ] ->
-  ?rec_mii:int ->
   Machine.Config.t ->
   Ddg.Graph.t ->
   ii:int ->
@@ -123,8 +121,7 @@ val refine :
     a new array; the input is not mutated.  [`Pseudo] (default) compares
     candidate partitions with the pseudo-schedule estimate, the paper's
     refinement metric; [`Cut] is the ablation that only minimizes the
-    communication count and load imbalance.  [rec_mii] as in
-    {!initial}. *)
+    communication count and load imbalance. *)
 
 val is_valid : Machine.Config.t -> t -> bool
 (** Every assignment within [0, clusters). *)

@@ -9,7 +9,7 @@ let try_schedule config route ~ii =
   let n = Graph.n_nodes g in
   (* The slack analysis and the node ordering are one profiling phase;
      the placement loop below is another (they nest under no common
-     wrapper, so [bench --profile] reports them exclusively). *)
+     wrapper, so the profile reports them exclusively). *)
   let analysis, order =
     Profile.time Profile.Ordering (fun () ->
         let analysis = Analysis.compute g ~ii in

@@ -4,7 +4,7 @@
    Each domain accumulates into its own domain-local counters (no
    contention in the hot path) and merges them into the global totals
    when it leaves a pool — {!flush}, called by [Metrics.Pool] workers on
-   exit and by {!seconds}/{!snapshot} for the calling domain — so
+   exit and by {!seconds}/{!alloc_words} for the calling domain — so
    parallel suite runs report the sum over every domain, not just the
    reader's share.  Accounting is inclusive per outermost entry: a phase
    nested inside itself (e.g. the partitioner's refinement calling back
@@ -18,10 +18,12 @@
    during its outermost entries ([Gc.quick_stat] deltas, so a phase's
    words include the sampling overhead — a few words per entry — and
    words allocated by a differently-phased nested region, mirroring the
-   timer semantics).  The cache hit/miss/byte counters at the bottom are
-   global and always on: the content-addressed schedule store
-   ([Metrics.Store]) is consulted from the orchestrating domain only, so
-   plain atomics suffice and no domain-local buffering is needed. *)
+   timer semantics).  The work counters are plain atomics: an event is
+   one increment, rare next to the work it stands for.  The cache
+   hit/miss/byte counters at the bottom are global and always on: the
+   content-addressed schedule store ([Metrics.Store]) is consulted from
+   the orchestrating domain only, so plain atomics suffice and no
+   domain-local buffering is needed. *)
 
 type phase = Partition | Ordering | Placement | Regalloc | Replication
 
@@ -68,6 +70,11 @@ let local : local Domain.DLS.key =
         major = Array.make n_phases 0;
       })
 
+type event = Partition_computed | Route_built
+
+let event_index = function Partition_computed -> 0 | Route_built -> 1
+let event_counts = Array.init 2 (fun _ -> Atomic.make 0)
+
 (* Always-on global counters for the content-addressed schedule store. *)
 let cache_hits = Atomic.make 0
 let cache_misses = Atomic.make 0
@@ -78,6 +85,7 @@ let reset () =
   Array.iter (fun a -> Atomic.set a 0) acc;
   Array.iter (fun a -> Atomic.set a 0) acc_minor;
   Array.iter (fun a -> Atomic.set a 0) acc_major;
+  Array.iter (fun a -> Atomic.set a 0) event_counts;
   Atomic.set cache_hits 0;
   Atomic.set cache_misses 0;
   Atomic.set cache_read 0;
@@ -137,14 +145,13 @@ let seconds phase =
   flush ();
   float_of_int (Atomic.get acc.(index phase)) /. 1e9
 
-let snapshot () = List.map (fun p -> (name p, seconds p)) phases
-
 let alloc_words phase =
   flush ();
   let i = index phase in
   (Atomic.get acc_minor.(i), Atomic.get acc_major.(i))
 
-let alloc_snapshot () = List.map (fun p -> (name p, alloc_words p)) phases
+let count e = if !enabled then Atomic.incr event_counts.(event_index e)
+let events e = Atomic.get event_counts.(event_index e)
 
 let cache_hit () = ignore (Atomic.fetch_and_add cache_hits 1)
 let cache_miss () = ignore (Atomic.fetch_and_add cache_misses 1)

@@ -1,12 +1,13 @@
 (** Per-phase wall-clock and allocation accounting for the scheduling
-    pipeline ([bench --profile]).
+    pipeline, plus exact counts of the work the reuse layers exist to
+    save.
 
     Off by default; {!time} then costs one flag read per call.  When
     enabled, every outermost entry into an instrumented phase adds its
     wall-clock time and Gc minor/major word deltas to domain-local
     counters; domains merge their counters into the global totals with
     {!flush} — [Metrics.Pool] workers flush on exit, and
-    {!seconds}/{!snapshot} flush the calling domain — so parallel runs
+    {!seconds}/{!alloc_words} flush the calling domain — so parallel runs
     report the sum over every participating domain.  Re-entering the
     phase currently running on this domain is not double-counted.
 
@@ -43,18 +44,29 @@ val seconds : phase -> float
 (** Accumulated seconds since the last {!reset}, over every flushed
     domain plus the calling one (implies a {!flush}). *)
 
-val snapshot : unit -> (string * float) list
-(** [(name, seconds)] for every phase, in {!phases} order. *)
-
 val alloc_words : phase -> int * int
 (** Accumulated [(minor, major)] Gc words allocated during the phase
     since the last {!reset}, over every flushed domain plus the calling
     one (implies a {!flush}).  Includes the sampling overhead, a few
     words per outermost phase entry. *)
 
-val alloc_snapshot : unit -> (string * (int * int)) list
-(** [(name, (minor_words, major_words))] for every phase, in {!phases}
-    order. *)
+(** {1 Work counters}
+
+    Counted only while profiling is enabled, like the phase timers
+    (otherwise one flag read per event), over every domain, and zeroed
+    by {!reset}.  A count has no spread, so tests hold the reuse layers
+    to exact numbers with it where a timing would be noise. *)
+
+type event =
+  | Partition_computed
+      (** a {!Partition.Hier.initial} or {!Partition.Hier.refine} memo
+          miss: a partition coarsened or refined from scratch *)
+  | Route_built  (** a {!Route.build} call: one routed graph built *)
+
+val count : event -> unit
+
+val events : event -> int
+(** Events counted since the last {!reset}. *)
 
 (** {1 Schedule-store counters}
 

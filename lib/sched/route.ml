@@ -8,6 +8,7 @@ type t = {
 }
 
 let build ?(latency0 = false) config g ~assign =
+  Profile.count Profile.Route_built;
   Profile.time Profile.Placement @@ fun () ->
   let n = Graph.n_nodes g in
   (* latency0: the Section-5.1 upper-bound experiment — copies still

@@ -6,7 +6,7 @@
     removing most communications — at the price of a proportionally
     larger kernel (code size is critical on the DSPs these machines
     power).  We implement the transform so the comparison experiment can
-    be reproduced (bench target [ext_unroll]).
+    be reproduced ([repro extensions]).
 
     Unrolling by [factor] U replaces the body with U renamed copies;
     a loop-carried dependence of distance [d] from copy [k] targets copy

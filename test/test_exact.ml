@@ -209,7 +209,48 @@ let test_suite_differential () =
     cases;
   if !conclusive < List.length cases / 2 then
     Alcotest.failf "only %d/%d suite cases were conclusive" !conclusive
-      (List.length cases)
+      (List.length cases);
+  (* The first six of those loops on 4c1b2l64r at a fixed conflict cap,
+     pinned: heuristic II, exact II, proven bit and note.  Neither the
+     heuristic nor the SAT core reads a clock, so these hold exactly on
+     any host. *)
+  let config = Option.get (Machine.Config.of_name "4c1b2l64r") in
+  List.iter2
+    (fun (l : Workload.Generator.loop) (id, pinned) ->
+      let g = l.Workload.Generator.graph in
+      let o =
+        match heuristic config g with
+        | Some o -> o
+        | None -> Alcotest.failf "%s: heuristic gave up" l.id
+      in
+      let heur_ii = o.Sched.Driver.ii in
+      let horizon =
+        Sched.Schedule.length o.Sched.Driver.schedule + heur_ii + 2
+      in
+      let exact_ii, proven, note =
+        match
+          Sched.Exact.minimum_ii ~horizon ~max_ii:heur_ii ~max_conflicts:20_000
+            ~max_cegar:40 config g
+        with
+        | Ok f ->
+            check_witness ~name:l.id ~original:g f.Sched.Exact.f_schedule
+              ~ii:f.Sched.Exact.f_ii;
+            (f.Sched.Exact.f_ii, f.Sched.Exact.f_proven, "exact")
+        | Error e -> (heur_ii, false, Sched.Sched_error.class_name e)
+      in
+      Alcotest.(check string) "pinned loop" id l.id;
+      Alcotest.(check string) (id ^ " gap row") pinned
+        (Printf.sprintf "heur=%d exact=%d proven=%b (%s)" heur_ii exact_ii
+           proven note))
+    (List.filteri (fun i _ -> i < 6) small)
+    [
+      ("apsi.56", "heur=4 exact=4 proven=false (exact)");
+      ("apsi.59", "heur=3 exact=3 proven=true (exact)");
+      ("apsi.63", "heur=4 exact=3 proven=true (exact)");
+      ("apsi.86", "heur=3 exact=3 proven=false (escalation-cap)");
+      ("apsi.92", "heur=4 exact=3 proven=true (exact)");
+      ("apsi.98", "heur=3 exact=3 proven=true (exact)");
+    ]
 
 let suite =
   [

@@ -517,6 +517,30 @@ let test_profile_merge_across_domains () =
       let total = Sched.Profile.seconds Sched.Profile.Partition in
       check bool "worker phase time merged on join" true (total >= 0.06))
 
+(* The suite's hierarchy views, held by exact counts: after a plain
+   pass at 4c1b2l64r, a plain pass over another member of its register
+   family and a replication pass on the same machine find every
+   partition they ask for in the views the first pass filled, so they
+   compute none.  Counts have no spread, unlike the time they save. *)
+let test_hierarchy_views_compute_once () =
+  let suite = Metrics.Suite.create ~loops:(Lazy.force small_loops) () in
+  let computed mode name =
+    let config = Option.get (Machine.Config.of_name name) in
+    let before = Sched.Profile.events Sched.Profile.Partition_computed in
+    ignore (Metrics.Suite.runs suite mode config);
+    Sched.Profile.events Sched.Profile.Partition_computed - before
+  in
+  Sched.Profile.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sched.Profile.set_enabled false) @@ fun () ->
+  let first = computed Metrics.Experiment.Baseline "4c1b2l64r" in
+  check bool
+    (Printf.sprintf "base 4c1b2l64r computes partitions (%d)" first)
+    true (first > 0);
+  check int "base 4c1b2l128r computes none" 0
+    (computed Metrics.Experiment.Baseline "4c1b2l128r");
+  check int "repl 4c1b2l64r computes none" 0
+    (computed Metrics.Experiment.Replication "4c1b2l64r")
+
 let suite =
   [
     Alcotest.test_case "pool map order" `Quick test_pool_map_order;
@@ -531,6 +555,8 @@ let suite =
     Alcotest.test_case "run_loop all modes" `Quick test_run_loop_modes;
     Alcotest.test_case "ipc weighted" `Quick test_ipc_weighted;
     Alcotest.test_case "suite caching" `Quick test_suite_caching;
+    Alcotest.test_case "hierarchy views compute once" `Quick
+      test_hierarchy_views_compute_once;
     Alcotest.test_case "replication beats baseline" `Slow
       test_replication_beats_baseline;
     Alcotest.test_case "fig1 fractions" `Slow test_fig1_fractions;

@@ -464,6 +464,42 @@ let test_trace_stays_lean () =
         (replayed_stats = !direct_stats))
     [ (64, None); (128, None); (32, Some Sched.Spill.spiller) ]
 
+(* The per-escalation route cache, held by exact counts: a baseline
+   walk builds one routed graph per distinct bus-feasible partition it
+   tries.  A spy transform that rewrites nothing collects those
+   partitions.  The cache keeps 8 routes, so a walk trying more may
+   rebuild an evicted one; only walks within that capacity are held to
+   equality. *)
+let test_route_built_once_per_partition () =
+  let config = Option.get (Machine.Config.of_name "4c1b2l32r") in
+  let loops =
+    List.concat_map
+      (fun b -> List.filteri (fun i _ -> i < 2) (Workload.Generator.generate b))
+      Workload.Benchmark.all
+  in
+  Sched.Profile.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sched.Profile.set_enabled false) @@ fun () ->
+  let held = ref 0 in
+  List.iter
+    (fun (l : Workload.Generator.loop) ->
+      let tried = ref [] in
+      let spy config g ~assign ~ii =
+        if Sched.Comm.extra config g ~assign ~ii = 0
+           && not (List.mem assign !tried)
+        then tried := Array.copy assign :: !tried;
+        None
+      in
+      let before = Sched.Profile.events Sched.Profile.Route_built in
+      ignore (Sched.Driver.schedule_loop ~transform:spy config l.graph);
+      let built = Sched.Profile.events Sched.Profile.Route_built - before in
+      let distinct = List.length !tried in
+      if distinct <= 8 then begin
+        incr held;
+        check int (l.id ^ " routed graphs built") distinct built
+      end)
+    loops;
+  check bool "some walks within the cache's capacity" true (!held > 0)
+
 (* ---------------- register pressure ---------------- *)
 
 let test_regpressure_chain () =
@@ -535,6 +571,8 @@ let suite =
       test_trace_register_family_only;
     Alcotest.test_case "trace keeps rejected attempts lean" `Quick
       test_trace_stays_lean;
+    Alcotest.test_case "route built once per partition" `Quick
+      test_route_built_once_per_partition;
     Alcotest.test_case "regpressure chain" `Quick test_regpressure_chain;
     Alcotest.test_case "regpressure long lifetime" `Quick
       test_regpressure_long_lifetime;

@@ -36,56 +36,18 @@ fuzz-smoke:
 validate-quick:
 	dune exec bin/repro.exe -- validate --quick
 
-# Cache-equality gate: the schedule store must be invisible in stdout
-# (its hit/miss line goes to stderr).  Each step fills a fresh store
-# directory and reruns the quick suite over it; every stdout must be
-# byte-identical to an uncached clean run.
-#  - cold/warm: the warm rerun must not miss once;
-#  - resume: the fill poisons tomcatv.1, whose quarantined runs are never
-#    stored, so the rerun computes exactly those two (misses=2);
-#  - budget: results computed under --budget are stored like any other,
-#    so the unbudgeted warm rerun must not miss once.
+# Cache-equality gate: the schedule store must be invisible in stdout.
+# Fills fresh store directories three ways (plain, a poisoned fill then
+# a resume, a budgeted fill) and requires every rerun's stdout to equal
+# an uncached run's (scripts/check_cache.sh; one mktemp -d per run).
 check-cache:
-	dune exec bin/repro.exe -- suite --quick > /tmp/suite_clean.txt
-	rm -rf /tmp/sched_cache_gate
-	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
-	  > /tmp/suite_cold.txt 2> /tmp/suite_cold_err.txt
-	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
-	  > /tmp/suite_warm.txt 2> /tmp/suite_warm_err.txt
-	cmp /tmp/suite_clean.txt /tmp/suite_cold.txt
-	cmp /tmp/suite_clean.txt /tmp/suite_warm.txt
-	grep -q "misses=0 " /tmp/suite_warm_err.txt
-	rm -rf /tmp/sched_cache_gate
-	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
-	  --poison tomcatv.1 > /tmp/suite_poisoned.txt 2> /tmp/suite_poisoned_err.txt
-	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
-	  > /tmp/suite_resumed.txt 2> /tmp/suite_resumed_err.txt
-	cmp /tmp/suite_clean.txt /tmp/suite_resumed.txt
-	grep -q "misses=2 " /tmp/suite_resumed_err.txt
-	rm -rf /tmp/sched_cache_gate
-	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
-	  --budget 60 > /tmp/suite_budget.txt 2> /tmp/suite_budget_err.txt
-	dune exec bin/repro.exe -- suite --quick --cache /tmp/sched_cache_gate \
-	  > /tmp/suite_budget_warm.txt 2> /tmp/suite_budget_warm_err.txt
-	cmp /tmp/suite_clean.txt /tmp/suite_budget.txt
-	cmp /tmp/suite_clean.txt /tmp/suite_budget_warm.txt
-	grep -q "misses=0 " /tmp/suite_budget_warm_err.txt
-	rm -rf /tmp/sched_cache_gate
+	sh scripts/check_cache.sh
 
-# Figure-order gate: the order in which the artifacts first request
-# their sweeps must never change a byte.  The quick report rendered
-# whole must equal the concatenation of every artifact rendered alone
-# (`--only <id>`, ids taken from the whole report's `=== id ===` lines),
-# each alone on a fresh suite that records and caches only what that
-# artifact reads.
+# Figure-order gate: the quick report rendered whole must equal the
+# concatenation of every artifact rendered alone with `--only <id>`
+# (scripts/check_figures.sh; one mktemp -d per run).
 check-figures:
-	dune exec bin/repro.exe -- figures --quick > /tmp/figures_all.txt
-	rm -f /tmp/figures_each.txt
-	for id in $$(sed -n 's/^=== \(.*\) ===$$/\1/p' /tmp/figures_all.txt); do \
-	  dune exec bin/repro.exe -- figures --quick --only $$id \
-	    >> /tmp/figures_each.txt || exit 1; \
-	done
-	cmp /tmp/figures_all.txt /tmp/figures_each.txt
+	sh scripts/check_figures.sh
 
 # Serve gate: a real `repro serve` daemon driven through the whole
 # degradation ladder — cold/warm/restart replies byte-identical to

@@ -48,8 +48,7 @@ let number f =
 (* One buffer for the whole document: a store table runs to megabytes,
    and nested sprintf/concat would copy every byte once per level of
    nesting. *)
-let print v =
-  let b = Buffer.create 4096 in
+let to_buffer b v =
   let str s =
     Buffer.add_char b '"';
     add_escaped b s;
@@ -79,156 +78,193 @@ let print v =
           fields;
         Buffer.add_char b '}'
   in
-  add v;
+  add v
+
+let print v =
+  let b = Buffer.create 4096 in
+  to_buffer b v;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Parser (recursive descent)                                          *)
 (* ------------------------------------------------------------------ *)
 
-let parse (s : string) : t =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char b '/'; advance (); go ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-          | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-          | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              (* The writer only \u-escapes control characters; decode
-                 the Latin-1 range and replace anything wider. *)
-              if code < 0x100 then Buffer.add_char b (Char.chr code)
-              else Buffer.add_char b '?';
-              pos := !pos + 4;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
+(* [parse] and [fold_member] read through the same functions, so they
+   accept one grammar and fail with the same message at the same byte. *)
+type cursor = { s : string; n : int; mutable pos : int }
+
+let cursor s = { s; n = String.length s; pos = 0 }
+let fail c msg = raise (Bad (Printf.sprintf "%s at byte %d" msg c.pos))
+let peek c = if c.pos < c.n then Some c.s.[c.pos] else None
+let advance c = c.pos <- c.pos + 1
+
+let rec skip_ws c =
+  match peek c with
+  | Some (' ' | '\t' | '\n' | '\r') ->
+      advance c;
+      skip_ws c
+  | _ -> ()
+
+let expect c ch =
+  match peek c with
+  | Some ch' when ch' = ch -> advance c
+  | _ -> fail c (Printf.sprintf "expected '%c'" ch)
+
+let literal c word value =
+  let l = String.length word in
+  if c.pos + l <= c.n && String.sub c.s c.pos l = word then begin
+    c.pos <- c.pos + l;
+    value
+  end
+  else fail c ("expected " ^ word)
+
+let parse_string c =
+  expect c '"';
+  let b = Buffer.create 16 in
+  let rec go () =
+    match peek c with
+    | None -> fail c "unterminated string"
+    | Some '"' -> advance c
+    | Some '\\' -> (
+        advance c;
+        let esc ch =
+          Buffer.add_char b ch;
+          advance c;
           go ()
+        in
+        match peek c with
+        | Some '"' -> esc '"'
+        | Some '\\' -> esc '\\'
+        | Some '/' -> esc '/'
+        | Some 'n' -> esc '\n'
+        | Some 'r' -> esc '\r'
+        | Some 't' -> esc '\t'
+        | Some 'b' -> esc '\b'
+        | Some 'f' -> esc '\012'
+        | Some 'u' ->
+            advance c;
+            if c.pos + 4 > c.n then fail c "truncated \\u escape";
+            let hex = String.sub c.s c.pos 4 in
+            let code =
+              try int_of_string ("0x" ^ hex) with _ -> fail c "bad \\u escape"
+            in
+            (* The writer only \u-escapes control characters; decode
+               the Latin-1 range and replace anything wider. *)
+            if code < 0x100 then Buffer.add_char b (Char.chr code)
+            else Buffer.add_char b '?';
+            c.pos <- c.pos + 4;
+            go ()
+        | _ -> fail c "bad escape")
+    | Some ch ->
+        Buffer.add_char b ch;
+        advance c;
+        go ()
+  in
+  go ();
+  Buffer.contents b
+
+let parse_number c =
+  let start = c.pos in
+  let number_char = function
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    | _ -> false
+  in
+  while match peek c with Some ch -> number_char ch | None -> false do
+    advance c
+  done;
+  if c.pos = start then fail c "expected number";
+  match float_of_string_opt (String.sub c.s start (c.pos - start)) with
+  | Some f -> f
+  | None -> fail c "bad number"
+
+(* The items of the array or object whose opening bracket is next:
+   [item] reads each one, and [close] is the closing bracket. *)
+let items c ~close item =
+  advance c;
+  skip_ws c;
+  if peek c = Some close then advance c
+  else
+    let rec go () =
+      item ();
+      skip_ws c;
+      match peek c with
+      | Some ',' ->
+          advance c;
+          go ()
+      | Some ch when ch = close -> advance c
+      | _ -> fail c (Printf.sprintf "expected ',' or '%c'" close)
     in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let number_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> number_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          List (elements [])
-        end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
+    go ()
+
+(* An object member's key and its ':'. *)
+let key c =
+  skip_ws c;
+  let k = parse_string c in
+  skip_ws c;
+  expect c ':';
+  k
+
+let rec parse_value c =
+  skip_ws c;
+  match peek c with
+  | Some '"' -> Str (parse_string c)
+  | Some '{' ->
+      let fields = ref [] in
+      items c ~close:'}' (fun () ->
+          let k = key c in
+          fields := (k, parse_value c) :: !fields);
+      Obj (List.rev !fields)
+  | Some '[' ->
+      let xs = ref [] in
+      items c ~close:']' (fun () -> xs := parse_value c :: !xs);
+      List (List.rev !xs)
+  | Some 't' -> literal c "true" (Bool true)
+  | Some 'f' -> literal c "false" (Bool false)
+  | Some 'n' -> literal c "null" Null
+  | Some _ -> Num (parse_number c)
+  | None -> fail c "unexpected end of input"
+
+let finish c =
+  skip_ws c;
+  if c.pos <> c.n then fail c "trailing garbage"
+
+let parse s =
+  let c = cursor s in
+  let v = parse_value c in
+  finish c;
   v
+
+(* Elements reach [f] as the parser reads them, so each element's tree
+   can die young instead of the whole array's surviving to the end.
+   Errors come out as [parse], [member] and [to_list] would raise them:
+   the whole text is read before a missing or non-list member fails. *)
+let fold_member name f init s =
+  let c = cursor s in
+  skip_ws c;
+  if peek c <> Some '{' then begin
+    ignore (parse_value c);
+    finish c;
+    raise (Bad ("expected an object around field " ^ name))
+  end;
+  let acc = ref init and others = ref [] in
+  let found = ref false and listed = ref false in
+  items c ~close:'}' (fun () ->
+      let k = key c in
+      skip_ws c;
+      if (not !found) && String.equal k name then begin
+        found := true;
+        if peek c = Some '[' then begin
+          listed := true;
+          let before = List.rev !others in
+          items c ~close:']' (fun () -> acc := f before !acc (parse_value c))
+        end
+        else ignore (parse_value c)
+      end
+      else others := (k, parse_value c) :: !others);
+  finish c;
+  if not !found then raise (Bad ("missing field " ^ name));
+  if not !listed then raise (Bad "expected a list");
+  (!acc, List.rev !others)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -248,8 +284,14 @@ let member_opt key = function
 let to_str = function Str s -> s | _ -> raise (Bad "expected a string")
 let to_num = function Num f -> f | _ -> raise (Bad "expected a number")
 
+(* [int_of_float] is unspecified outside the int range: 1e300 reads 0. *)
 let to_int = function
-  | Num f when Float.is_integer f -> int_of_float f
+  | Num f
+    when Float.is_integer f
+         && f >= Float.of_int min_int
+         && f < -.Float.of_int min_int ->
+      int_of_float f
+  | Num f when Float.is_integer f -> raise (Bad "integer out of range")
   | _ -> raise (Bad "expected an integer")
 
 let to_list = function List xs -> xs | _ -> raise (Bad "expected a list")

@@ -28,8 +28,30 @@ val print : t -> string
 (** Compact rendering (no insignificant whitespace).  Integral numbers
     print without a decimal point. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the bytes of {!print} to the buffer, so a large document can
+    be rendered one part at a time into one buffer. *)
+
 val parse : string -> t
 (** @raise Bad on malformed input or trailing garbage. *)
+
+val fold_member :
+  string -> ((string * t) list -> 'a -> t -> 'a) -> 'a -> string ->
+  'a * (string * t) list
+(** [fold_member name f init text] reads [text], which must hold an
+    object, and folds [f] over the elements of its array member [name]
+    as the parser reads each one: [f before acc element], where [before]
+    are the members read before [name], in order.  No list of the
+    elements, and no tree of the whole document, is built.  Returns the
+    fold's result and the object's other members in order.  As with
+    {!member}, only the first member called [name] is folded over; a
+    later one is returned among the others.  [before] lets a caller
+    check a header written ahead of the array before it decodes any
+    element, as the schedule store does.
+
+    @raise Bad exactly where [to_list (member name (parse text))] would,
+    with the same message.  [f] may already have seen elements when a
+    later byte turns out malformed. *)
 
 val member : string -> t -> t
 (** Field of an object. @raise Bad when absent or not an object. *)
@@ -41,6 +63,8 @@ val to_str : t -> string
 val to_num : t -> float
 
 val to_int : t -> int
-(** @raise Bad when the number has a fractional part. *)
+(** @raise Bad when the number has a fractional part or lies outside
+    the [int] range ([1e300] is refused, not read as some wrapped
+    integer). *)
 
 val to_list : t -> t list

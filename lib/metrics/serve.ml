@@ -76,17 +76,6 @@ type counters = {
 let jint n = Json.Num (float_of_int n)
 let jints a = Json.List (Array.to_list (Array.map jint a))
 
-let json_of_counts (c : Sim.Lockstep.counts) =
-  Json.Obj
-    [
-      ("cycles", jint c.cycles);
-      ("iterations", jint c.iterations);
-      ("dynamic_ops", jint c.dynamic_ops);
-      ("dynamic_copies", jint c.dynamic_copies);
-      ("useful_ops", jint c.useful_ops);
-      ("explicit_iterations", jint c.explicit_iterations);
-    ]
-
 let json_of_repl_stats (s : Replication.Replicate.stats) =
   Json.Obj
     [
@@ -100,15 +89,6 @@ let with_id id fields = Json.Obj (("id", Json.Str id) :: fields)
 
 let ok_json ~id (r : Experiment.loop_run) =
   let o = r.outcome in
-  let bus, recur, regs =
-    List.fold_left
-      (fun (b, rc, g) (cause, n) ->
-        match (cause : Sched.Driver.cause) with
-        | Sched.Driver.Bus -> (b + n, rc, g)
-        | Sched.Driver.Recurrence -> (b, rc + n, g)
-        | Sched.Driver.Registers -> (b, rc, g + n))
-      (0, 0, 0) o.increments
-  in
   with_id id
     [
       ("status", Json.Str "ok");
@@ -117,16 +97,10 @@ let ok_json ~id (r : Experiment.loop_run) =
       ("ii", jint o.ii);
       ("mii", jint o.mii);
       ("n_comms", jint o.n_comms);
-      ( "increments",
-        Json.Obj
-          [
-            ("bus", jint bus);
-            ("recurrence", jint recur);
-            ("registers", jint regs);
-          ] );
+      ("increments", Store.Run_json.increments o);
       ("cycles", jints o.schedule.Sched.Schedule.cycles);
       ("buses", jints o.schedule.Sched.Schedule.buses);
-      ("counts", json_of_counts r.counts);
+      ("counts", Store.Run_json.counts r.counts);
       ( "stats",
         match r.repl_stats with
         | None -> Json.Null
@@ -210,13 +184,16 @@ let decode_schedule j =
     | None -> raise (Json.Bad ("unknown configuration: " ^ cname))
   in
   let lj = Json.member "loop" j in
+  let trip = Json.to_int (Json.member "trip" lj) in
+  (* the simulation runs [trip] iterations, so it needs at least one *)
+  if trip < 1 then raise (Json.Bad "trip must be at least 1");
   let d_loop =
     {
       Workload.Generator.id = Json.to_str (Json.member "id" lj);
       benchmark =
         Option.value (opt_field Json.to_str "benchmark" lj) ~default:"adhoc";
       graph = Store.Graph_json.decode (Json.member "graph" lj);
-      trip = Json.to_int (Json.member "trip" lj);
+      trip;
       visits = Option.value (opt_field Json.to_int "visits" lj) ~default:1;
     }
   in

@@ -33,6 +33,14 @@
    arrays against its shape.  Files carry a format number and the
    {!Sched.Driver.version} string; a mismatch silently empties the
    table, so entries cached by an older scheduler self-invalidate.
+   That header (format, scheduler, group, config) is written before the
+   entries, and each entry is rendered into the file's one buffer on its
+   own.  Loading reads the entries through {!Json.fold_member}: each is
+   decoded as soon as the parser has read it, under a current header
+   already read, and its tree dropped, so no tree of a whole file is
+   ever built.  Entries join the table only once the whole file has
+   parsed: a file torn halfway through its entries serves none of them,
+   and a file whose header follows its entries counts as stale.
 
    The figure suite stores the same loops under many configurations,
    register families and spill variants, so each store holds one
@@ -197,7 +205,12 @@ let graph_of_json j =
 
 module Graph_json = struct
   let encode = json_of_graph
-  let decode = graph_of_json
+
+  (* The builder refuses what no graph may hold (an edge to a node that
+     does not exist, a negative latency, a zero-distance cycle); on the
+     wire that is a malformed graph object like any other. *)
+  let decode j =
+    try graph_of_json j with Invalid_argument msg -> raise (Json.Bad msg)
 end
 
 let json_of_counts (c : Sim.Lockstep.counts) =
@@ -246,6 +259,25 @@ let repl_stats_of_json j : Replication.Replicate.stats =
     subgraph_sizes = int_list (Json.member "subgraph_sizes" j);
   }
 
+(* II increments per cause, summed: the escalation order is not kept. *)
+let json_of_increments (o : Sched.Driver.outcome) =
+  let bus, recur, regs =
+    List.fold_left
+      (fun (b, r, g) (cause, n) ->
+        match (cause : Sched.Driver.cause) with
+        | Sched.Driver.Bus -> (b + n, r, g)
+        | Sched.Driver.Recurrence -> (b, r + n, g)
+        | Sched.Driver.Registers -> (b, r, g + n))
+      (0, 0, 0) o.increments
+  in
+  Json.Obj
+    [ ("bus", jint bus); ("recurrence", jint recur); ("registers", jint regs) ]
+
+module Run_json = struct
+  let counts = json_of_counts
+  let increments = json_of_increments
+end
+
 let json_of_entry fp en =
   let base =
     [ ("fp", Json.Str fp); ("x", Json.Str en.e_struct); ("trip", jint en.e_trip) ]
@@ -260,15 +292,6 @@ let json_of_entry fp en =
             ("message", Json.Str msg);
           ])
   | P_run (o, st, c) ->
-      let bus, recur, regs =
-        List.fold_left
-          (fun (b, r, g) (cause, n) ->
-            match (cause : Sched.Driver.cause) with
-            | Sched.Driver.Bus -> (b + n, r, g)
-            | Sched.Driver.Recurrence -> (b, r + n, g)
-            | Sched.Driver.Registers -> (b, r, g + n))
-          (0, 0, 0) o.increments
-      in
       Json.Obj
         (base
         @ [
@@ -277,12 +300,7 @@ let json_of_entry fp en =
             ("assign", jints o.assign);
             ("ii", jint o.ii);
             ("mii", jint o.mii);
-            ( "increments",
-              Json.Obj
-                [
-                  ("bus", jint bus); ("recurrence", jint recur);
-                  ("registers", jint regs);
-                ] );
+            ("increments", json_of_increments o);
             ("n_comms", jint o.n_comms);
             ("cycles", jints o.schedule.cycles);
             ("buses", jints o.schedule.buses);
@@ -381,47 +399,58 @@ let quarantine_file path =
   Log.line "store: quarantined corrupt table file %s.corrupt (continuing cold)"
     path
 
+(* The members [save] writes before [entries], in order. *)
+let header tb =
+  [
+    ("format", jint format_version);
+    ("scheduler", Json.Str Sched.Driver.version);
+    ("group", Json.Str tb.tb_group);
+    ("config", Json.Str tb.tb_ckey);
+  ]
+
+(* Whether a file's header members are [header tb]: this table, in this
+   format, from this scheduler.  @raise Json.Bad when one is missing
+   before a mismatch is seen. *)
+let current tb fields =
+  List.for_all (fun (k, v) -> Json.member k (Json.Obj fields) = v) (header tb)
+
+(* Entry by entry, under the header-first rule of "Tiers" above. *)
 let load_table t tb =
   match file_of t ~group:tb.tb_group ~ckey:tb.tb_ckey with
   | None -> ()
   | Some path when not (Sys.file_exists path) -> ()
   | Some path -> (
+      let decode before acc ej =
+        if try current tb before with Json.Bad _ -> false then
+          match
+            entry_of_json t ~config:tb.tb_config ~latency0:tb.tb_latency0 ej
+          with
+          | None -> acc
+          | Some e -> e :: acc
+        else acc
+      in
       match
         let text = In_channel.with_open_bin path In_channel.input_all in
         t.s_read <- t.s_read + String.length text;
         Sched.Profile.cache_io ~read:(String.length text) ~written:0;
-        Json.parse text
+        Json.fold_member "entries" decode [] text
       with
       | exception _ -> quarantine_file path
-      | doc -> (
-          try
-            if
-              Json.to_int (Json.member "format" doc) <> format_version
-              || Json.to_str (Json.member "scheduler" doc)
-                 <> Sched.Driver.version
-              || Json.to_str (Json.member "config" doc) <> tb.tb_ckey
-              || Json.to_str (Json.member "group" doc) <> tb.tb_group
-            then ()  (* stale or foreign: self-invalidates, file is
-                        rewritten on the next save *)
-            else
+      | decoded, others -> (
+          match current tb others with
+          | exception Json.Bad _ ->
+              (* parsed as JSON but not shaped like a table file *)
+              quarantine_file path
+          | false -> ()  (* stale or foreign: self-invalidates, file is
+                            rewritten on the next save *)
+          | true ->
               List.iter
-                (fun ej ->
-                  match
-                    entry_of_json t ~config:tb.tb_config
-                      ~latency0:tb.tb_latency0 ej
-                  with
-                  | None -> ()
-                  | Some (fp, en) ->
-                      let bucket =
-                        Option.value ~default:[]
-                          (Hashtbl.find_opt tb.tb_entries fp)
-                      in
-                      Hashtbl.replace tb.tb_entries fp (en :: bucket))
-                (Json.to_list (Json.member "entries" doc))
-          with _ ->
-            (* parsed as JSON but not shaped like a table file *)
-            Hashtbl.reset tb.tb_entries;
-            quarantine_file path))
+                (fun (fp, en) ->
+                  let bucket =
+                    Option.value ~default:[] (Hashtbl.find_opt tb.tb_entries fp)
+                  in
+                  Hashtbl.replace tb.tb_entries fp (en :: bucket))
+                (List.rev decoded)))
 
 let table t ~mode ~variant ~config =
   let group = group_of ~mode ~variant in
@@ -466,32 +495,40 @@ let save t =
             match file_of t ~group:tb.tb_group ~ckey:tb.tb_ckey with
             | None -> ()
             | Some path ->
-                let entries =
-                  Hashtbl.fold
-                    (fun fp bucket acc ->
-                      List.rev_append
-                        (List.rev_map (json_of_entry fp) bucket)
-                        acc)
-                    tb.tb_entries []
-                in
-                let doc =
-                  Json.Obj
-                    [
-                      ("format", jint format_version);
-                      ("scheduler", Json.Str Sched.Driver.version);
-                      ("group", Json.Str tb.tb_group);
-                      ("config", Json.Str tb.tb_ckey);
-                      ("entries", Json.List entries);
-                    ]
-                in
-                let text = Json.print doc in
+                (* The bytes of [Json.print] of the object [header tb]
+                   plus [entries], rendered one entry at a time into one
+                   buffer.  The entries come in [Hashtbl.fold] order,
+                   last bucket first, each bucket in list order. *)
+                let b = Buffer.create 65536 in
+                Buffer.add_char b '{';
+                List.iter
+                  (fun (k, v) ->
+                    Json.to_buffer b (Json.Str k);
+                    Buffer.add_char b ':';
+                    Json.to_buffer b v;
+                    Buffer.add_char b ',')
+                  (header tb);
+                Buffer.add_string b "\"entries\":[";
+                let first = ref true in
+                List.iter
+                  (fun (fp, bucket) ->
+                    List.iter
+                      (fun en ->
+                        if not !first then Buffer.add_char b ',';
+                        first := false;
+                        Json.to_buffer b (json_of_entry fp en))
+                      bucket)
+                  (Hashtbl.fold
+                     (fun fp bucket acc -> (fp, bucket) :: acc)
+                     tb.tb_entries []);
+                Buffer.add_string b "]}";
                 let tmp = path ^ ".tmp" in
                 Out_channel.with_open_bin tmp (fun oc ->
-                    Out_channel.output_string oc text);
+                    Buffer.output_buffer oc b);
                 Sys.rename tmp path;
-                t.s_written <- t.s_written + String.length text;
+                t.s_written <- t.s_written + Buffer.length b;
                 t.s_saved <- t.s_saved + 1;
-                Sched.Profile.cache_io ~read:0 ~written:(String.length text);
+                Sched.Profile.cache_io ~read:0 ~written:(Buffer.length b);
                 tb.tb_dirty <- false
           end)
         t.tables

@@ -22,6 +22,15 @@
     stderr, and the run continues cold on that table instead of
     surfacing a load failure.
 
+    A file's header (format, scheduler version, group, config) comes
+    before its entries, and a load decodes the entries one at a time as
+    the parser reads them ({!Json.fold_member}), never building a tree of
+    the whole file.  An entry is decoded only under a current header
+    read before it, and the decoded entries join the table only after
+    the whole file has parsed: a file torn inside its entries is
+    quarantined with none of them served, and a file whose header comes
+    after its entries is stale.
+
     Values decoded from disk are shared store-wide by exact content,
     through the store's {!Share} table: every table's entries for one
     graph (same name, labels and {!Ddg.Graph.structural_encoding}) hold
@@ -127,5 +136,18 @@ module Graph_json : sig
   val encode : Ddg.Graph.t -> Json.t
 
   val decode : Json.t -> Ddg.Graph.t
-  (** @raise Json.Bad on a malformed graph object. *)
+  (** @raise Json.Bad on a malformed graph object, including one the
+      graph builder refuses (an edge to a node that does not exist, a
+      negative latency or distance, a zero-distance cycle). *)
+end
+
+(** The parts of the store's run codec that the serve daemon's replies
+    reuse, so a reply field and the stored field are one encoding. *)
+module Run_json : sig
+  val counts : Sim.Lockstep.counts -> Json.t
+  (** The lockstep simulation counts, one integer member per field. *)
+
+  val increments : Sched.Driver.outcome -> Json.t
+  (** The II increments summed per cause:
+      [{"bus":b,"recurrence":r,"registers":g}]. *)
 end

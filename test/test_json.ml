@@ -80,7 +80,93 @@ let integral_as_printf =
       let f = float_of_int n in
       print (Num f) = Printf.sprintf "%.0f" f)
 
+(* Texts for [fold_member "k"]: mostly objects, with members "k" (often
+   a list, sometimes twice) among others, sometimes cut short, padded
+   with whitespace or followed by garbage. *)
+let gen_fold_text =
+  let open QCheck.Gen in
+  let k_value =
+    frequency
+      [
+        (3, map (fun xs -> List xs) (list_size (int_range 0 4) (gen_value 2)));
+        (1, gen_value 1);
+      ]
+  in
+  let member =
+    frequency
+      [
+        (2, map (fun v -> ("k", v)) k_value);
+        (3, pair (oneofl [ "a"; "b"; ""; "kk" ]) (gen_value 2));
+      ]
+  in
+  let doc =
+    frequency
+      [
+        (6, map (fun fields -> Obj fields) (list_size (int_range 0 5) member));
+        (1, gen_value 2);
+      ]
+  in
+  doc >>= fun v ->
+  let s = print v in
+  let at = int_range 0 (String.length s) in
+  frequency
+    [
+      (4, return s);
+      (2, map (fun i -> String.sub s 0 i) at);
+      ( 1,
+        map2
+          (fun i ws ->
+            String.sub s 0 i ^ ws ^ String.sub s i (String.length s - i))
+          at (oneofl [ " "; "\n\t"; " \r\n " ]) );
+      (1, map (fun tail -> s ^ tail) (oneofl [ "x"; "]"; " {}" ]));
+    ]
+
+let outcome f = match f () with v -> Ok v | exception Bad msg -> Error msg
+
+(* The fold hands every element of the first "k" member to [f] with the
+   members before it, returns the other members, and fails where the
+   tree path fails, with the same message. *)
+let fold_member_agrees =
+  QCheck.Test.make ~name:"fold_member agrees with parse, member and to_list"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_fold_text)
+    (fun text ->
+      let by_tree =
+        outcome (fun () ->
+            let doc = parse text in
+            let elements = to_list (member "k" doc) in
+            let fields = match doc with Obj fields -> fields | _ -> [] in
+            let rec before = function
+              | ("k", _) :: _ | [] -> []
+              | field :: rest -> field :: before rest
+            in
+            ( List.map (fun x -> (before fields, x)) elements,
+              List.remove_assoc "k" fields ))
+      in
+      let by_fold =
+        outcome (fun () ->
+            let seen, others =
+              fold_member "k" (fun before acc x -> (before, x) :: acc) [] text
+            in
+            (List.rev seen, others))
+      in
+      by_tree = by_fold)
+
 open Alcotest
+
+(* Integral numbers outside the int range are refused, not wrapped:
+   [int_of_float 1e300] reads 0. *)
+let test_to_int_range () =
+  let refused f =
+    match to_int (Num f) with
+    | n -> Alcotest.failf "to_int %g read %d" f n
+    | exception Bad _ -> ()
+  in
+  List.iter refused [ 1e300; -1e300; 0x1p62; -0x1p63; 1.5 ];
+  check int "lowest int" min_int (to_int (Num (Float.of_int min_int)));
+  check int "highest float below 2^62" (int_of_float (0x1p62 -. 512.))
+    (to_int (Num (0x1p62 -. 512.)));
+  check int "plain" (-7) (to_int (Num (-7.)))
 
 let test_examples () =
   (* pin the concrete grammar the store tables and corpora rely on *)
@@ -116,8 +202,9 @@ let test_roundtrip_examples () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ roundtrip; roundtrip_twice; integral_as_printf ]
+    [ roundtrip; roundtrip_twice; integral_as_printf; fold_member_agrees ]
   @ [
       test_case "printer grammar examples" `Quick test_examples;
       test_case "round-trip corner cases" `Quick test_roundtrip_examples;
+      test_case "to_int refuses out-of-range integers" `Quick test_to_int_range;
     ]

@@ -234,6 +234,57 @@ let test_bad_requests () =
   in
   check string "a parseable id survives into the reply" "keepme"
     (Metrics.Json.to_str (field "id" reply));
+  (* Loop fields no loop can have are the request's fault, not the
+     scheduler's: each answers bad-request under its own id, however
+     often it is sent, and is never convicted. *)
+  let open Metrics.Json in
+  let patch_loop id f =
+    match parse (request ~id ~mode:base 0) with
+    | Obj fields ->
+        print
+          (Obj
+             (List.map
+                (function
+                  | "loop", Obj loop -> ("loop", Obj (f loop)) | field -> field)
+                fields))
+    | _ -> failf "a request is not an object"
+  in
+  let set k v loop =
+    List.map (fun (k', v') -> (k', if k' = k then v else v')) loop
+  in
+  let edges f loop =
+    match List.assoc "graph" loop with
+    | Obj graph ->
+        let edges = to_list (List.assoc "edges" graph) in
+        set "graph" (Obj (set "edges" (List (f edges)) graph)) loop
+    | _ -> failf "a request graph is not an object"
+  in
+  let to_nowhere = List [ Num 0.; Num 999.; Num 1.; Num 0.; Str "r" ] in
+  let first_latency lat = function
+    | List [ s; d; _; dist; (Str "r" as k) ] :: rest ->
+        List [ s; d; Num lat; dist; k ] :: rest
+    | _ -> failf "the request graph has no leading register edge"
+  in
+  List.iter
+    (fun (id, f) ->
+      let line = patch_loop id f in
+      List.iter
+        (fun _ ->
+          let reply = Metrics.Serve.handle t line in
+          check string (id ^ " answers bad-request") "bad-request"
+            (status reply);
+          check string (id ^ " keeps its id") id (to_str (field "id" reply)))
+        [ 1; 2 ])
+    [
+      ("trip-1e300", set "trip" (Num 1e300));
+      ("trip-0", set "trip" (Num 0.));
+      ("trip-negative", set "trip" (Num (-1.)));
+      ("edge-to-nowhere", edges (List.cons to_nowhere));
+      ("negative-latency", edges (first_latency (-1.)));
+    ];
+  let stats = Metrics.Serve.handle t (Metrics.Serve.stats_request ()) in
+  check int "no bad loop counted as a fault" 0 (count "faults" stats);
+  check int "no bad loop convicted" 0 (count "poisoned" stats);
   (* bad lines hurt only themselves *)
   check string "the engine still serves after bad input"
     (direct ~mode:base 0)

@@ -239,57 +239,108 @@ let replace_all ~sub ~by text =
   Buffer.contents buf
 
 (* A saved file stamped by a different scheduler version must be
-   ignored wholesale: stale caches self-invalidate. *)
+   ignored wholesale: stale caches self-invalidate.  So is a file whose
+   header members come after its entries: [save] writes the header
+   first, and the load decodes an entry only under a header it has
+   already read.  Neither file is corrupt, so neither is quarantined. *)
 let test_version_invalidation () =
-  with_dir @@ fun dir ->
-  let l = List.hd (Lazy.force small_loops) in
-  let store = Metrics.Store.create ~dir () in
-  ignore (record_success store l);
-  Metrics.Store.save store;
-  let reread = Metrics.Store.create ~dir () in
-  check bool "same version serves" false (lookup_is_miss reread l);
-  Array.iter
-    (fun f ->
-      let path = Filename.concat dir f in
-      let text = In_channel.with_open_text path In_channel.input_all in
-      let patched =
-        replace_all ~sub:Sched.Driver.version ~by:"stale-0" text
-      in
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc patched))
-    (Sys.readdir dir);
-  let fresh = Metrics.Store.create ~dir () in
-  check bool "other scheduler version ignored" true (lookup_is_miss fresh l)
+  let stale_version text =
+    replace_all ~sub:Sched.Driver.version ~by:"stale-0" text
+  and header_last text =
+    match Metrics.Json.parse text with
+    | Metrics.Json.Obj fields ->
+        Metrics.Json.print
+          (Metrics.Json.Obj
+             (("entries", List.assoc "entries" fields)
+             :: List.remove_assoc "entries" fields))
+    | _ -> Alcotest.fail "table file is not an object"
+  in
+  List.iter
+    (fun (what, patch) ->
+      with_dir @@ fun dir ->
+      let l = List.hd (Lazy.force small_loops) in
+      let store = Metrics.Store.create ~dir () in
+      ignore (record_success store l);
+      Metrics.Store.save store;
+      let reread = Metrics.Store.create ~dir () in
+      check bool "same version serves" false (lookup_is_miss reread l);
+      let files = Sys.readdir dir in
+      Array.iter
+        (fun f ->
+          let path = Filename.concat dir f in
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc (patch text)))
+        files;
+      let fresh = Metrics.Store.create ~dir () in
+      check bool (what ^ ": ignored") true (lookup_is_miss fresh l);
+      Array.iter
+        (fun f ->
+          let path = Filename.concat dir f in
+          check bool (what ^ ": file kept in place") true
+            (Sys.file_exists path);
+          check bool (what ^ ": not quarantined") false
+            (Sys.file_exists (path ^ ".corrupt")))
+        files)
+    [
+      ("other scheduler version", stale_version);
+      ("header after the entries", header_last);
+    ]
 
 (* A torn table file — hand-truncated mid-JSON, as a crash mid-write or
    disk corruption would leave it — is quarantined at load: renamed to
    <file>.corrupt (warning on stderr), never fatal, and the store
-   continues cold with the entry recomputable. *)
+   continues cold with the entries recomputable.  A tear halfway through
+   the entries serves none of the entries read before it. *)
 let test_corrupt_file_quarantined () =
-  with_dir @@ fun dir ->
-  let l = List.hd (Lazy.force small_loops) in
-  let store = Metrics.Store.create ~dir () in
-  ignore (record_success store l);
-  Metrics.Store.save store;
-  let table =
-    match
-      List.filter
-        (fun f -> Filename.check_suffix f ".json")
-        (Array.to_list (Sys.readdir dir))
-    with
-    | [ f ] -> Filename.concat dir f
-    | fs -> Alcotest.failf "expected one table file, found %d" (List.length fs)
+  let loops = take 8 (Lazy.force small_loops) in
+  let mid_entries text =
+    let key = "\"entries\":[" in
+    let rec start i =
+      if String.sub text i (String.length key) = key then i + String.length key
+      else start (i + 1)
+    in
+    let start = start 0 in
+    String.sub text 0 (start + ((String.length text - start) / 2))
   in
-  let text = In_channel.with_open_text table In_channel.input_all in
-  Out_channel.with_open_text table (fun oc ->
-      Out_channel.output_string oc (String.sub text 0 40));
-  let reread = Metrics.Store.create ~dir () in
-  check bool "torn table answers cold" true (lookup_is_miss reread l);
-  check bool "torn file renamed aside" false (Sys.file_exists table);
-  check bool "quarantined to .corrupt" true
-    (Sys.file_exists (table ^ ".corrupt"));
-  ignore (record_success reread l);
-  check bool "recomputed entry answers again" false (lookup_is_miss reread l)
+  List.iter
+    (fun (what, tear) ->
+      with_dir @@ fun dir ->
+      let store = Metrics.Store.create ~dir () in
+      List.iter (fun l -> ignore (record_success store l)) loops;
+      Metrics.Store.save store;
+      let table =
+        match
+          List.filter
+            (fun f -> Filename.check_suffix f ".json")
+            (Array.to_list (Sys.readdir dir))
+        with
+        | [ f ] -> Filename.concat dir f
+        | fs ->
+            Alcotest.failf "expected one table file, found %d" (List.length fs)
+      in
+      let text = In_channel.with_open_bin table In_channel.input_all in
+      Out_channel.with_open_bin table (fun oc ->
+          Out_channel.output_string oc (tear text));
+      let reread = Metrics.Store.create ~dir () in
+      List.iter
+        (fun l ->
+          check bool
+            (Printf.sprintf "%s: %s answers cold" what l.Workload.Generator.id)
+            true (lookup_is_miss reread l))
+        loops;
+      check bool (what ^ ": torn file renamed aside") false
+        (Sys.file_exists table);
+      check bool (what ^ ": quarantined to .corrupt") true
+        (Sys.file_exists (table ^ ".corrupt"));
+      let l = List.hd loops in
+      ignore (record_success reread l);
+      check bool (what ^ ": recomputed entry answers again") false
+        (lookup_is_miss reread l))
+    [
+      ("cut at byte 40", fun text -> String.sub text 0 40);
+      ("cut halfway through the entries", mid_entries);
+    ]
 
 (* 4c1b2l64r's register-family sibling: the same routing inputs, a
    smaller register file. *)
@@ -511,6 +562,77 @@ let test_shape_check_per_entry () =
   check bool "file kept in place" true (Sys.file_exists file);
   check bool "file not quarantined" false (Sys.file_exists (file ^ ".corrupt"))
 
+(* [save] renders a table one entry at a time; the bytes are still those
+   of [Json.print] over the whole document. *)
+let test_saved_bytes_are_print () =
+  with_dir @@ fun dir ->
+  let store = Metrics.Store.create ~dir () in
+  List.iter
+    (fun l ->
+      List.iter
+        (fun mode ->
+          Metrics.Store.record store ~mode ~config l
+            (Metrics.Experiment.run_loop mode config l))
+        Metrics.Experiment.[ Baseline; Replication ])
+    (take 6 (Lazy.force small_loops));
+  Metrics.Store.record store ~mode:Metrics.Experiment.Baseline ~config:config32
+    (List.hd (Lazy.force small_loops))
+    (Error (Sched.Sched_error.Escalation_cap { mii = 3; cap = 5 }));
+  Metrics.Store.save store;
+  let files = Sys.readdir dir in
+  check int "one file per table" 3 (Array.length files);
+  Array.iter
+    (fun f ->
+      let text =
+        In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+      in
+      check Alcotest.string (f ^ " is Json.print's bytes")
+        Metrics.Json.(print (parse text))
+        text)
+    files
+
+(* A table file is decoded entry by entry, so the parser's tree of one
+   entry dies in the minor heap: loading one 800-entry table (40 loops
+   at trips 1..20) promotes a small multiple of what the store keeps.
+   A load that first builds the whole file's tree promotes that tree,
+   about 15 times what the store keeps.  The ratio shrinks as the minor
+   heap grows, so the test pins the default 256k words. *)
+let test_table_load_young () =
+  let gc = Gc.get () in
+  Gc.set { gc with minor_heap_size = 262_144 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
+  with_dir @@ fun dir ->
+  let loops =
+    List.concat_map
+      (fun b -> take 4 (Workload.Generator.generate b))
+      Workload.Benchmark.all
+  in
+  check int "40 loops" 40 (List.length loops);
+  let fill = Metrics.Store.create ~dir () in
+  List.iter
+    (fun (l : Workload.Generator.loop) ->
+      let result =
+        Metrics.Experiment.run_loop Metrics.Experiment.Baseline config l
+      in
+      for trip = 1 to 20 do
+        Metrics.Store.record fill ~mode:Metrics.Experiment.Baseline ~config
+          { l with trip } result
+      done)
+    loops;
+  Metrics.Store.save fill;
+  let warm = Metrics.Store.create ~dir () in
+  let l = { (List.hd loops) with trip = 1 } in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).promoted_words in
+  check bool "the first lookup loads the table and hits" false
+    (lookup_is_miss warm l);
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).promoted_words -. before in
+  let kept = Obj.reachable_words (Obj.repr warm) in
+  if promoted > 4. *. float_of_int kept then
+    Alcotest.failf "table load promoted %.0f words, over 4 x the %d it keeps"
+      promoted kept
+
 let test_evict () =
   let l = List.hd (Lazy.force small_loops) in
   let store = Metrics.Store.create () in
@@ -588,6 +710,10 @@ let suite =
       test_version_invalidation;
     Alcotest.test_case "corrupt table file quarantined" `Quick
       test_corrupt_file_quarantined;
+    Alcotest.test_case "saved table is Json.print's bytes" `Quick
+      test_saved_bytes_are_print;
+    Alcotest.test_case "table load keeps its transient young" `Quick
+      test_table_load_young;
     Alcotest.test_case "disk tier shares decoded values" `Quick
       test_disk_tier_shares_values;
     Alcotest.test_case "shared routes are each table's own" `Quick

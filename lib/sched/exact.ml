@@ -845,10 +845,10 @@ let minimum_ii ?replicate ?horizon ?budget ?max_conflicts ?(max_cegar = 24)
               f_stats = stats_of enc;
             }
       | `Unsat ->
-          Sat.add_clause enc.sat [ -guard ];
+          Sat.retire enc.sat guard;
           walk (ii + 1) proven
       | `Unknown ->
-          Sat.add_clause enc.sat [ -guard ];
+          Sat.retire enc.sat guard;
           walk (ii + 1) false
     end
   in

@@ -29,10 +29,12 @@
     Incrementality: {!minimum_ii} keeps one solver across II levels.
     II-independent structure (instance ladders, supply selectors,
     distance-0 timing) is emitted once; the clauses that depend on the
-    II (modulo occupancy, loop-carried timing) are guarded by a fresh
-    per-level selector literal that is assumed during the level's solve
-    calls and permanently falsified when the level is left behind, so
-    learned lemmas carry over.
+    II (modulo occupancy, loop-carried timing, register-pressure blocks)
+    are guarded by a fresh per-level selector literal that is assumed
+    during the level's solve calls and retired ({!Sat.retire}) when the
+    level is left behind, refuted or not: the level's clauses and the
+    lemmas that depend on it are dropped, and every other lemma carries
+    over.
 
     The schedule space is bounded by a {e horizon} [H]: issue cycles
     range over [0 .. H-1].  [`Unsat] therefore means "no schedule of
@@ -63,8 +65,8 @@ val solve_at :
     replication); with [false] every operation gets exactly one.
     [`Sat s] is a decoded witness with [s.ii = ii].  [`Unsat]: no
     schedule within the horizon.  [`Unknown]: [max_conflicts] (default
-    unlimited) or [max_cegar] (default 24 pressure-refinement rounds)
-    exhausted. *)
+    unlimited; it caps each solve call, as in {!minimum_ii}) or
+    [max_cegar] (default 24 pressure-refinement rounds) exhausted. *)
 
 type found = {
   f_ii : int;  (** II of the witness *)
@@ -95,6 +97,8 @@ val minimum_ii :
     fractions of a second; exhaustion returns the driver's
     [Sched_error.Timeout] class with the level reached.  [max_ii]
     (default [mii + 64]) bounds the walk; exceeding it returns
-    [Escalation_cap].  [max_conflicts] bounds each level's solve call
-    (an over-budget level reads [`Unknown]: the walk continues and the
-    eventual witness is just no longer proven optimal). *)
+    [Escalation_cap].  [max_conflicts] bounds every solve call, not each
+    level: a level makes one call per rung of its schedule-length
+    ladder and one more per CEGAR round.  A call over the cap makes its
+    level read [`Unknown]: the walk continues and the eventual witness
+    is just no longer proven optimal. *)

@@ -22,14 +22,17 @@ let iv_push v x =
 type result = Sat | Unsat | Unknown
 
 type t = {
-  (* clause store: [clauses] owns every clause (original and learned);
-     [learnts] lists the indices that were learned.  Watched literals
-     live in slots 0 and 1 of each clause array. *)
+  (* clause store: [clauses] owns every live clause (original and
+     learned); [learnts] lists the indices that were learned.  Watched
+     literals live in slots 0 and 1 of each clause array.  [retire]
+     compacts the store, renumbering the survivors in order. *)
   mutable clauses : int array array;
   mutable n_clauses : int;
   learnts : ivec;
-  (* per-literal watcher lists, indexed by internal literal *)
-  mutable watches : ivec array;
+  (* per-literal watcher lists, indexed by internal literal: clause
+     indices [watch_a.(l).(0 .. watch_n.(l)-1)] *)
+  mutable watch_a : int array array;
+  mutable watch_n : int array;
   (* per-variable state *)
   mutable nv : int;           (* variables allocated *)
   mutable assigns : int array;  (* 0 undef / 1 true / -1 false *)
@@ -50,7 +53,9 @@ type t = {
   mutable heap_idx : int array;  (* position in heap, -1 if absent *)
   (* status / stats *)
   mutable ok : bool;
-  mutable model : int array;
+  mutable model : int array;  (* reused across answers *)
+  mutable model_n : int;      (* variables in the last model *)
+  lits : ivec;                (* [add_clause] scratch *)
   mutable conflicts : int;
   mutable propagations : int;
 }
@@ -60,7 +65,8 @@ let create () =
     clauses = Array.make 16 [||];
     n_clauses = 0;
     learnts = iv_make ();
-    watches = Array.init 16 (fun _ -> iv_make ());
+    watch_a = Array.make 16 [||];
+    watch_n = Array.make 16 0;
     nv = 0;
     assigns = Array.make 8 0;
     level = Array.make 8 0;
@@ -78,6 +84,8 @@ let create () =
     heap_idx = Array.make 8 (-1);
     ok = true;
     model = [||];
+    model_n = 0;
+    lits = iv_make ();
     conflicts = 0;
     propagations = 0;
   }
@@ -114,13 +122,26 @@ let ensure_var_capacity t =
     (let b = Array.make cap' false in
      Array.blit t.seen 0 b 0 cap;
      t.seen <- b);
-    let w = Array.make (2 * cap') (iv_make ()) in
-    Array.blit t.watches 0 w 0 (2 * cap);
-    for i = 2 * cap to (2 * cap') - 1 do
-      w.(i) <- iv_make ()
-    done;
-    t.watches <- w
+    t.watch_a <-
+      (let b = Array.make (2 * cap') [||] in
+       Array.blit t.watch_a 0 b 0 (2 * cap);
+       b);
+    t.watch_n <- grow_int t.watch_n (2 * cap') 0
   end
+
+(* A literal's watch vector starts empty and allocates on its first
+   watch: most literals of an encoding are watched by a handful of
+   clauses, many by none. *)
+let watch t l ci =
+  let n = t.watch_n.(l) in
+  let a = t.watch_a.(l) in
+  if n = Array.length a then begin
+    let b = Array.make (max 2 (2 * n)) 0 in
+    Array.blit a 0 b 0 n;
+    t.watch_a.(l) <- b
+  end;
+  t.watch_a.(l).(n) <- ci;
+  t.watch_n.(l) <- n + 1
 
 (* -- activity heap (max-heap on activity) ------------------------- *)
 
@@ -239,10 +260,10 @@ let propagate t =
     t.qhead <- t.qhead + 1;
     t.propagations <- t.propagations + 1;
     let fl = p lxor 1 in
-    let wv = t.watches.(fl) in
+    let wa = t.watch_a.(fl) and wn = t.watch_n.(fl) in
     let i = ref 0 and j = ref 0 in
-    while !i < wv.n do
-      let ci = wv.a.(!i) in
+    while !i < wn do
+      let ci = wa.(!i) in
       incr i;
       let c = t.clauses.(ci) in
       if c.(0) = fl then begin
@@ -252,7 +273,7 @@ let propagate t =
       let first = c.(0) in
       if lit_value t first = 1 then begin
         (* clause already satisfied; keep the watch *)
-        wv.a.(!j) <- ci;
+        wa.(!j) <- ci;
         incr j
       end
       else begin
@@ -263,20 +284,20 @@ let propagate t =
           if lit_value t c.(!k) <> -1 then begin
             c.(1) <- c.(!k);
             c.(!k) <- fl;
-            iv_push t.watches.(c.(1)) ci;
+            watch t c.(1) ci;
             found := true
           end
           else incr k
         done;
         if not !found then begin
           (* unit or conflicting under the current assignment *)
-          wv.a.(!j) <- ci;
+          wa.(!j) <- ci;
           incr j;
           if lit_value t first = -1 then begin
             confl := ci;
             t.qhead <- t.trail_n;
-            while !i < wv.n do
-              wv.a.(!j) <- wv.a.(!i);
+            while !i < wn do
+              wa.(!j) <- wa.(!i);
               incr i;
               incr j
             done
@@ -285,7 +306,7 @@ let propagate t =
         end
       end
     done;
-    wv.n <- !j
+    t.watch_n.(fl) <- !j
   done;
   !confl
 
@@ -354,8 +375,8 @@ let push_clause t c =
 
 let attach t ci =
   let c = t.clauses.(ci) in
-  iv_push t.watches.(c.(0)) ci;
-  iv_push t.watches.(c.(1)) ci
+  watch t c.(0) ci;
+  watch t c.(1) ci
 
 let new_var t =
   ensure_var_capacity t;
@@ -373,36 +394,136 @@ let external_of_lit l =
   let v = (l lsr 1) + 1 in
   if l land 1 = 0 then v else -v
 
+(* In-place heapsort of [a.(0 .. n-1)], ascending; top-level helpers,
+   so sorting allocates no closure. *)
+let swap (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let rec sift (a : int array) i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      swap a i c;
+      sift a c len
+    end
+  end
+
+let sort_prefix a n =
+  for i = (n / 2) - 1 downto 0 do
+    sift a i n
+  done;
+  for e = n - 1 downto 1 do
+    swap a 0 e;
+    sift a 0 e
+  done
+
+let rec intake t buf = function
+  | [] -> ()
+  | e :: rest ->
+      iv_push buf (internal_of_lit t e);
+      intake t buf rest
+
+(* The clause is normalised in the solver's scratch vector — sorted
+   ascending by internal literal, deduplicated, root-false literals
+   dropped — so the only allocation is the stored clause itself. *)
 let add_clause t lits =
   if t.ok then begin
     assert (decision_level t = 0);
-    let ls = List.map (internal_of_lit t) lits in
-    let ls = List.sort_uniq compare ls in
+    let buf = t.lits in
+    buf.n <- 0;
+    intake t buf lits;
+    let a = buf.a in
+    sort_prefix a buf.n;
+    let n = ref 0 in
+    for i = 0 to buf.n - 1 do
+      if !n = 0 || a.(i) <> a.(!n - 1) then begin
+        a.(!n) <- a.(i);
+        incr n
+      end
+    done;
     (* sorted: a literal and its negation are adjacent (2v, 2v+1) *)
-    let rec adjacent_taut = function
-      | a :: (b :: _ as rest) -> a lxor 1 = b || adjacent_taut rest
-      | _ -> false
-    in
-    let taut = adjacent_taut ls in
-    if not taut then begin
+    let taut = ref false in
+    for i = 0 to !n - 2 do
+      if a.(i) lxor 1 = a.(i + 1) then taut := true
+    done;
+    if not !taut then begin
       (* root-level simplification *)
-      let ls = List.filter (fun l -> lit_value t l <> -1) ls in
-      if List.exists (fun l -> lit_value t l = 1) ls then ()
-      else
-        match ls with
-        | [] -> t.ok <- false
-        | [ l ] ->
-            enqueue t l (-1);
+      let m = ref 0 and sat = ref false in
+      for i = 0 to !n - 1 do
+        match lit_value t a.(i) with
+        | -1 -> ()
+        | v ->
+            if v = 1 then sat := true;
+            a.(!m) <- a.(i);
+            incr m
+      done;
+      if not !sat then
+        match !m with
+        | 0 -> t.ok <- false
+        | 1 ->
+            enqueue t a.(0) (-1);
             if propagate t >= 0 then t.ok <- false
-        | l0 :: l1 :: _ ->
-            let c = Array.of_list ls in
-            (* keep the two first literals in the watch slots *)
-            c.(0) <- l0;
-            c.(1) <- l1;
-            let ci = push_clause t c in
+        | m ->
+            let ci = push_clause t (Array.sub a 0 m) in
             attach t ci
     end
   end
+
+let rec root_true t (c : int array) i =
+  i < Array.length c && (lit_value t c.(i) = 1 || root_true t c (i + 1))
+
+(* Compact the clause store to the clauses no root literal satisfies,
+   renumbering the survivors in order, and drop the rest from every
+   watch list and from [learnts].  A root-satisfied clause can never
+   become unit or conflicting, so the search from here on is the one
+   it would have been with the clause kept. *)
+let sweep t =
+  let remap = Array.make t.n_clauses (-1) in
+  let kept = ref 0 in
+  for ci = 0 to t.n_clauses - 1 do
+    let c = t.clauses.(ci) in
+    if not (root_true t c 0) then begin
+      t.clauses.(!kept) <- c;
+      remap.(ci) <- !kept;
+      incr kept
+    end
+  done;
+  Array.fill t.clauses !kept (t.n_clauses - !kept) [||];
+  t.n_clauses <- !kept;
+  let renumber a n =
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      let ci = remap.(a.(i)) in
+      if ci >= 0 then begin
+        a.(!j) <- ci;
+        incr j
+      end
+    done;
+    !j
+  in
+  (* a vector the sweep emptied is released, and one left at most a
+     quarter full is cut to twice its count, so a retired layer also
+     gives back the room its watches took *)
+  for l = 0 to (2 * t.nv) - 1 do
+    let a = t.watch_a.(l) in
+    let n = renumber a t.watch_n.(l) in
+    t.watch_n.(l) <- n;
+    if n = 0 then t.watch_a.(l) <- [||]
+    else if Array.length a >= 4 * n then t.watch_a.(l) <- Array.sub a 0 (2 * n)
+  done;
+  t.learnts.n <- renumber t.learnts.a t.learnts.n;
+  (* only root assignments remain, and analysis never reads their
+     reasons; remapping keeps every index valid all the same *)
+  for v = 0 to t.nv - 1 do
+    if t.reason.(v) >= 0 then t.reason.(v) <- remap.(t.reason.(v))
+  done
+
+let retire t s =
+  add_clause t [ -s ];
+  if t.ok then sweep t
 
 let learned_clauses t =
   let out = ref [] in
@@ -508,7 +629,10 @@ let solve ?(assumptions = []) ?max_conflicts ?interrupt t =
               done;
               if !v < 0 then begin
                 (* full model *)
-                t.model <- Array.sub t.assigns 0 t.nv;
+                if Array.length t.model < t.nv then
+                  t.model <- Array.make (Array.length t.assigns) 0;
+                Array.blit t.assigns 0 t.model 0 t.nv;
+                t.model_n <- t.nv;
                 raise (Done Sat)
               end;
               new_decision_level t;
@@ -528,5 +652,5 @@ let solve ?(assumptions = []) ?max_conflicts ?interrupt t =
   end
 
 let value t v =
-  if v >= 1 && v <= Array.length t.model then t.model.(v - 1) = 1
+  if v >= 1 && v <= t.model_n then t.model.(v - 1) = 1
   else false

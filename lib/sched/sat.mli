@@ -8,13 +8,19 @@
     scheduling encodings of {!Exact} (tens of thousands of variables).
 
     The solver is {e incremental}: clauses may be added between [solve]
-    calls (never removed), and each call may pass {e assumptions} —
-    literals held true for that call only.  Guarding a clause group with
-    a fresh selector variable [s] (emit [¬s ∨ C] and assume [s]) gives
-    retractable constraint layers; clauses learned from one layer keep
-    [¬s] and deactivate with it, while layer-independent lemmas transfer
-    to every later call.  {!Exact} uses exactly this to reuse work
-    across II levels.
+    calls, and each call may pass {e assumptions} — literals held true
+    for that call only.  Guarding a clause group with a fresh selector
+    variable [s] (emit [¬s ∨ C] and assume [s]) gives retractable
+    constraint layers; clauses learned from one layer keep [¬s] and
+    deactivate with it, while layer-independent lemmas transfer to every
+    later call.  {!retire} ends a layer for good and releases its
+    clauses.  {!Exact} uses exactly this to reuse work across II
+    levels.
+
+    A clause leaves the solver only through {!retire}, and only once a
+    root-level assignment satisfies it: such a clause can never again
+    become unit or conflicting, so dropping it changes no later answer,
+    model, lemma or statistic.
 
     Literals are nonzero ints: [v] for variable [v] true, [-v] for
     false.  Variables come from {!new_var} and are 1-based. *)
@@ -39,6 +45,16 @@ val add_clause : t -> int list -> unit
     the solver permanently unsatisfiable.  Only legal at decision level
     0, i.e. outside [solve] — which is the only time user code runs. *)
 
+val retire : t -> int -> unit
+(** [retire t s] ends the clause layer guarded by selector [s]: it
+    asserts [¬s] at the root, as [add_clause t [ -s ]] does, then drops
+    every clause and learned clause that a root-level assignment
+    satisfies — the layer's clauses, the lemmas that kept [¬s], and any
+    other clause satisfied at the root — from the clause store and the
+    watch lists.  The surviving watches keep their order, so the search
+    from here on is step for step the one that would follow
+    [add_clause t [ -s ]].  Same legality as {!add_clause}. *)
+
 val solve :
   ?assumptions:int list ->
   ?max_conflicts:int ->
@@ -52,8 +68,10 @@ val solve :
     further [add_clause]/[solve] calls are legal afterwards. *)
 
 val value : t -> int -> bool
-(** Model value of a variable after [Sat] (unassigned-in-model variables
-    read [false]).  Meaningless after [Unsat]/[Unknown]. *)
+(** Model value of a variable after [Sat] (unassigned-in-model variables,
+    and variables created since, read [false]).  The solver keeps one
+    model buffer and overwrites it at each [Sat] answer; the value is
+    meaningless after [Unsat]/[Unknown]. *)
 
 val ok : t -> bool
 (** [false] once the clause set is unsatisfiable outright (no
@@ -63,11 +81,13 @@ val n_conflicts : t -> int
 (** Conflicts over the solver's lifetime. *)
 
 val n_learned : t -> int
-(** Learned clauses currently stored. *)
+(** Learned clauses currently stored: those learned so far, less the
+    ones {!retire} dropped. *)
 
 val n_propagations : t -> int
 
 val learned_clauses : t -> int list list
-(** The learned clauses currently stored, as external-literal lists.
+(** The learned clauses currently stored (see {!n_learned}), as
+    external-literal lists.
     Every one is a logical consequence of the clauses added so far —
     the property-test suite holds the solver to that. *)

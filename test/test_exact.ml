@@ -211,46 +211,90 @@ let test_suite_differential () =
     Alcotest.failf "only %d/%d suite cases were conclusive" !conclusive
       (List.length cases);
   (* The first six of those loops on 4c1b2l64r at a fixed conflict cap,
-     pinned: heuristic II, exact II, proven bit and note.  Neither the
-     heuristic nor the SAT core reads a clock, so these hold exactly on
-     any host. *)
+     pinned: heuristic II, exact II, proven bit and note, and for a
+     witness the solver's conflict and propagation counts, which pin
+     the SAT search itself step for step.  Neither the heuristic nor
+     the SAT core reads a clock, so these hold exactly on any host. *)
   let config = Option.get (Machine.Config.of_name "4c1b2l64r") in
-  List.iter2
-    (fun (l : Workload.Generator.loop) (id, pinned) ->
-      let g = l.Workload.Generator.graph in
-      let o =
-        match heuristic config g with
-        | Some o -> o
-        | None -> Alcotest.failf "%s: heuristic gave up" l.id
-      in
-      let heur_ii = o.Sched.Driver.ii in
-      let horizon =
-        Sched.Schedule.length o.Sched.Driver.schedule + heur_ii + 2
-      in
-      let exact_ii, proven, note =
+  let rows =
+    List.map
+      (fun (l : Workload.Generator.loop) ->
+        let g = l.Workload.Generator.graph in
+        let o =
+          match heuristic config g with
+          | Some o -> o
+          | None -> Alcotest.failf "%s: heuristic gave up" l.id
+        in
+        let heur_ii = o.Sched.Driver.ii in
+        let horizon =
+          Sched.Schedule.length o.Sched.Driver.schedule + heur_ii + 2
+        in
         match
-          Sched.Exact.minimum_ii ~horizon ~max_ii:heur_ii ~max_conflicts:20_000
-            ~max_cegar:40 config g
+          Sched.Exact.minimum_ii ~horizon ~max_ii:heur_ii
+            ~max_conflicts:20_000 ~max_cegar:40 config g
         with
         | Ok f ->
             check_witness ~name:l.id ~original:g f.Sched.Exact.f_schedule
               ~ii:f.Sched.Exact.f_ii;
-            (f.Sched.Exact.f_ii, f.Sched.Exact.f_proven, "exact")
-        | Error e -> (heur_ii, false, Sched.Sched_error.class_name e)
-      in
-      Alcotest.(check string) "pinned loop" id l.id;
-      Alcotest.(check string) (id ^ " gap row") pinned
-        (Printf.sprintf "heur=%d exact=%d proven=%b (%s)" heur_ii exact_ii
-           proven note))
-    (List.filteri (fun i _ -> i < 6) small)
+            Printf.sprintf
+              "%s heur=%d exact=%d proven=%b (exact) conflicts=%d \
+               propagations=%d"
+              l.id heur_ii f.Sched.Exact.f_ii f.Sched.Exact.f_proven
+              f.Sched.Exact.f_stats.Sched.Exact.s_conflicts
+              f.Sched.Exact.f_stats.Sched.Exact.s_propagations
+        | Error e ->
+            Printf.sprintf "%s heur=%d exact=%d proven=false (%s)" l.id
+              heur_ii heur_ii
+              (Sched.Sched_error.class_name e))
+      (List.filteri (fun i _ -> i < 6) small)
+  in
+  Alcotest.(check (list string))
+    "pinned gap rows"
     [
-      ("apsi.56", "heur=4 exact=4 proven=false (exact)");
-      ("apsi.59", "heur=3 exact=3 proven=true (exact)");
-      ("apsi.63", "heur=4 exact=3 proven=true (exact)");
-      ("apsi.86", "heur=3 exact=3 proven=false (escalation-cap)");
-      ("apsi.92", "heur=4 exact=3 proven=true (exact)");
-      ("apsi.98", "heur=3 exact=3 proven=true (exact)");
+      "apsi.56 heur=4 exact=4 proven=false (exact) conflicts=2094 \
+       propagations=2628215";
+      "apsi.59 heur=3 exact=3 proven=true (exact) conflicts=3280 \
+       propagations=2259349";
+      "apsi.63 heur=4 exact=3 proven=true (exact) conflicts=3016 \
+       propagations=2353672";
+      "apsi.86 heur=3 exact=3 proven=false (escalation-cap)";
+      "apsi.92 heur=4 exact=3 proven=true (exact) conflicts=10403 \
+       propagations=7972908";
+      "apsi.98 heur=3 exact=3 proven=true (exact) conflicts=2493 \
+       propagations=1575149";
     ]
+    rows
+
+(* The solver keeps its scratch and model buffers per instance, so
+   exact walks on parallel domains (as `repro gap --jobs N` runs them)
+   must not disturb each other: every answer and every solver counter
+   matches the sequential run's. *)
+let test_domains () =
+  let cases =
+    List.init 6 (fun i ->
+        let loop, config, _ =
+          Check.Fuzz.case_of_seed ~seed:(5 * i) ~nodes:(8 + i)
+        in
+        (config, loop.Workload.Generator.graph))
+  in
+  let walk (config, g) =
+    match Sched.Exact.minimum_ii ~max_conflicts:200 config g with
+    | Ok f ->
+        let s = f.Sched.Exact.f_stats in
+        Printf.sprintf
+          "ii=%d proven=%b vars=%d conflicts=%d propagations=%d cegar=%d \
+           levels=%d"
+          f.Sched.Exact.f_ii f.Sched.Exact.f_proven s.Sched.Exact.s_vars
+          s.Sched.Exact.s_conflicts s.Sched.Exact.s_propagations
+          s.Sched.Exact.s_cegar_rounds s.Sched.Exact.s_levels
+    | Error e -> Sched.Sched_error.class_name e
+  in
+  let sequential = List.map walk cases in
+  Alcotest.(check bool) "some walk searched" true
+    (List.exists (String.starts_with ~prefix:"ii=") sequential);
+  Alcotest.(check (list string))
+    "two domains answer as one" sequential
+    (Metrics.Pool.map ~jobs:2 walk cases)
 
 let suite =
   [
@@ -264,4 +308,5 @@ let suite =
       test_fuzz_differential;
     Alcotest.test_case "differential vs heuristic (suite loops)" `Slow
       test_suite_differential;
+    Alcotest.test_case "one solver per domain" `Quick test_domains;
   ]

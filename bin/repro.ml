@@ -214,7 +214,7 @@ let extensions quick =
               Some
                 ( r,
                   Ddg.Graph.n_nodes
-                    sched.Sched.Schedule.route.Sched.Route.graph )
+                    (Sched.Schedule.route sched).Sched.Route.graph )
           | Error _ -> None)
         loops
     in

@@ -50,7 +50,7 @@ let required_latency ~latency0 ~bus_latency g is_copy (e : Graph.edge) =
 
 let check_intrinsic ~push ~registers ~latency0 (s : Sched.Schedule.t) =
   let config = s.Sched.Schedule.config in
-  let route = s.Sched.Schedule.route in
+  let route = Sched.Schedule.route s in
   let g = route.Sched.Route.graph in
   let assign = route.Sched.Route.assign in
   let cycles = s.Sched.Schedule.cycles in
@@ -274,7 +274,7 @@ let split_replica label =
       else (label, None)
 
 let check_replication ~push ~original (s : Sched.Schedule.t) =
-  let route = s.Sched.Schedule.route in
+  let route = Sched.Schedule.route s in
   let g = route.Sched.Route.graph in
   let assign = route.Sched.Route.assign in
   let clusters = s.Sched.Schedule.config.Machine.Config.clusters in
@@ -420,6 +420,7 @@ let check_replication ~push ~original (s : Sched.Schedule.t) =
 
 let run ?original ?(registers = true) ?(latency0 = false)
     (s : Sched.Schedule.t) =
+  let s = Sched.Schedule.routed s in
   let issues = ref [] in
   let push rule detail = issues := { rule; detail } :: !issues in
   check_intrinsic ~push ~registers ~latency0 s;

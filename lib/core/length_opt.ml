@@ -7,7 +7,7 @@ type stats = { attempts : int; applied : int; cycles_saved : int }
    communications whose bus latency sits on the critical path. *)
 let critical_comm_edges (outcome : Sched.Driver.outcome) =
   let sched = outcome.Sched.Driver.schedule in
-  let route = sched.Sched.Schedule.route in
+  let route = Sched.Schedule.route sched in
   let rg = route.Sched.Route.graph in
   let ii = sched.Sched.Schedule.ii in
   let analysis = Analysis.compute rg ~ii in

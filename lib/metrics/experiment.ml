@@ -28,6 +28,18 @@ type loop_run = {
   counts : Sim.Lockstep.counts;
 }
 
+let unrouted (r : loop_run) =
+  let o = r.outcome in
+  match o.schedule.routing with
+  | Sched.Schedule.Unrouted _ -> r
+  | Sched.Schedule.Routed _ ->
+      let schedule =
+        Sched.Schedule.unrouted
+          ~latency0:(r.mode = Replication_latency0)
+          ~graph:o.graph ~assign:o.assign o.schedule
+      in
+      { r with outcome = { o with schedule } }
+
 (* Substring search shared by the fault-injection assertions and the
    test/tooling layers (the stdlib has no [String.contains_s]). *)
 let contains s ~sub =
@@ -52,12 +64,13 @@ let contains s ~sub =
    classes, never data. *)
 let finish_run ~mode ~latency0 ~stats (loop : Workload.Generator.loop)
     (outcome : Sched.Driver.outcome) =
-  match Sim.Checker.check ~registers:(not latency0) outcome.schedule with
+  let schedule = Sched.Schedule.routed outcome.schedule in
+  match Sim.Checker.check ~registers:(not latency0) schedule with
   | Error es -> Error (Sched.Sched_error.Checker_violation es)
   | Ok () -> (
       let useful = Ddg.Graph.n_nodes loop.graph in
       match
-        Sim.Lockstep.run ~useful_per_iteration:useful outcome.schedule
+        Sim.Lockstep.run ~useful_per_iteration:useful schedule
           ~iterations:loop.trip
       with
       | Error e -> Error (Sched.Sched_error.Internal ("simulation: " ^ e))
@@ -290,8 +303,12 @@ let replay_traced ?spiller ?hier tr config =
 let lengthen_run (r : loop_run) =
   if r.mode <> Replication then
     invalid_arg "Experiment.lengthen_run: not a replication run";
-  let config = r.outcome.Sched.Driver.schedule.Sched.Schedule.config in
-  let o', _ = Replication.Length_opt.improve config r.outcome in
+  let o = r.outcome in
+  let config = o.Sched.Driver.schedule.Sched.Schedule.config in
+  let o', _ =
+    Replication.Length_opt.improve config
+      { o with schedule = Sched.Schedule.routed o.schedule }
+  in
   finish_run ~mode:Replication_length ~latency0:false ~stats:r.repl_stats
     r.loop o'
 

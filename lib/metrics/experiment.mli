@@ -41,6 +41,13 @@ type loop_run = {
   counts : Sim.Lockstep.counts;  (** one visit of the loop, simulated *)
 }
 
+val unrouted : loop_run -> loop_run
+(** The run as a holder keeps it once it has finished: its schedule
+    unrouted ({!Sched.Schedule.unrouted}) around the outcome's own graph
+    and partition, latency-0 exactly in [Replication_latency0] mode; the
+    run itself when it holds no routed graph already.  {!run_loop} and
+    the other runners return their runs routed. *)
+
 val run_loop :
   ?budget:Sched.Budget.t ->
   ?hier:Sched.Partition.Hier.t ->

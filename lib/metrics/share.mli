@@ -3,7 +3,7 @@
     A figure pass holds the same loops under many machines, modes and
     register families, and runs that were computed apart often carry
     equal but distinct values: the baseline and replication runs of a
-    loop that replication never rewrote route the same graph under the
+    loop that replication never rewrote hold the same graph under the
     same partition, and a decoded store table repeats the graphs of
     every other table.  A share table keeps one value per distinct
     content, and every run that passes through it is rebuilt around
@@ -12,15 +12,17 @@
     Identity is exact content only; no digest alone decides it:
     - a graph is keyed by its {!Ddg.Graph.structural_encoding}, its name
       and its node labels;
-    - a routed graph and its partition are keyed by that graph, the
-      partition, and exactly what {!Sched.Route.build} reads besides
-      them: the latency-0 flag, {!Machine.Config.copy_latency} and
-      whether the machine has no buses.
+    - a partition is keyed by that graph and its content.
 
-    Sharing is safe because graphs, partitions and routed graphs are
-    never mutated in place ({!Sim.Faults} clones a schedule before
-    corrupting it); callers must keep it that way.  A table only grows,
-    and is not domain-safe: use it from one domain. *)
+    The table holds no routed graph.  A run comes out with its schedule
+    unrouted ({!Sched.Schedule.unrouted}): its routed graph is
+    [Route.build] of the table's graph and partition, rebuilt by each
+    reader of {!Sched.Schedule.route}.
+
+    Sharing is safe because graphs and partitions are never mutated in
+    place ({!Sim.Faults} clones a schedule before corrupting it);
+    callers must keep it that way.  A table only grows, and is not
+    domain-safe: use it from one domain. *)
 
 type t
 
@@ -29,23 +31,13 @@ val create : unit -> t
 val string : t -> string -> string
 (** The table's string equal to this one (this one, the first time). *)
 
-val route :
-  t ->
-  latency0:bool ->
-  Machine.Config.t ->
-  Ddg.Graph.t ->
-  assign:int array ->
-  (Ddg.Graph.t -> Sched.Route.t) ->
-  Ddg.Graph.t * int array * Sched.Route.t
-(** [route t ~latency0 config g ~assign build] is the table's graph
-    equal to [g], its partition equal to [assign], and its routed graph
-    for the two.  [build] runs only when that routed content is new; it
-    receives the table's graph and must return what
-    [Sched.Route.build ~latency0 config] returns for it under
-    [assign]. *)
+val partition :
+  t -> Ddg.Graph.t -> assign:int array -> Ddg.Graph.t * int array
+(** [partition t g ~assign] is the table's graph equal to [g] and its
+    partition of that graph equal to [assign]. *)
 
 val run : t -> Experiment.loop_run -> Experiment.loop_run
-(** The run with its outcome's graph, partition and routed graph
-    replaced by the table's ({!route}, with the run's own routed graph
-    as the new content: a run's route is [Route.build] of its graph and
-    partition, latency-0 exactly in [Replication_latency0] mode). *)
+(** The run with its outcome's graph and partition replaced by the
+    table's ({!partition}), and its schedule unrouted around them, with
+    the latency-0 flag exactly in [Replication_latency0] mode: a run's
+    route is [Route.build] of its graph and partition. *)

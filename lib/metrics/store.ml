@@ -24,13 +24,18 @@
 
    Tiers.  The in-memory tier holds the OCaml payload values
    themselves — a hit returns the same structured data a cold run
-   produced, so byte-identity of downstream tables is trivial.  The
-   optional on-disk tier (one JSON file per (group, config) table,
-   written atomically: temp file, then rename) stores the transformed
-   graph and partition instead of the routed schedule: routing is a
-   pure function ({!Sched.Route.build}), so decoding rebuilds the
-   routed graph exactly and revalidates each entry's stored cycle/bus
-   arrays against its shape.  Files carry a format number and the
+   produced, so byte-identity of downstream tables is trivial — with
+   each schedule unrouted: routing is a pure function
+   ({!Sched.Route.build}) of the transformed graph and partition the
+   payload holds, so {!Sched.Schedule.route} rebuilds the routed graph
+   exactly where a reader asks for it, and {!record} drops the routed
+   graph of a run handed to it routed.  The optional on-disk tier (one
+   JSON file per (group, config) table, written atomically: temp file,
+   then rename) stores the same transformed graph and partition, and
+   decoding builds no routed graph: it checks each entry's stored
+   cycle/bus arrays against the node count routing would produce, one
+   per node plus one copy per communication ({!Sched.Comm.count}).
+   Files carry a format number and the
    {!Sched.Driver.version} string; a mismatch silently empties the
    table, so entries cached by an older scheduler self-invalidate.
    That header (format, scheduler, group, config) is written before the
@@ -45,13 +50,12 @@
    The figure suite stores the same loops under many configurations,
    register families and spill variants, so each store holds one
    {!Share} table for its decoded values: a graph is shared by its
-   name, labels and {!Ddg.Graph.structural_encoding}; a routed graph and
-   its partition array by that graph, the partition and exactly what
-   [Route.build] reads besides them (latency0, the copy latency, whether
-   the machine has no buses); the [x] string by value.  No digest alone
-   decides identity.  A {!Suite} over the store passes every run it
-   computes through the same table before recording it, so the memory
-   tier and the disk tier hold one value per distinct content.
+   name, labels and {!Ddg.Graph.structural_encoding}; a partition array
+   by that graph and its content; the [x] string by value.  The table
+   holds no routed graph.  No digest alone decides identity.  A {!Suite}
+   over the store passes every run it computes through the same table
+   before recording it, so the memory tier and the disk tier hold one
+   value per distinct content.
 
    Counters.  Every lookup/IO updates both the per-store {!stats} and
    the global always-on counters in {!Sched.Profile}. *)
@@ -310,11 +314,15 @@ let json_of_entry fp en =
             );
           ])
 
-(* Decoding rebuilds the routed schedule from the stored transformed
-   graph + partition: [Route.build] is pure, so the result is the routed
-   graph the cold run held, and an equal (graph, partition, routing
-   input) key may share it.  Any malformed/implausible entry decodes to
-   [None] and is simply dropped (a future save rewrites the file). *)
+(* Decoding keeps the stored transformed graph and partition, shared
+   by content, with the schedule unrouted: [Route.build] is pure, so a
+   reader rebuilds the routed graph the cold run held.  The shape check
+   reads what [Route.build] would: a partition covers the graph, a
+   communication needs a bus, and the routed graph has one node per
+   original node plus one copy per communication
+   ({!Sched.Comm.count}), the length of the stored cycle and bus
+   arrays.  Any malformed/implausible entry decodes to [None] and is
+   simply dropped (a future save rewrites the file). *)
 let entry_of_json t ~config ~latency0 j =
   try
     let fp = Json.to_str (Json.member "fp" j) in
@@ -327,12 +335,10 @@ let entry_of_json t ~config ~latency0 j =
             ( Json.to_str (Json.member "class" j),
               Json.to_str (Json.member "message" j) )
       | _ ->
-          let assign = int_array (Json.member "assign" j) in
-          let graph, assign, route =
-            Share.route t.share ~latency0 config
+          let graph, assign =
+            Share.partition t.share
               (graph_of_json (Json.member "graph" j))
-              ~assign
-              (fun g -> Sched.Route.build ~latency0 config g ~assign)
+              ~assign:(int_array (Json.member "assign" j))
           in
           let ii = Json.to_int (Json.member "ii" j) in
           let mii = Json.to_int (Json.member "mii" j) in
@@ -340,11 +346,22 @@ let entry_of_json t ~config ~latency0 j =
           let inc k = Json.to_int (Json.member k incr) in
           let cycles = int_array (Json.member "cycles" j) in
           let buses = int_array (Json.member "buses" j) in
-          let routed_n = G.n_nodes route.Sched.Route.graph in
-          if Array.length cycles <> routed_n || Array.length buses <> routed_n
+          let n = G.n_nodes graph in
+          if Array.length assign <> n then
+            raise (Json.Bad "store: partition shape mismatch");
+          let comms = Sched.Comm.count graph ~assign in
+          if comms > 0 && config.Machine.Config.buses = 0 then
+            raise (Json.Bad "store: communication without a bus");
+          if Array.length cycles <> n + comms || Array.length buses <> n + comms
           then raise (Json.Bad "store: schedule shape mismatch");
           let schedule =
-            { Sched.Schedule.config; route; ii; cycles; buses }
+            {
+              Sched.Schedule.config;
+              routing = Unrouted { graph; assign; latency0 };
+              ii;
+              cycles;
+              buses;
+            }
           in
           let outcome =
             {
@@ -569,7 +586,10 @@ let record t ~mode ?(variant = "") ~config (loop : Workload.Generator.loop)
     result =
   let pay =
     match result with
-    | Ok (r : Experiment.loop_run) ->
+    | Ok r ->
+        (* A suite records the runs it has shared, already unrouted; the
+           serve daemon the runs it has just computed, routed. *)
+        let r = Experiment.unrouted r in
         Some (P_run (r.outcome, r.repl_stats, r.counts))
     | Error e ->
         (* Timeouts are wall-clock-dependent and bugs must stay loud:

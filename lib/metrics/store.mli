@@ -34,11 +34,15 @@
     Values decoded from disk are shared store-wide by exact content,
     through the store's {!Share} table: every table's entries for one
     graph (same name, labels and {!Ddg.Graph.structural_encoding}) hold
-    one decoded graph, and one routed graph per distinct partition and
-    routing input.  Hits from different tables may therefore return
-    physically equal [graph], [assign] and [schedule.route] values,
-    which callers must never mutate in place.  Each entry still passes
-    its own shape check, and a malformed entry is dropped alone.
+    one decoded graph, and one partition array per distinct partition of
+    it.  Hits from different tables may therefore return physically
+    equal [graph] and [assign] values, which callers must never mutate
+    in place.  Neither tier holds a routed graph: every entry's schedule
+    is unrouted ({!Sched.Schedule.unrouted}), whether decoded or
+    {!record}ed, and {!Sched.Schedule.route} rebuilds it.  Each entry
+    still passes its own shape check — its cycle and bus arrays hold one
+    slot per node of the graph routing would build — and a malformed
+    entry is dropped alone.
 
     Caching policy: successful runs and give-up errors
     ({!Sched.Sched_error.is_give_up}) are recorded; [Timeout] results
@@ -105,7 +109,8 @@ val record :
   (Experiment.loop_run, Sched.Sched_error.t) result ->
   unit
 (** First write wins (determinism makes re-writes identical); timeouts
-    and bug-class errors are never recorded. *)
+    and bug-class errors are never recorded.  A run is kept with its
+    schedule unrouted. *)
 
 val evict :
   t ->

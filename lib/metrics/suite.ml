@@ -32,8 +32,9 @@ type t = {
          touched on the orchestrating domain *)
   share : Share.t;
       (* every run the suite computes is rebuilt around one graph and
-         one routed graph per distinct content before it is kept or
-         recorded; the store's own table when there is a store *)
+         one partition per distinct content, its schedule unrouted,
+         before it is kept or recorded; the store's own table when there
+         is a store *)
   jobs_ : int;
 }
 
@@ -167,12 +168,17 @@ let store_served t mode ?(variant = "") config =
       in
       go [] t.loops_
 
+(* A pass's pool items hand back their runs unrouted
+   ({!Experiment.unrouted}), so the runs a pass has finished hold no
+   routed graph while its other items compute. *)
 let direct_runs t mode config =
   let items = List.map (fun l -> (l, view_for t config l)) t.loops_ in
   let pairs =
     Pool.map ~jobs:t.jobs_
       (fun ((l : Workload.Generator.loop), hier) ->
-        (l, Experiment.run_loop ~hier mode config l))
+        ( l,
+          Result.map Experiment.unrouted
+            (Experiment.run_loop ~hier mode config l) ))
       items
   in
   classify_record t mode config pairs
@@ -198,7 +204,9 @@ let replay_all t ?(variant = "") ?spiller mode trs config =
   let pairs =
     Pool.map ~jobs:t.jobs_
       (fun (tr, hier) ->
-        (Experiment.traced_loop tr, Experiment.replay_traced ?spiller ~hier tr config))
+        ( Experiment.traced_loop tr,
+          Result.map Experiment.unrouted
+            (Experiment.replay_traced ?spiller ~hier tr config) ))
       items
   in
   classify_record t mode ~variant config pairs

@@ -88,7 +88,7 @@ let finish ~mii ~counters p ii =
           (Recurrence, counters.c_recur);
           (Registers, counters.c_regs);
         ];
-      n_comms = Route.n_copies p.p_schedule.Schedule.route;
+      n_comms = Route.n_copies (Schedule.route p.p_schedule);
     }
 
 (* ------------------------------------------------------------------ *)
@@ -437,6 +437,64 @@ module Trace = struct
   let config t = t.t_config
   let result t = t.t_result
 
+  (* What a recording keeps of its attempts.  [arrays] is one table per
+     recording, through which it keeps every distinct int array once
+     (partitions, MaxLive, cycle and bus arrays): a stationary walk
+     records the same rejection level after level.  The success is
+     kept unrouted: its routed graph is [Route.build] of its graph and
+     partition, which a replay rebuilds where it finishes on it. *)
+  let keep arrays a =
+    match Hashtbl.find_opt arrays a with
+    | Some a -> a
+    | None ->
+        Hashtbl.add arrays a a;
+        a
+
+  let keep_schedule arrays ~graph ~assign (s : Schedule.t) =
+    Schedule.unrouted ~latency0:false ~graph ~assign
+      { s with cycles = keep arrays s.cycles; buses = keep arrays s.buses }
+
+  let keep_attempt arrays = function
+    | Placed p ->
+        let p_assign = keep arrays p.p_assign in
+        Placed
+          {
+            p with
+            p_assign;
+            p_pressure = keep arrays p.p_pressure;
+            p_schedule =
+              keep_schedule arrays ~graph:p.p_graph ~assign:p_assign
+                p.p_schedule;
+          }
+    | Failed _ as f -> f
+    | Rejected r ->
+        Rejected
+          {
+            r with
+            r_pressure = keep arrays r.r_pressure;
+            r_cycles = keep arrays r.r_cycles;
+            r_buses = keep arrays r.r_buses;
+          }
+
+  let keep_level arrays l =
+    {
+      l with
+      l_assign = keep arrays l.l_assign;
+      l_lineage = keep_attempt arrays l.l_lineage;
+      l_fresh =
+        Option.map
+          (fun (a, r) -> (keep arrays a, keep_attempt arrays r))
+          l.l_fresh;
+    }
+
+  let keep_outcome arrays o =
+    let assign = keep arrays o.assign in
+    {
+      o with
+      assign;
+      schedule = keep_schedule arrays ~graph:o.graph ~assign o.schedule;
+    }
+
   let record ?transform ?max_ii ?budget ?hier config g =
     let rec_mii =
       match hier with
@@ -456,6 +514,7 @@ module Trace = struct
     let cap = match max_ii with Some m -> m | None -> default_cap mii in
     let counters = { c_bus = 0; c_recur = 0; c_regs = 0 } in
     let levels = ref [] in
+    let arrays = Hashtbl.create 16 in
     let result =
       if cap < mii then Error (Sched_error.Infeasible_partition { mii; cap })
       else
@@ -466,7 +525,7 @@ module Trace = struct
               | None -> Partition.Hier.create ~rec_mii config g ~base_ii:mii
             in
             escalate ?transform
-              ~on_level:(fun l -> levels := l :: !levels)
+              ~on_level:(fun l -> levels := keep_level arrays l :: !levels)
               ?budget config g ~hier ~mii ~cap ~counters mii
               (Partition.Hier.initial hier ~ii:mii))
     in
@@ -477,7 +536,7 @@ module Trace = struct
       t_mii = mii;
       t_cap = cap;
       t_levels = List.rev !levels;
-      t_result = result;
+      t_result = Result.map (keep_outcome arrays) result;
     }
 
   (* Everything except the register-file size matches: partitioning,
@@ -546,7 +605,7 @@ module Trace = struct
         p_schedule =
           {
             Schedule.config;
-            route = Route.build config g' ~assign:assign';
+            routing = Routed (Route.build config g' ~assign:assign');
             ii;
             cycles = r.r_cycles;
             buses = r.r_buses;
@@ -580,8 +639,14 @@ module Trace = struct
       match result with
       | Failed c -> `Fail c
       | Placed p ->
+          (* The recording kept its success unrouted; the register
+             check's spill rounds and [finish] read the route. *)
           settled `Pure
-            { p with p_schedule = { p.p_schedule with Schedule.config } }
+            {
+              p with
+              p_schedule =
+                Schedule.routed { p.p_schedule with Schedule.config };
+            }
       | Rejected r ->
           if
             Array.for_all (fun x -> x <= limit) r.r_pressure

@@ -120,9 +120,11 @@ val schedule_loop :
     pressure it admits into the success a direct run would have found.
     A trace keeps a rejection lean — its MaxLive, cycle and bus arrays —
     and rebuilds the placement only for a member that promotes it or
-    spills it.  Machines that differ in buses or bus latency are outside
-    the family: partitioning and routing read those fields, so no
-    recorded attempt answers them and {!Trace.replay} refuses them. *)
+    spills it.  It keeps its success unrouted ({!Schedule.unrouted}),
+    and each distinct int array once.  Machines that differ in buses or
+    bus latency are outside the family: partitioning and routing read
+    those fields, so no recorded attempt answers them and
+    {!Trace.replay} refuses them. *)
 
 module Trace : sig
   type t
@@ -154,9 +156,13 @@ module Trace : sig
       family; recorded at the strictest one, every roomier member
       replays dry — recording every attempt: the II, the partition it
       started from, and the outcome.  The one successful placement is
-      kept whole with its MaxLive per cluster; a placement the register
-      check rejected keeps only its MaxLive, cycle and bus arrays; a bus
-      or recurrence failure keeps its cause.  [hier] as in
+      kept with its graph, partition and MaxLive per cluster, and its
+      schedule unrouted: the routed graph is rebuilt where a replay
+      finishes on it.  A placement the register check rejected keeps
+      only its MaxLive, cycle and bus arrays; a bus or recurrence
+      failure keeps its cause.  Equal arrays — partitions, MaxLive,
+      cycles and buses, which a stationary walk repeats level after
+      level — are stored once per trace.  [hier] as in
       {!schedule_loop} — the recording run draws its partitions from
       the shared hierarchy.
       @raise Invalid_argument if [hier] was built for another loop or
@@ -164,7 +170,8 @@ module Trace : sig
 
   val result : t -> (outcome, Sched_error.t) result
   (** The recording run's own outcome (what {!schedule_loop} would have
-      returned at the recording configuration). *)
+      returned at the recording configuration), its schedule
+      unrouted. *)
 
   val config : t -> Machine.Config.t
 

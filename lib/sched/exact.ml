@@ -675,7 +675,9 @@ let decode enc ~ii =
   let route =
     { Route.graph = routed; assign; n_original = !n_original; copy_of }
   in
-  ({ Schedule.config = enc.config; route; ii; cycles; buses }, !gsup, csup)
+  ( { Schedule.config = enc.config; routing = Routed route; ii; cycles; buses },
+    !gsup,
+    csup )
 
 (* ---------------------------------------------------------------- *)
 (* CEGAR over register pressure                                       *)

@@ -127,5 +127,5 @@ let try_schedule config route ~ii =
     let mn = if n = 0 then 0 else mn in
     if mn <> 0 then
       Array.iteri (fun v c -> cycles.(v) <- c - mn) cycles;
-    Ok { Schedule.config; route; ii; cycles; buses }
+    Ok { Schedule.config; routing = Routed route; ii; cycles; buses }
   with Fail f -> Error f

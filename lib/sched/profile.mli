@@ -61,7 +61,10 @@ type event =
   | Partition_computed
       (** a {!Partition.Hier.initial} or {!Partition.Hier.refine} memo
           miss: a partition coarsened or refined from scratch *)
-  | Route_built  (** a {!Route.build} call: one routed graph built *)
+  | Route_built
+      (** a {!Route.build} call: one routed graph built, by the
+          scheduler or rebuilt for a reader of a kept schedule
+          ({!Schedule.route} on an [Unrouted] one) *)
 
 val count : event -> unit
 

@@ -18,7 +18,7 @@ type t = {
    (cluster, def, end) triple; copies materialize one value per consumer
    cluster. *)
 let raw_intervals (sched : Schedule.t) =
-  let route = sched.Schedule.route in
+  let route = Schedule.route sched in
   let g = route.Route.graph in
   let ii = sched.Schedule.ii in
   let cycles = sched.Schedule.cycles in

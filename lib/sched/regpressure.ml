@@ -14,7 +14,7 @@ open Ddg
    touched-cluster list close behind.  One flat [clusters * ii] block,
    written in place, replaces all three. *)
 let per_cluster sched =
-  let route = sched.Schedule.route in
+  let route = Schedule.route sched in
   let g = route.Route.graph in
   let config = sched.Schedule.config in
   let ii = sched.Schedule.ii in

@@ -10,7 +10,7 @@ type range = {
 }
 
 let ranges_of (sched : Schedule.t) =
-  let route = sched.Schedule.route in
+  let route = Schedule.route sched in
   let g = route.Route.graph in
   let ii = sched.Schedule.ii in
   let cycles = sched.Schedule.cycles in
@@ -45,7 +45,7 @@ let ranges_of (sched : Schedule.t) =
     (Graph.nodes g)
 
 let rewrite config (sched : Schedule.t) ~graph ~assign =
-  let route = sched.Schedule.route in
+  let route = Schedule.route sched in
   let limit = Machine.Config.registers_per_cluster config in
   let pressure = Regpressure.per_cluster sched in
   (* worst offending cluster *)

@@ -2,7 +2,7 @@ open Ddg
 
 let check ?(registers = true) (sched : Sched.Schedule.t) =
   let config = sched.Sched.Schedule.config in
-  let route = sched.Sched.Schedule.route in
+  let route = Sched.Schedule.route sched in
   let g = route.Sched.Route.graph in
   let ii = sched.Sched.Schedule.ii in
   let cycles = sched.Sched.Schedule.cycles in

@@ -18,7 +18,7 @@ let reg_string itv =
       Printf.sprintf "r%d(+%d)" r (List.length itv.Sched.Regalloc.registers - 1)
 
 let op_string ?alloc (sched : Sched.Schedule.t) v =
-  let route = sched.Sched.Schedule.route in
+  let route = Sched.Schedule.route sched in
   let g = route.Sched.Route.graph in
   let cluster = route.Sched.Route.assign.(v) in
   let sources =
@@ -57,7 +57,7 @@ let op_string ?alloc (sched : Sched.Schedule.t) v =
 
 let kernel ?alloc (sched : Sched.Schedule.t) =
   let config = sched.Sched.Schedule.config in
-  let route = sched.Sched.Schedule.route in
+  let route = Sched.Schedule.route sched in
   let g = route.Sched.Route.graph in
   let ii = sched.Sched.Schedule.ii in
   let buf = Buffer.create 1024 in
@@ -107,7 +107,7 @@ let kernel ?alloc (sched : Sched.Schedule.t) =
 
 let pipeline (sched : Sched.Schedule.t) ~iterations =
   if iterations < 1 then invalid_arg "Codegen.pipeline: iterations < 1";
-  let route = sched.Sched.Schedule.route in
+  let route = Sched.Schedule.route sched in
   let g = route.Sched.Route.graph in
   let ii = sched.Sched.Schedule.ii in
   let sc = Sched.Schedule.stage_count sched in

@@ -33,19 +33,19 @@ let clone (s : Sched.Schedule.t) =
     buses = Array.copy s.Sched.Schedule.buses;
   }
 
+(* A [Routed] clone whose route owns its cluster array. *)
 let clone_route (s : Sched.Schedule.t) =
   let s = clone s in
+  let route = Sched.Schedule.route s in
   {
     s with
-    Sched.Schedule.route =
-      {
-        s.Sched.Schedule.route with
-        Sched.Route.assign = Array.copy s.Sched.Schedule.route.Sched.Route.assign;
-      };
+    Sched.Schedule.routing =
+      Routed
+        { route with Sched.Route.assign = Array.copy route.Sched.Route.assign };
   }
 
 let n_nodes (s : Sched.Schedule.t) =
-  Graph.n_nodes s.Sched.Schedule.route.Sched.Route.graph
+  Graph.n_nodes (Sched.Schedule.route s).Sched.Route.graph
 
 let find_node s p =
   let n = n_nodes s in
@@ -53,7 +53,7 @@ let find_node s p =
   go 0
 
 let is_copy (s : Sched.Schedule.t) v =
-  Sched.Route.is_copy s.Sched.Schedule.route v
+  Sched.Route.is_copy (Sched.Schedule.route s) v
 
 (* Every placed copy, i.e. every bus transfer the schedule claims. *)
 let placed_copies (s : Sched.Schedule.t) =
@@ -109,7 +109,7 @@ let bogus_cluster =
         if n_nodes s = 0 then None
         else begin
           let s = clone_route s in
-          s.Sched.Schedule.route.Sched.Route.assign.(0) <-
+          (Sched.Schedule.route s).Sched.Route.assign.(0) <-
             s.Sched.Schedule.config.Machine.Config.clusters;
           Some s
         end);
@@ -123,7 +123,7 @@ let break_dependence =
     v_rule = "dependence";
     apply =
       (fun s ->
-        let g = s.Sched.Schedule.route.Sched.Route.graph in
+        let g = (Sched.Schedule.route s).Sched.Route.graph in
         (* A self-dependence moves with its own producer, so only an
            edge between distinct nodes can be violated by reissuing the
            producer. *)
@@ -161,8 +161,9 @@ let oversubscribe_fu =
     apply =
       (fun s ->
         let config = s.Sched.Schedule.config in
-        let g = s.Sched.Schedule.route.Sched.Route.graph in
-        let assign = s.Sched.Schedule.route.Sched.Route.assign in
+        let route = Sched.Schedule.route s in
+        let g = route.Sched.Route.graph in
+        let assign = route.Sched.Route.assign in
         let n = n_nodes s in
         let candidates c k =
           let rec go v acc =

@@ -13,7 +13,7 @@ let run ?useful_per_iteration (sched : Sched.Schedule.t) ~iterations =
   if iterations < 1 then Error "iterations < 1"
   else begin
     let config = sched.Sched.Schedule.config in
-    let route = sched.Sched.Schedule.route in
+    let route = Sched.Schedule.route sched in
     let g = route.Sched.Route.graph in
     let ii = sched.Sched.Schedule.ii in
     let cycles_of = sched.Sched.Schedule.cycles in

@@ -14,7 +14,7 @@ let phase_of = function Write _ -> 0 | Read _ -> 1
 let run (sched : Sched.Schedule.t) (alloc : Sched.Regalloc.t) ~iterations =
   if iterations < 1 then Error "iterations < 1"
   else begin
-    let route = sched.Sched.Schedule.route in
+    let route = Sched.Schedule.route sched in
     let g = route.Sched.Route.graph in
     let ii = sched.Sched.Schedule.ii in
     let cycles = sched.Sched.Schedule.cycles in

@@ -316,7 +316,7 @@ let prop_spill_rewrite_shape =
           in
           let assign =
             Array.sub
-              o.Sched.Driver.schedule.Sched.Schedule.route.Sched.Route.assign
+              (Sched.Schedule.route o.Sched.Driver.schedule).Sched.Route.assign
               0
               (Graph.n_nodes o.Sched.Driver.graph)
           in

@@ -23,11 +23,11 @@ let test_kernel_symbolic () =
   check bool "mentions every node" true
     (List.for_all
        (fun v ->
-         contains (Ddg.Graph.label s.Sched.Schedule.route.Sched.Route.graph v)
+         contains (Ddg.Graph.label (Sched.Schedule.route s).Sched.Route.graph v)
            text)
-       (Ddg.Graph.nodes s.Sched.Schedule.route.Sched.Route.graph));
+       (Ddg.Graph.nodes (Sched.Schedule.route s).Sched.Route.graph));
   (* the figure3 schedule on 4 clusters needs the bus *)
-  if Sched.Route.n_copies s.Sched.Schedule.route > 0 then
+  if Sched.Route.n_copies (Sched.Schedule.route s) > 0 then
     check bool "bus transfers shown" true (contains "copy.bus" text)
 
 let test_kernel_with_registers () =
@@ -50,7 +50,7 @@ let test_pipeline_phases () =
   in
   (* every dynamic op (copies included) appears exactly once *)
   check int "dynamic ops"
-    (6 * Ddg.Graph.n_nodes s.Sched.Schedule.route.Sched.Route.graph)
+    (6 * Ddg.Graph.n_nodes (Sched.Schedule.route s).Sched.Route.graph)
     (List.length issues)
 
 let test_pipeline_guards () =

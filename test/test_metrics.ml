@@ -209,53 +209,161 @@ let canon_run (r : Metrics.Experiment.loop_run) =
     r.counts.Sim.Lockstep.cycles,
     r.counts.Sim.Lockstep.useful_ops )
 
+let unrouted (r : Metrics.Experiment.loop_run) =
+  match r.outcome.Sched.Driver.schedule.Sched.Schedule.routing with
+  | Sched.Schedule.Unrouted _ -> true
+  | Sched.Schedule.Routed _ -> false
+
+let with_store_dir f =
+  let dir = Filename.temp_dir "metrics_store" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n -> Sys.remove (Filename.concat dir n))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
 (* Runs computed apart share their values by exact content: every run
-   the suite keeps holds the one graph and the one routed graph of its
+   the suite keeps holds the one graph and the one partition of its
    content, whichever mode, machine or register-family replay produced
-   it.  The key is the sharing rule itself — the graph's structure,
-   name and labels, the partition, and what routing reads of the
-   machine (both modes here route with the bus latency). *)
+   it, and no routed graph.  The key is the sharing rule itself — the
+   graph's structure, name and labels, and the partition.  Held on a
+   cold suite over a store, and on a suite the saved store serves. *)
 let test_cached_runs_shared () =
-  let suite = Lazy.force small_suite in
-  ignore (Metrics.Figures.fig7 suite);
-  ignore (Metrics.Figures.sec4_regs suite);
   let key (r : Metrics.Experiment.loop_run) =
     let g = r.outcome.Sched.Driver.graph in
-    let c = r.outcome.Sched.Driver.schedule.Sched.Schedule.config in
     ( Ddg.Graph.structural_encoding g,
       Ddg.Graph.name g,
       List.map (Ddg.Graph.label g) (Ddg.Graph.nodes g),
-      Array.to_list r.outcome.Sched.Driver.assign,
-      Machine.Config.copy_latency c,
-      c.Machine.Config.buses = 0 )
+      Array.to_list r.outcome.Sched.Driver.assign )
   in
-  let first = Hashtbl.create 1024 in
-  let shared = ref 0 in
+  let check_shared side suite =
+    ignore (Metrics.Figures.fig7 suite);
+    ignore (Metrics.Figures.sec4_regs suite);
+    let first = Hashtbl.create 1024 in
+    let shared = ref 0 in
+    List.iter
+      (fun mode ->
+        List.iter
+          (fun config ->
+            List.iter
+              (fun (r : Metrics.Experiment.loop_run) ->
+                let what =
+                  Printf.sprintf "%s: %s %s %s" side
+                    r.loop.Workload.Generator.id
+                    (Metrics.Experiment.mode_tag mode)
+                    (Machine.Config.name config)
+                in
+                check bool (what ^ " holds no routed graph") true (unrouted r);
+                match Hashtbl.find_opt first (key r) with
+                | None -> Hashtbl.add first (key r) r
+                | Some (r0 : Metrics.Experiment.loop_run) ->
+                    incr shared;
+                    check bool (what ^ " shares its graph") true
+                      (r0.outcome.Sched.Driver.graph
+                      == r.outcome.Sched.Driver.graph);
+                    check bool (what ^ " shares its partition") true
+                      (r0.outcome.Sched.Driver.assign
+                      == r.outcome.Sched.Driver.assign))
+              (Metrics.Suite.runs suite mode config))
+          (Machine.Config.paper_configs @ sec4_family))
+      [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ];
+    check bool (side ^ ": some runs share a key") true (!shared > 0)
+  in
+  let loops = Lazy.force small_loops in
+  with_store_dir @@ fun dir ->
+  let store = Metrics.Store.create ~dir () in
+  check_shared "cold" (Metrics.Suite.create ~loops ~store ());
+  Metrics.Store.save store;
+  let store = Metrics.Store.create ~dir () in
+  check_shared "served" (Metrics.Suite.create ~loops ~store ());
+  check int "the served suite computed nothing" 0
+    (Metrics.Store.stats store).Metrics.Store.misses
+
+(* Everything a run's routed graph is: its graph's structure, name and
+   labels, and its routing arrays. *)
+let route_content (r : Metrics.Experiment.loop_run) =
+  let route = Sched.Schedule.route r.outcome.Sched.Driver.schedule in
+  let g = route.Sched.Route.graph in
+  ( ( Ddg.Graph.structural_encoding g,
+      Ddg.Graph.name g,
+      List.map (Ddg.Graph.label g) (Ddg.Graph.nodes g) ),
+    ( Array.to_list route.Sched.Route.assign,
+      Array.to_list route.Sched.Route.copy_of,
+      route.Sched.Route.n_original ) )
+
+(* A kept schedule routes exactly as it was scheduled, the identity the
+   unrouted form rests on: a freshly computed run carries its routed
+   graph, and once kept (through a share table, or by a suite's spill
+   pass) it holds none, and [Schedule.route] rebuilds the same one from
+   the kept graph, partition and latency-0 flag.  Held in every
+   scheduling mode on machines of both cluster counts and both bus
+   latencies, for a derived length run and for a spill pass. *)
+let test_kept_schedule_routes_as_scheduled () =
+  let loops = take 6 (Lazy.force small_loops) in
+  let same what (fresh : Metrics.Experiment.loop_run) kept =
+    check bool (what ^ " was computed routed") false (unrouted fresh);
+    check bool (what ^ " is kept unrouted") true (unrouted kept);
+    check bool (what ^ " routes as scheduled") true
+      (route_content fresh = route_content kept)
+  in
+  let share = Metrics.Share.create () in
+  let kept_runs = ref 0 in
+  let keep what fresh =
+    let kept = Metrics.Share.run share fresh in
+    same what fresh kept;
+    incr kept_runs;
+    kept
+  in
   List.iter
-    (fun mode ->
+    (fun name ->
+      let config = Option.get (Machine.Config.of_name name) in
       List.iter
-        (fun config ->
+        (fun (l : Workload.Generator.loop) ->
           List.iter
-            (fun (r : Metrics.Experiment.loop_run) ->
-              match Hashtbl.find_opt first (key r) with
-              | None -> Hashtbl.add first (key r) r
-              | Some (r0 : Metrics.Experiment.loop_run) ->
-                  incr shared;
+            (fun mode ->
+              match Metrics.Experiment.run_loop mode config l with
+              | Error _ -> ()
+              | Ok fresh -> (
                   let what =
-                    Printf.sprintf "%s %s %s" r.loop.Workload.Generator.id
-                      (Metrics.Experiment.mode_tag mode)
-                      (Machine.Config.name config)
+                    Printf.sprintf "%s %s %s" l.id
+                      (Metrics.Experiment.mode_tag mode) name
                   in
-                  check bool (what ^ " shares its graph") true
-                    (r0.outcome.Sched.Driver.graph
-                    == r.outcome.Sched.Driver.graph);
-                  check bool (what ^ " shares its route") true
-                    (r0.outcome.Sched.Driver.schedule.Sched.Schedule.route
-                    == r.outcome.Sched.Driver.schedule.Sched.Schedule.route))
-            (Metrics.Suite.runs suite mode config))
-        (Machine.Config.paper_configs @ sec4_family))
-    [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ];
-  check bool "some runs share a key" true (!shared > 0)
+                  let kept = keep what fresh in
+                  if mode = Metrics.Experiment.Replication then
+                    match Metrics.Experiment.lengthen_run kept with
+                    | Ok lengthened ->
+                        ignore (keep (what ^ " lengthened") lengthened)
+                    | Error e ->
+                        Alcotest.failf "%s: lengthen: %s" what
+                          (Sched.Sched_error.to_string e)))
+            Metrics.Experiment.
+              [
+                Baseline; Replication; Replication_latency0; Macro_replication;
+              ])
+        loops)
+    [ "4c1b2l64r"; "4c2b4l64r"; "2c2b4l64r" ];
+  check bool "runs were kept" true (!kept_runs > 0);
+  let config = List.hd sec4_family in
+  let suite = Metrics.Suite.create ~loops () in
+  let kept =
+    Metrics.Suite.spill_runs suite Metrics.Experiment.Baseline config
+  in
+  let fresh =
+    List.filter_map
+      (fun l ->
+        Result.to_option
+          (Metrics.Experiment.run_with ~spiller:Sched.Spill.spiller
+             ~transform:None ~stats_ref:(ref None) config l))
+      loops
+  in
+  check bool "some loops spill-schedule" true (fresh <> []);
+  check int "spill run count" (List.length fresh) (List.length kept);
+  List.iter2
+    (fun (f : Metrics.Experiment.loop_run) k ->
+      same (f.loop.Workload.Generator.id ^ " spilled") f k)
+    fresh kept
 
 (* Trace-replayed sweeps must be observably identical to running every
    family member from scratch, at any pool size. *)
@@ -580,4 +688,6 @@ let suite =
     Alcotest.test_case "runs keyed by the full config" `Slow
       test_runs_keyed_by_full_config;
     Alcotest.test_case "cached runs are shared" `Slow test_cached_runs_shared;
+    Alcotest.test_case "a kept schedule routes exactly as it was scheduled"
+      `Quick test_kept_schedule_routes_as_scheduled;
   ]

@@ -406,18 +406,26 @@ let test_trace_register_family_only () =
     graphs
 
 (* A trace keeps a register-rejected attempt as its MaxLive, cycle and
-   bus arrays only.  wave5.80 at 4c1b2l32r climbs several
-   register-rejected levels whose attempts replication rewrote.  A
-   routed graph costs tens of words per node and an int array one word,
-   so a level that kept a routed graph would cost at least the result's
-   routed graph again, while a level of arrays stays under a quarter of
-   it.  The replays that need the rejected placements — promotion at 64
-   and 128 registers, spill rounds at 32 — rebuild them, and must still
-   equal [schedule_loop], replication statistics included. *)
+   bus arrays only, its success unrouted, and each distinct array once.
+   wave5.80 at 4c1b2l32r climbs several register-rejected levels whose
+   attempts replication rewrote.  A routed graph costs tens of words per
+   node and an int array one word, so a level that kept a routed graph
+   would cost at least the result's routed graph again, while a level of
+   arrays stays under a quarter of it; the success level, measured
+   against the same walk cut one level short by an attempt budget, costs
+   its transformed graph and under a quarter of a routed graph more.
+   tomcatv.0 at 4c1b2l8r walks until the stationarity cut concludes it:
+   its last 12 levels repeat the 13th-last, and each costs fewer words
+   than the loop's partition array would alone.  The replays that need
+   the rejected placements — promotion at 64 and 128 registers, spill
+   rounds at 32 — rebuild them, and must still equal [schedule_loop],
+   replication statistics included. *)
 let test_trace_stays_lean () =
   let make registers =
     Machine.Config.make ~clusters:4 ~buses:1 ~bus_latency:2 ~registers
   in
+  let budget k = Sched.Budget.make ~max_attempts:k () in
+  let words x = Obj.reachable_words (Obj.repr x) in
   let g =
     (List.nth (Workload.Generator.generate (Workload.Benchmark.find "wave5")) 80)
       .Workload.Generator.graph
@@ -433,15 +441,67 @@ let test_trace_stays_lean () =
   in
   check bool "several register-rejected levels" true
     (List.assoc Sched.Driver.Registers o.Sched.Driver.increments >= 3);
-  let words x = Obj.reachable_words (Obj.repr x) in
+  check bool "the recorded result holds no routed graph" true
+    (match o.Sched.Driver.schedule.Sched.Schedule.routing with
+    | Sched.Schedule.Unrouted _ -> true
+    | Sched.Schedule.Routed _ -> false);
   let levels = o.Sched.Driver.ii - o.Sched.Driver.mii + 1 in
   let beyond = words (trace, result, g) - words (result, g) in
-  let route_words = words o.Sched.Driver.schedule.Sched.Schedule.route in
+  let route_words = words (Sched.Schedule.route o.Sched.Driver.schedule) in
   check bool
     (Printf.sprintf "%d words over %d levels (routed graph: %d words)" beyond
        levels route_words)
     true
     (4 * beyond <= levels * route_words);
+  let short =
+    Sched.Driver.Trace.record
+      ~transform:(fst (Replication.Replicate.transform ()))
+      ~budget:(budget (levels - 1))
+      (make 32) g
+  in
+  let success =
+    words (trace, g) - words (short, g, o.Sched.Driver.graph)
+  in
+  check bool
+    (Printf.sprintf "success level: %d words beyond its graph" success)
+    true
+    (4 * success <= route_words);
+  let stationary =
+    (List.hd (Workload.Generator.generate (Workload.Benchmark.find "tomcatv")))
+      .Workload.Generator.graph
+  in
+  let tight = make 8 in
+  let walk ?budget () = Sched.Driver.Trace.record ?budget tight stationary in
+  let full = walk () in
+  let cap_levels =
+    match Sched.Driver.Trace.result full with
+    | Error (Sched.Sched_error.Escalation_cap { mii; cap }) -> cap - mii + 1
+    | _ -> Alcotest.fail "tomcatv.0 at 4c1b2l8r no longer walks to the cap"
+  in
+  (* The levels the walk records: the least attempt budget it finishes
+     within. *)
+  let finishes k =
+    match Sched.Driver.Trace.result (walk ~budget:(budget k) ()) with
+    | Error (Sched.Sched_error.Timeout _) -> false
+    | _ -> true
+  in
+  let rec least lo hi =
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if finishes mid then least lo mid else least mid hi
+  in
+  let walked = least 0 cap_levels in
+  let repeated =
+    words (full, stationary)
+    - words (walk ~budget:(budget (walked - 12)) (), stationary)
+  in
+  let partition = Ddg.Graph.n_nodes stationary + 1 in
+  check bool
+    (Printf.sprintf "12 repeated levels of %d: %d words (partition: %d)"
+       walked repeated partition)
+    true
+    (repeated < 12 * partition);
   List.iter
     (fun (registers, spiller) ->
       let member = make registers in

@@ -106,6 +106,50 @@ let test_cold_warm_equal_direct () =
         [ 0; 1 ])
     [ base; repl ]
 
+(* The daemon records each run it computes as it was computed, routed;
+   the store's memory tier keeps it unrouted, and rebuilds the same
+   routed graph on read.  Replies served from that tier stay
+   byte-equal to the inline reference. *)
+let test_memory_tier_keeps_runs_unrouted () =
+  let routing (r : Metrics.Experiment.loop_run) =
+    match r.outcome.Sched.Driver.schedule.Sched.Schedule.routing with
+    | Sched.Schedule.Routed _ -> "routed"
+    | Sched.Schedule.Unrouted _ -> "unrouted"
+  in
+  let routed_graph (r : Metrics.Experiment.loop_run) =
+    let route = Sched.Schedule.route r.outcome.Sched.Driver.schedule in
+    let g = route.Sched.Route.graph in
+    ( Ddg.Graph.structural_encoding g,
+      List.map (Ddg.Graph.label g) (Ddg.Graph.nodes g),
+      Array.to_list route.Sched.Route.assign )
+  in
+  let store = Metrics.Store.create () in
+  let t = engine () in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun i ->
+          match Metrics.Experiment.run_loop mode config (loop i) with
+          | Error e -> failf "run: %s" (Sched.Sched_error.to_string e)
+          | Ok r -> (
+              check string "computed" "routed" (routing r);
+              Metrics.Store.record store ~mode ~config (loop i) (Ok r);
+              (match Metrics.Store.lookup store ~mode ~config (loop i) with
+              | Metrics.Store.Hit kept ->
+                  check string "kept" "unrouted" (routing kept);
+                  check bool "kept run routes as computed" true
+                    (routed_graph kept = routed_graph r)
+              | Metrics.Store.Hit_give_up _ | Metrics.Store.Miss ->
+                  fail "recorded run not served");
+              let reference = direct ~mode i in
+              check string "cold reply equals direct" reference
+                (Metrics.Serve.handle t (request ~mode i));
+              check string "reply from the memory tier equals direct"
+                reference
+                (Metrics.Serve.handle t (request ~mode i))))
+        [ 2; 3 ])
+    [ base; repl ]
+
 let test_evict_then_recompute () =
   let t = engine () in
   let cold = Metrics.Serve.handle t (request ~mode:repl 0) in
@@ -454,6 +498,8 @@ let suite =
   [
     test_case "cold and warm replies equal the inline reference" `Slow
       test_cold_warm_equal_direct;
+    test_case "the memory tier keeps runs unrouted" `Quick
+      test_memory_tier_keeps_runs_unrouted;
     test_case "evict acks and recomputes to the same bytes" `Quick
       test_evict_then_recompute;
     test_case "restart serves the disk tier byte-identically" `Quick

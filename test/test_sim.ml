@@ -64,16 +64,16 @@ let test_lockstep_counts () =
   let o = schedule config4c g in
   let s = o.Sched.Driver.schedule in
   let counts = Sim.Lockstep.run_exn s ~iterations:100 in
-  let n = Ddg.Graph.n_nodes s.Sched.Schedule.route.Sched.Route.graph in
+  let n = Ddg.Graph.n_nodes (Sched.Schedule.route s).Sched.Route.graph in
   check int "cycles = (N-1+SC)*II"
     ((100 - 1 + Sched.Schedule.stage_count s) * s.Sched.Schedule.ii)
     counts.Sim.Lockstep.cycles;
   check int "dynamic ops" (100 * n) counts.Sim.Lockstep.dynamic_ops;
   check int "copies"
-    (100 * Sched.Route.n_copies s.Sched.Schedule.route)
+    (100 * Sched.Route.n_copies (Sched.Schedule.route s))
     counts.Sim.Lockstep.dynamic_copies;
   check int "useful default"
-    (100 * (n - Sched.Route.n_copies s.Sched.Schedule.route))
+    (100 * (n - Sched.Route.n_copies (Sched.Schedule.route s)))
     counts.Sim.Lockstep.useful_ops;
   check bool "explicit prefix bounded" true
     (counts.Sim.Lockstep.explicit_iterations <= 100)

@@ -19,8 +19,9 @@ let test_rewrite_inserts_pair () =
   | Error e -> Alcotest.failf "driver: %s" (Sched.Sched_error.to_string e)
   | Ok o -> (
       let assign =
-        Array.sub o.Sched.Driver.schedule.Sched.Schedule.route.Sched.Route.assign
-          0 (Ddg.Graph.n_nodes o.Sched.Driver.graph)
+        Array.sub
+          (Sched.Schedule.route o.Sched.Driver.schedule).Sched.Route.assign 0
+          (Ddg.Graph.n_nodes o.Sched.Driver.graph)
       in
       match
         Sched.Spill.rewrite tight32 o.Sched.Driver.schedule

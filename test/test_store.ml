@@ -397,7 +397,7 @@ let fill_both dir loops =
 
 (* A loop stored under two configurations decodes, in a fresh store
    over the saved directory, to one shared graph, and to one shared
-   routed graph when its partition is the same in both tables. *)
+   partition when its partition is the same in both tables. *)
 let test_disk_tier_shares_values () =
   with_dir @@ fun dir ->
   let loops = fill_both dir (take 8 (Lazy.force small_loops)) in
@@ -412,9 +412,8 @@ let test_disk_tier_shares_values () =
         (a.Sched.Driver.graph == b.Sched.Driver.graph);
       if a.Sched.Driver.assign = b.Sched.Driver.assign then begin
         incr same_partition;
-        check bool (id ^ ": one routed graph") true
-          (a.schedule.route.Sched.Route.graph
-          == b.schedule.route.Sched.Route.graph)
+        check bool (id ^ ": one partition") true
+          (a.Sched.Driver.assign == b.Sched.Driver.assign)
       end)
     loops;
   check bool "some loop keeps its partition across the two tables" true
@@ -427,11 +426,12 @@ let graph_content g =
     (name g, List.map (label g) (nodes g), structural_encoding g)
 
 (* Every run served from the disk tier carries exactly the graph its
-   cold run held and the routed graph its own table would build: sharing
-   never hands a latency-0 table the route of a normal one, one bus
-   latency's route to another, or one graph (or its route) to a twin
-   that differs only in its name or only in its labels (each twin runs
-   more iterations, so it is an entry of its own). *)
+   cold run held, and {!Sched.Schedule.route} rebuilds the routed graph
+   its own table would build: a latency-0 table never routes as a
+   normal one, one bus latency never as another, and sharing never
+   hands one graph (or its route) to a twin that differs only in its
+   name or only in its labels (each twin runs more iterations, so it is
+   an entry of its own). *)
 let test_shared_routes_exact () =
   with_dir @@ fun dir ->
   let first = List.hd (Lazy.force small_loops) in
@@ -503,17 +503,19 @@ let test_shared_routes_exact () =
           in
           check content (what ^ ": own route")
             (graph_content own.Sched.Route.graph)
-            (graph_content o.schedule.route.Sched.Route.graph)
+            (graph_content
+               (Sched.Schedule.route o.schedule).Sched.Route.graph)
       | Metrics.Store.Hit_give_up _ | Metrics.Store.Miss ->
           Alcotest.failf "%s: recorded run not served" what)
     cold
 
 (* Sharing leaves the shape check per entry: an entry whose stored
-   cycle array does not fit its routed graph is dropped alone.  The
-   same loop's entry in the other table, which decodes to the same
-   graph, still hits, so do the other entries of its file, and the file
-   is not quarantined. *)
-let test_shape_check_per_entry () =
+   cycle array does not fit the graph routing would build, or whose
+   partition does not cover its graph, is dropped alone.  The same
+   loop's entry in the other table, which decodes to the same graph,
+   still hits, so do the other entries of its file, and the file is not
+   quarantined. *)
+let shape_check_drops what misfit =
   with_dir @@ fun dir ->
   let loops = fill_both dir (take 8 (Lazy.force small_loops)) in
   let file = table_file dir config32 in
@@ -525,14 +527,10 @@ let test_shape_check_per_entry () =
     | [] -> Alcotest.fail "empty table file"
   in
   check bool "the file holds other entries" true (others <> []);
-  let lengthen = function
-    | "cycles", List cs -> ("cycles", List (Num 0. :: cs))
-    | field -> field
-  in
   let corrupted =
     match (doc, victim) with
     | Obj fields, Obj victim_fields ->
-        let victim = Obj (List.map lengthen victim_fields) in
+        let victim = Obj (List.map misfit victim_fields) in
         Obj
           (List.map
              (function
@@ -551,7 +549,7 @@ let test_shape_check_per_entry () =
   in
   let warm = Metrics.Store.create ~dir () in
   let l = loop_of victim in
-  check bool "entry with a misfit cycle array misses" true
+  check bool ("entry with a misfit " ^ what ^ " array misses") true
     (lookup_is_miss ~config:config32 warm l);
   check bool "its sibling entry still hits" false (lookup_is_miss warm l);
   List.iter
@@ -561,6 +559,19 @@ let test_shape_check_per_entry () =
     others;
   check bool "file kept in place" true (Sys.file_exists file);
   check bool "file not quarantined" false (Sys.file_exists (file ^ ".corrupt"))
+
+let test_shape_check_per_entry () =
+  List.iter
+    (fun (what, misfit) -> shape_check_drops what misfit)
+    Metrics.Json.
+      [
+        ("cycle", function
+          | "cycles", List cs -> ("cycles", List (Num 0. :: cs))
+          | field -> field);
+        ("partition", function
+          | "assign", List cs -> ("assign", List (cs @ [ Num 0. ]))
+          | field -> field);
+      ]
 
 (* [save] renders a table one entry at a time; the bytes are still those
    of [Json.print] over the whole document. *)

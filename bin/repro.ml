@@ -921,9 +921,10 @@ let serve_cmd =
           ~doc:
             "Worker domains computing cache misses off the select loop \
              (health, stats and cache hits keep answering while misses \
-             compute; identical in-flight requests coalesce onto one \
-             computation).  0 computes every miss inline — the \
-             byte-identical reference.")
+             compute).  0 computes each miss on the select loop's own \
+             domain.  At every count, identical requests classified \
+             together coalesce onto one computation, and replies are \
+             byte-identical.")
   in
   let poison =
     Arg.(

@@ -169,19 +169,24 @@ let suite_store env =
 let fresh_serve ~dir =
   Metrics.Serve.create
     ~io:(Metrics.Serve.Io.silent ())
-    ~backoff:(Metrics.Backoff.none ())
+    ~backoff:(fun _ -> Metrics.Backoff.none ())
     ~store_dir:dir ()
 
-(* The concurrent engine: one worker domain, never-sleeping backoff on
-   both retry paths, memory-only store — coalescing behaviour is what
-   Serve_concurrent pins, not persistence. *)
+(* The concurrent engine: one worker domain, never-sleeping backoff,
+   memory-only store — coalescing behaviour is what Serve_concurrent
+   pins, not persistence. *)
 let fresh_serve_cc () =
   Metrics.Serve.create
     ~io:(Metrics.Serve.Io.silent ())
     ~limits:{ Metrics.Serve.default_limits with workers = 1; queue_bound = 256 }
-    ~backoff:(Metrics.Backoff.none ())
-    ~worker_backoff:(fun _ -> Metrics.Backoff.none ())
+    ~backoff:(fun _ -> Metrics.Backoff.none ())
     ()
+
+(* Pump, blocking on the worker funnel as needed, until every admitted
+   entry is answered: its [(seq, reply)] pairs in completion order. *)
+let rec serve_drain t acc =
+  if Metrics.Serve.busy t then serve_drain t (acc @ Metrics.Serve.pump_wait t)
+  else acc
 
 (* The "serve-starve" sabotage silently staples a zero-attempt budget
    to every request the harness sends: the first miss then degrades to
@@ -401,27 +406,29 @@ let exec env m cmd =
       env.serve <- fresh_serve ~dir:env.serve_dir
   | Serve_burst { reqs } ->
       (* Concurrent pipelined clients: every request is admitted before
-         any is answered, then the engine steps them one by one.
-         Replies must come back in admission order and each must be
-         byte-identical to the direct run, however they interleave. *)
-      let lines =
-        List.map (fun (mode, loop) -> serve_request_line env ~mode loops.(loop))
-          reqs
-      in
+         any is answered, then the engine is pumped until all are.
+         Replies must come back in admission order, by sequence number,
+         and each must be byte-identical to the direct run, however
+         they interleave or coalesce. *)
       List.iter
-        (fun line ->
-          match Metrics.Serve.offer env.serve line with
+        (fun (mode, loop) ->
+          match
+            Metrics.Serve.offer env.serve
+              (serve_request_line env ~mode loops.(loop))
+          with
           | None -> ()
           | Some _ -> post "burst within the queue bound was shed")
-        lines;
+        reqs;
+      let replies = serve_drain env.serve [] in
+      if List.length replies <> List.length reqs then
+        post "burst of %d answered %d lines" (List.length reqs)
+          (List.length replies);
+      let seqs = List.map fst replies in
+      if List.sort compare seqs <> seqs then
+        post "replies out of admission order";
       List.iter2
-        (fun (mode, loop) line ->
-          match Metrics.Serve.step env.serve with
-          | None -> post "engine lost an admitted request"
-          | Some (line', reply) ->
-              if line' <> line then post "replies out of admission order";
-              check_serve_reply m ~mode ~loop reply)
-        reqs lines
+        (fun (mode, loop) (_, reply) -> check_serve_reply m ~mode ~loop reply)
+        reqs replies
   | Serve_concurrent { mode; loop; n } ->
       (* A batched burst of n identical requests (distinct ids) through
          the worker-pool engine: one array reply whose elements are each
@@ -448,12 +455,8 @@ let exec env m cmd =
       (match Metrics.Serve.offer t (Metrics.Serve.batch_request lines) with
       | None -> ()
       | Some _ -> post "concurrent burst within the queue bound was shed");
-      let rec drain acc =
-        if Metrics.Serve.busy t then drain (acc @ Metrics.Serve.pump_wait t)
-        else acc
-      in
       let reply =
-        match drain [] with
+        match serve_drain t [] with
         | [ (_, r) ] -> r
         | rs ->
             post "concurrent burst answered %d lines, wanted 1"

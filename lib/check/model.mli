@@ -72,8 +72,10 @@ type cmd =
           must still match the memoized bytes *)
   | Serve_burst of { reqs : (int * int) list }
       (** concurrent pipelined clients: admit every request before
-          stepping any, then require replies in admission order, each
-          byte-identical to the direct run *)
+          pumping ({!Metrics.Serve.pump_wait}) until all are answered,
+          then require one reply per request in admission order (by
+          sequence number), each byte-identical to the direct run —
+          identical requests in one burst coalesce *)
   | Serve_concurrent of { mode : int; loop : int; n : int }
       (** a batched burst of [n] identical requests (distinct ids)
           through a second engine backed by a one-domain worker pool:

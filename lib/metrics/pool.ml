@@ -168,8 +168,10 @@ let filter_map ?jobs f xs = List.filter_map Fun.id (map ?jobs f xs)
    answering while expensive ones compute.  Jobs and results move
    through two mutex-guarded queues; [on_result] fires outside the lock
    after every completion so the owner can wake its event loop (the
-   daemon writes a self-pipe byte).  Worker failures are captured as
-   {!fault}s in the funnel, never re-raised inside a domain. *)
+   daemon writes a self-pipe byte).  Job failures are captured as
+   {!fault}s in the funnel, never re-raised inside a domain.  At
+   [workers = 0] no domain exists, and [submit] runs each job on the
+   caller through the same [run_job]/[finish] pair. *)
 module Service = struct
   type ('a, 'b) t = {
     m : Mutex.t;
@@ -181,12 +183,24 @@ module Service = struct
     mutable completed : int;
     mutable stopping : bool;
     mutable domains : unit Domain.t list;
-    width : int;
+    f : int -> 'a -> 'b;
     on_result : unit -> unit;
   }
 
+  let run_job t widx (ix, job) =
+    match t.f widx job with
+    | v -> Ok v
+    | exception e -> Error (fault_of ix (e, Printexc.get_raw_backtrace ()))
+
+  let finish t job res =
+    Mutex.lock t.m;
+    Queue.add (job, res) t.results;
+    t.completed <- t.completed + 1;
+    Condition.broadcast t.idle;
+    Mutex.unlock t.m;
+    t.on_result ()
+
   let create ?(on_result = fun () -> ()) ~workers f =
-    let width = max 1 workers in
     let t =
       {
         m = Mutex.create ();
@@ -198,7 +212,7 @@ module Service = struct
         completed = 0;
         stopping = false;
         domains = [];
-        width;
+        f;
         on_result;
       }
     in
@@ -212,50 +226,35 @@ module Service = struct
         | None ->
             (* stopping with an empty queue: exit *)
             Mutex.unlock t.m
-        | Some (ix, job) ->
+        | Some ((_, job) as ij) ->
             Mutex.unlock t.m;
-            let res =
-              match f widx job with
-              | v -> Ok v
-              | exception e ->
-                  Error
-                    {
-                      index = ix;
-                      exn = e;
-                      backtrace =
-                        Printexc.raw_backtrace_to_string
-                          (Printexc.get_raw_backtrace ());
-                    }
-            in
-            Mutex.lock t.m;
-            Queue.add (job, res) t.results;
-            t.completed <- t.completed + 1;
-            Condition.broadcast t.idle;
-            Mutex.unlock t.m;
-            t.on_result ();
+            finish t job (run_job t widx ij);
             loop ()
       in
       loop ()
     in
     t.domains <-
-      List.init width (fun i ->
+      List.init (max 0 workers) (fun i ->
           spawn_worker (fun () -> in_worker (body i)));
     t
-
-  let width t = t.width
 
   let submit t job =
     Mutex.lock t.m;
     if t.stopping then begin
       Mutex.unlock t.m;
       invalid_arg "Pool.Service.submit: service is shut down"
-    end
-    else begin
-      Queue.add (t.submitted, job) t.jobs;
-      t.submitted <- t.submitted + 1;
-      Condition.signal t.work;
-      Mutex.unlock t.m
-    end
+    end;
+    let ix = t.submitted in
+    t.submitted <- ix + 1;
+    match t.domains with
+    | [] ->
+        (* width 0: the caller is worker 0 *)
+        Mutex.unlock t.m;
+        finish t job (run_job t 0 (ix, job))
+    | _ :: _ ->
+        Queue.add (ix, job) t.jobs;
+        Condition.signal t.work;
+        Mutex.unlock t.m
 
   let poll t =
     Mutex.lock t.m;
@@ -265,12 +264,6 @@ module Service = struct
     Queue.clear t.results;
     Mutex.unlock t.m;
     out
-
-  let in_flight t =
-    Mutex.lock t.m;
-    let n = t.submitted - t.completed in
-    Mutex.unlock t.m;
-    n
 
   let has_results t =
     Mutex.lock t.m;

@@ -59,11 +59,12 @@ val filter_map : ?jobs:int -> ('a -> 'b option) -> 'a list -> 'b list
     Where the bulk maps above run one batch and join, a [Service.t]
     stays up: the owner submits jobs as they arrive and polls finished
     results back, interleaved with its other work.  The serve daemon
-    ({!Serve.serve_unix}) dispatches cache misses here so health, stats
-    and cache-hit requests keep answering while misses compute.
+    ({!Serve.serve_unix}) dispatches every cache miss here, so at
+    [workers >= 1] health, stats and cache-hit requests keep answering
+    while misses compute.
 
     Results come back in completion order, not submission order — each
-    carries its original job so the owner can re-associate.  Worker
+    carries its original job so the owner can re-associate.  Job
     failures are captured as {!fault}s in the funnel (with the job's
     submission index), never re-raised inside a domain.  All functions
     are safe to call from the owning domain; [submit] after [shutdown]
@@ -77,33 +78,32 @@ module Service : sig
     workers:int ->
     (int -> 'a -> 'b) ->
     ('a, 'b) t
-  (** [create ~workers f] spawns [max 1 workers] domains, each running
+  (** [create ~workers f] spawns [workers] domains, each running
       [f worker_index job] under the pool's worker wrapper (enlarged
-      minor heap; profile flush at domain exit).  [on_result] fires
-      after every completion, outside the pool lock and on the worker's
-      domain — it must be async-safe cheap (the daemon writes one byte
-      to a self-pipe to wake its [select]). *)
-
-  val width : ('a, 'b) t -> int
-  (** Number of worker domains spawned. *)
+      minor heap; profile flush at domain exit).  At [workers <= 0] it
+      spawns none: {!submit} runs [f 0 job] on the caller, under the
+      same fault capture, and the result waits in the funnel like any
+      other.  [on_result] fires after every completion, outside the
+      pool lock and on the domain that ran the job — it must be
+      async-safe cheap (the daemon writes one byte to a self-pipe to
+      wake its [select]). *)
 
   val submit : ('a, 'b) t -> 'a -> unit
-  (** Enqueue a job.  Never blocks (the queue is unbounded — the
-      daemon's admission bound is upstream). *)
+  (** Enqueue a job.  Never blocks on other jobs (the queue is
+      unbounded — the daemon's admission bound is upstream); at width 0
+      the job has run, and its result is pollable, when [submit]
+      returns. *)
 
   val poll : ('a, 'b) t -> ('a * ('b, fault) result) list
   (** Drain all finished results, in completion order.  Never blocks. *)
-
-  val in_flight : ('a, 'b) t -> int
-  (** Jobs submitted whose results have not yet been produced (they may
-      still be waiting in the funnel for a {!poll}). *)
 
   val has_results : ('a, 'b) t -> bool
   (** Whether {!poll} would return a non-empty list. *)
 
   val wait : ('a, 'b) t -> bool
   (** Block until the funnel has a result or nothing is in flight;
-      [true] iff results are available.  Owner-side only. *)
+      [true] iff results are available.  Owner-side only; never blocks
+      at width 0. *)
 
   val shutdown : ('a, 'b) t -> unit
   (** Stop accepting work, let workers finish jobs already queued, and

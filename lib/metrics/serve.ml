@@ -8,9 +8,8 @@
    with many slots).  Slots move Todo -> Waiting -> Done: classification
    answers what it can immediately (health, stats, cache hits, poisoned
    keys), coalesces identical in-flight misses onto one computation, and
-   dispatches fresh misses either inline (workers = 0, the byte-identical
-   reference) or to a persistent {!Pool.Service} worker pool whose
-   results funnel back through {!pump}. *)
+   dispatches fresh misses to a {!Pool.Service} — synchronous at
+   workers = 0 — whose results funnel back through {!pump}. *)
 
 module Io = struct
   type t = {
@@ -76,14 +75,15 @@ type counters = {
 let jint n = Json.Num (float_of_int n)
 let jints a = Json.List (Array.to_list (Array.map jint a))
 
-let json_of_repl_stats (s : Replication.Replicate.stats) =
-  Json.Obj
-    [
-      ("comms_before", jint s.comms_before);
-      ("comms_removed", jint s.comms_removed);
-      ("added_instances", jint s.added_instances);
-      ("removed_instances", jint s.removed_instances);
-    ]
+(* The reply carries the store's replication stats cut to their four
+   totals, in the store's order. *)
+let reply_stats =
+  [ "comms_before"; "comms_removed"; "added_instances"; "removed_instances" ]
+
+let project keys = function
+  | Json.Obj fields ->
+      Json.Obj (List.filter (fun (k, _) -> List.mem k keys) fields)
+  | j -> j
 
 let with_id id fields = Json.Obj (("id", Json.Str id) :: fields)
 
@@ -104,13 +104,15 @@ let ok_json ~id (r : Experiment.loop_run) =
       ( "stats",
         match r.repl_stats with
         | None -> Json.Null
-        | Some s -> json_of_repl_stats s );
+        | Some s -> project reply_stats (Store.Run_json.stats s) );
     ]
 
-let give_up_json ~id ~cls ~msg =
+(* A give-up, fault or poisoned reply: the status, then the error's
+   class and message. *)
+let class_json ~id status ~cls ~msg =
   with_id id
     [
-      ("status", Json.Str "give-up");
+      ("status", Json.Str status);
       ("class", Json.Str cls);
       ("message", Json.Str msg);
     ]
@@ -121,28 +123,12 @@ let give_up_json ~id ~cls ~msg =
 let degraded_json ~id =
   with_id id [ ("status", Json.Str "degraded"); ("class", Json.Str "timeout") ]
 
-let fault_json ~id ~cls ~msg =
-  with_id id
-    [
-      ("status", Json.Str "fault");
-      ("class", Json.Str cls);
-      ("message", Json.Str msg);
-    ]
-
-let poisoned_json ~id ~cls ~msg =
-  with_id id
-    [
-      ("status", Json.Str "poisoned");
-      ("class", Json.Str cls);
-      ("message", Json.Str msg);
-    ]
-
 let error_json ~id (e : Sched.Sched_error.t) =
   let cls = Sched.Sched_error.class_name e in
   if Sched.Sched_error.is_give_up e then
-    give_up_json ~id ~cls ~msg:(Sched.Sched_error.to_string e)
+    class_json ~id "give-up" ~cls ~msg:(Sched.Sched_error.to_string e)
   else if String.equal cls "timeout" then degraded_json ~id
-  else fault_json ~id ~cls ~msg:(Sched.Sched_error.to_string e)
+  else class_json ~id "fault" ~cls ~msg:(Sched.Sched_error.to_string e)
 
 let bad_json ~id msg =
   with_id id [ ("status", Json.Str "bad-request"); ("message", Json.Str msg) ]
@@ -211,9 +197,8 @@ let decode_schedule j =
 
 (* Conviction key of a schedule request: what the scheduler would
    actually see.  Same mode + config + graph bytes + trip -> same key,
-   whatever the loop is called.  This is also the coalescing key: two
-   requests with the same key must produce the same reply fields, so
-   they can share one computation. *)
+   whatever the loop is called; coalescing also needs the budget
+   ([wait_key]). *)
 let conviction_key ~mode ~config (l : Workload.Generator.loop) =
   Digest.to_hex
     (Digest.string
@@ -245,9 +230,14 @@ let attempt_once ~now ?budget_s ?budget_attempts ~poison ~mode ~config loop =
 (* Transient = a raise or a bug-class error: worth retrying, spaced by
    the backoff.  Give-ups are facts and timeouts would just burn the
    budget again; neither retries.  This function carries no engine
-   state, so it runs identically on the owning domain (workers = 0) and
-   inside a pool worker — only the backoff instance differs, and backoff
-   schedules never reach a reply. *)
+   state: it is the pool's job, run by whichever worker takes it (the
+   engine's own domain at workers = 0) with that worker's backoff, and
+   backoff schedules never reach a reply. *)
+type outcome = {
+  o_result : (Experiment.loop_run, Sched.Sched_error.t) result;
+  o_retries : int;
+}
+
 let compute_with ~now ~backoff ~(limits : limits) ~poison (d : decoded) =
   (* the request's own budget fields override the server-wide defaults *)
   let first a b = match a with Some _ -> a | None -> b in
@@ -257,29 +247,29 @@ let compute_with ~now ~backoff ~(limits : limits) ~poison (d : decoded) =
     attempt_once ~now ?budget_s ?budget_attempts ~poison ~mode:d.d_mode
       ~config:d.d_config d.d_loop
   in
-  let retries = ref 0 in
   let rec go k =
     match attempt () with
     | Error e when Sched.Sched_error.is_bug e && k < limits.retries ->
-        incr retries;
         Backoff.pause backoff ~attempt:k;
         go (k + 1)
-    | final -> final
+    | o_result -> { o_result; o_retries = k }
   in
-  let result = go 0 in
-  (result, !retries)
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Engine state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* What a pool worker computes: the conviction key travels with the
-   decoded request so the funnel can find every waiter. *)
+(* What the pool computes: the conviction key travels with the decoded
+   request so the funnel can find every waiter. *)
 type job = { jb_key : string; jb_d : decoded }
-type outcome = {
-  o_result : (Experiment.loop_run, Sched.Sched_error.t) result;
-  o_retries : int;
-}
+
+(* Two misses share one computation only under the same conviction key
+   and request budget, which decides whether it may time out. *)
+let wait_key key (d : decoded) =
+  Printf.sprintf "%s/%s/%s" key
+    (Option.fold ~none:"-" ~some:(Printf.sprintf "%h") d.d_budget_s)
+    (Option.fold ~none:"-" ~some:string_of_int d.d_budget_attempts)
 
 type payload = P_obj of Json.t | P_bad of string
 
@@ -297,7 +287,6 @@ type slot = { mutable s_state : slot_state }
    standalone replies. *)
 type entry = {
   e_seq : int;
-  e_line : string;
   e_batch : bool;
   e_slots : slot array;
 }
@@ -305,56 +294,39 @@ type entry = {
 type t = {
   io : Io.t;
   limits : limits;
-  backoff : Backoff.t;
-  poison : string list;
   store : Store.t;
   mutable entries : entry list;  (* admission order, oldest first *)
   mutable seq : int;
   mutable n_todo : int;  (* slots awaiting classification *)
   mutable n_wait : int;  (* slots waiting on an in-flight computation *)
-  inflight : (string, unit) Hashtbl.t;  (* conviction keys computing now *)
-  service : (job, outcome) Pool.Service.t option;
+  inflight : (string, unit) Hashtbl.t;  (* wait keys computing now *)
+  service : (job, outcome) Pool.Service.t;
   poisoned_keys : (string, string * string) Hashtbl.t;
       (* conviction key -> (error class, rendered message) *)
   c : counters;
   mutable is_draining : bool;
 }
 
-let create ?io ?limits ?backoff ?worker_backoff ?(poison = []) ?store_dir
-    ?on_result () =
+let create ?io ?limits ?backoff ?(poison = []) ?store_dir ?on_result () =
   let io = match io with Some io -> io | None -> Io.real () in
   let limits = Option.value limits ~default:default_limits in
   let backoff =
-    match backoff with
-    | Some b -> b
-    | None -> Backoff.make ~sleep:io.Io.sleep ()
+    Option.value backoff ~default:(fun i ->
+        Backoff.make ~seed:(i + 1) ~sleep:io.Io.sleep ())
   in
+  (* One backoff per worker: a Backoff.t is single-owner, and worker [i]
+     only ever runs on its own domain (worker 0 is the engine's own
+     domain at workers = 0). *)
+  let backoffs = Array.init (max 1 limits.workers) backoff in
   let service =
-    if limits.workers <= 0 then None
-    else begin
-      let mk =
-        match worker_backoff with
-        | Some f -> f
-        | None -> fun i -> Backoff.make ~seed:(i + 1) ~sleep:io.Io.sleep ()
-      in
-      (* One backoff per worker: a Backoff.t is single-owner, and worker
-         [i] only ever runs on its own domain. *)
-      let backoffs = Array.init limits.workers mk in
-      Some
-        (Pool.Service.create ?on_result ~workers:limits.workers
-           (fun widx (jb : job) ->
-             let o_result, o_retries =
-               compute_with ~now:io.Io.now ~backoff:backoffs.(widx) ~limits
-                 ~poison jb.jb_d
-             in
-             { o_result; o_retries }))
-    end
+    Pool.Service.create ?on_result ~workers:limits.workers
+      (fun widx (jb : job) ->
+        compute_with ~now:io.Io.now ~backoff:backoffs.(widx) ~limits ~poison
+          jb.jb_d)
   in
   {
     io;
     limits;
-    backoff;
-    poison;
     store = Store.create ?dir:store_dir ();
     entries = [];
     seq = 0;
@@ -490,25 +462,25 @@ let bad t ~id msg =
 (* Classification                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Decide one schedule slot.  [inline] forces the reference path: the
-   computation runs here, on this domain, with the engine's own backoff
-   — [handle]/[step] use it, and it is the whole story at workers = 0.
-   Otherwise a fresh miss is dispatched to the pool and an identical
-   in-flight miss coalesces onto the existing computation. *)
-let classify_schedule t ~inline ~id j slot =
+(* Decide one schedule slot.  A fresh miss is submitted to the pool; a
+   miss with the same wait key as a computation not yet integrated — at
+   workers = 0, one submitted earlier in the same pump — coalesces onto
+   it. *)
+let classify_schedule t ~id j slot =
   let d = decode_schedule j in
   let key = conviction_key ~mode:d.d_mode ~config:d.d_config d.d_loop in
+  let wkey = wait_key key d in
   match Hashtbl.find_opt t.poisoned_keys key with
   | Some (cls, msg) ->
       t.c.poisoned <- t.c.poisoned + 1;
-      slot.s_state <- Done (Json.print (poisoned_json ~id ~cls ~msg))
+      slot.s_state <- Done (Json.print (class_json ~id "poisoned" ~cls ~msg))
   | None -> (
-      if (not inline) && Hashtbl.mem t.inflight key then begin
+      if Hashtbl.mem t.inflight wkey then begin
         (* identical request already computing: attach, don't recompute *)
         t.c.misses <- t.c.misses + 1;
         t.c.coalesced <- t.c.coalesced + 1;
         t.n_wait <- t.n_wait + 1;
-        slot.s_state <- Waiting { w_id = id; w_key = key }
+        slot.s_state <- Waiting { w_id = id; w_key = wkey }
       end
       else
         match
@@ -521,26 +493,17 @@ let classify_schedule t ~inline ~id j slot =
         | Store.Hit_give_up (cls, msg) ->
             t.c.hits <- t.c.hits + 1;
             t.c.give_ups <- t.c.give_ups + 1;
-            slot.s_state <- Done (Json.print (give_up_json ~id ~cls ~msg))
-        | Store.Miss -> (
+            slot.s_state <-
+              Done (Json.print (class_json ~id "give-up" ~cls ~msg))
+        | Store.Miss ->
             t.c.misses <- t.c.misses + 1;
             t.c.computes <- t.c.computes + 1;
-            match (if inline then None else t.service) with
-            | Some svc ->
-                Hashtbl.add t.inflight key ();
-                Pool.Service.submit svc { jb_key = key; jb_d = d };
-                t.n_wait <- t.n_wait + 1;
-                slot.s_state <- Waiting { w_id = id; w_key = key }
-            | None ->
-                let result, retries =
-                  compute_with ~now:t.io.Io.now ~backoff:t.backoff
-                    ~limits:t.limits ~poison:t.poison d
-                in
-                t.c.retries_used <- t.c.retries_used + retries;
-                settle_result t ~key d result;
-                slot.s_state <- Done (Json.print (render_result t ~id result))))
+            Hashtbl.add t.inflight wkey ();
+            Pool.Service.submit t.service { jb_key = key; jb_d = d };
+            t.n_wait <- t.n_wait + 1;
+            slot.s_state <- Waiting { w_id = id; w_key = wkey })
 
-let classify_slot t ~inline payload slot =
+let classify_slot t payload slot =
   match payload with
   | P_bad msg -> slot.s_state <- Done (Json.print (bad t ~id:"" msg))
   | P_obj j -> (
@@ -560,7 +523,7 @@ let classify_slot t ~inline payload slot =
                  (try evict_reply t ~id j
                   with Json.Bad msg -> bad t ~id msg))
       | Ok "schedule" -> (
-          try classify_schedule t ~inline ~id j slot
+          try classify_schedule t ~id j slot
           with Json.Bad msg -> slot.s_state <- Done (Json.print (bad t ~id msg))
           )
       | Ok op ->
@@ -569,14 +532,15 @@ let classify_slot t ~inline payload slot =
 (* Never raises and never kills the engine: a failure anywhere in
    classification — decoder bug, scheduler explosion outside the retry
    path — is converted into a fault reply for this one slot. *)
-let classify_guarded t ~inline payload slot =
-  try classify_slot t ~inline payload slot
+let classify_guarded t payload slot =
+  try classify_slot t payload slot
   with e ->
     t.c.faults <- t.c.faults + 1;
     slot.s_state <-
       Done
         (Json.print
-           (fault_json ~id:"" ~cls:"internal" ~msg:(Printexc.to_string e)))
+           (class_json ~id:"" "fault" ~cls:"internal"
+              ~msg:(Printexc.to_string e)))
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -603,7 +567,7 @@ let shed_parsed t p ~reason =
       (* a shed batch is shed atomically: every element is refused *)
       "[" ^ String.concat "," (List.map (fun j -> one (safe_id j)) els) ^ "]"
 
-let enqueue t p line =
+let enqueue t p =
   let payloads, batch =
     match p with
     | L_bad msg -> ([ P_bad msg ], false)
@@ -615,7 +579,6 @@ let enqueue t p line =
   let e =
     {
       e_seq = t.seq;
-      e_line = line;
       e_batch = batch;
       e_slots =
         Array.of_list (List.map (fun p -> { s_state = Todo p }) payloads);
@@ -624,7 +587,7 @@ let enqueue t p line =
   t.seq <- t.seq + 1;
   t.n_todo <- t.n_todo + Array.length e.e_slots;
   t.entries <- t.entries @ [ e ];
-  e.e_seq
+  e
 
 let admit t line =
   let p = parse_line line in
@@ -633,7 +596,7 @@ let admit t line =
     let n = match p with L_batch els -> List.length els | _ -> 1 in
     if pending t + n > t.limits.queue_bound then
       Error (shed_parsed t p ~reason:"queue-full")
-    else Ok (enqueue t p line)
+    else Ok (enqueue t p).e_seq
 
 let offer t line =
   match admit t line with Error shed -> Some shed | Ok _ -> None
@@ -647,37 +610,34 @@ let offer t line =
    slot with the slot's own id, so a coalesced reply is byte-identical
    to the reply the waiter would have received alone. *)
 let integrate t =
-  match t.service with
-  | None -> ()
-  | Some svc ->
+  List.iter
+    (fun ((jb : job), res) ->
+      let wkey = wait_key jb.jb_key jb.jb_d in
+      Hashtbl.remove t.inflight wkey;
+      let result =
+        match res with
+        | Ok (o : outcome) ->
+            t.c.retries_used <- t.c.retries_used + o.o_retries;
+            o.o_result
+        | Error (f : Pool.fault) ->
+            (* the job itself crashed outside the retry ladder: same
+               taxonomy as a raise inside an attempt *)
+            Error (Sched.Sched_error.Internal (Printexc.to_string f.Pool.exn))
+      in
+      settle_result t ~key:jb.jb_key jb.jb_d result;
       List.iter
-        (fun ((jb : job), res) ->
-          Hashtbl.remove t.inflight jb.jb_key;
-          let result =
-            match res with
-            | Ok (o : outcome) ->
-                t.c.retries_used <- t.c.retries_used + o.o_retries;
-                o.o_result
-            | Error (f : Pool.fault) ->
-                (* the worker itself crashed outside the retry ladder:
-                   same taxonomy as an inline raise *)
-                Error
-                  (Sched.Sched_error.Internal (Printexc.to_string f.Pool.exn))
-          in
-          settle_result t ~key:jb.jb_key jb.jb_d result;
-          List.iter
-            (fun e ->
-              Array.iter
-                (fun slot ->
-                  match slot.s_state with
-                  | Waiting w when String.equal w.w_key jb.jb_key ->
-                      t.n_wait <- t.n_wait - 1;
-                      slot.s_state <-
-                        Done (Json.print (render_result t ~id:w.w_id result))
-                  | _ -> ())
-                e.e_slots)
-            t.entries)
-        (Pool.Service.poll svc)
+        (fun e ->
+          Array.iter
+            (fun slot ->
+              match slot.s_state with
+              | Waiting w when String.equal w.w_key wkey ->
+                  t.n_wait <- t.n_wait - 1;
+                  slot.s_state <-
+                    Done (Json.print (render_result t ~id:w.w_id result))
+              | _ -> ())
+            e.e_slots)
+        t.entries)
+    (Pool.Service.poll t.service)
 
 let classify_pending t =
   List.iter
@@ -687,7 +647,7 @@ let classify_pending t =
           match slot.s_state with
           | Todo payload ->
               t.n_todo <- t.n_todo - 1;
-              classify_guarded t ~inline:false payload slot
+              classify_guarded t payload slot
           | Waiting _ | Done _ -> ())
         e.e_slots)
     t.entries
@@ -712,90 +672,46 @@ let collect t =
   t.entries <- rest;
   List.map (fun e -> (e.e_seq, entry_reply e)) ready
 
-let pump t =
+(* Integrate, classify, integrate again: results that landed while
+   classifying — every one at workers = 0 — flush without waiting for
+   the next call. *)
+let advance t =
   integrate t;
   classify_pending t;
-  (* results that landed while classifying (or were produced by inline
-     computes racing the pool) flush without waiting for the next call *)
-  integrate t;
+  integrate t
+
+let pump t =
+  advance t;
   collect t
 
 let needs_pump t =
   t.n_todo > 0
-  || (match t.service with
-     | Some svc -> Pool.Service.has_results svc
-     | None -> false)
+  || Pool.Service.has_results t.service
   || List.exists entry_done t.entries
+
+(* A slot can only be Waiting while its computation is in flight or its
+   result sits in the funnel, so an unresolved engine always has
+   something to wait on; fail loud rather than spin. *)
+let await t =
+  if not (Pool.Service.wait t.service) then
+    failwith "Serve: unresolved requests with nothing in flight"
 
 let rec pump_wait t =
   match pump t with
-  | [] when busy t -> (
-      match t.service with
-      | Some svc
-        when Pool.Service.in_flight svc > 0 || Pool.Service.has_results svc ->
-          ignore (Pool.Service.wait svc);
-          pump_wait t
-      | _ ->
-          (* a slot can only be Waiting while its computation is in
-             flight, so an unresolved engine always has something to
-             wait on; fail loud rather than spin *)
-          failwith "Serve.pump_wait: unresolved requests with nothing in flight"
-      )
+  | [] when busy t ->
+      await t;
+      pump_wait t
   | out -> out
 
-(* ------------------------------------------------------------------ *)
-(* The synchronous surface (the workers = 0 reference path)            *)
-(* ------------------------------------------------------------------ *)
-
-(* Process the oldest entry to completion on this domain.  Todo slots
-   compute inline; Waiting slots (a worker engine driven through [step])
-   resolve through the funnel. *)
-let step t =
-  match t.entries with
-  | [] -> None
-  | e :: rest ->
-      Array.iter
-        (fun slot ->
-          match slot.s_state with
-          | Todo payload ->
-              t.n_todo <- t.n_todo - 1;
-              classify_guarded t ~inline:true payload slot
-          | Waiting _ | Done _ -> ())
-        e.e_slots;
-      while not (entry_done e) do
-        (match t.service with
-        | Some svc -> ignore (Pool.Service.wait svc)
-        | None ->
-            failwith "Serve.step: unresolved slot without a worker pool");
-        integrate t
-      done;
-      t.entries <- rest;
-      Some (e.e_line, entry_reply e)
-
-(* One request line in, one reply line out, bypassing the queue.  A
-   batch line answers one array line.  Never raises. *)
 let handle t line =
-  let payloads, batch =
-    match parse_line line with
-    | L_bad msg -> ([ P_bad msg ], false)
-    | L_obj j -> ([ P_obj j ], false)
-    | L_batch els ->
-        t.c.batches <- t.c.batches + 1;
-        (List.map (fun j -> P_obj j) els, true)
-  in
-  let slots = List.map (fun p -> { s_state = Todo p }) payloads in
-  List.iter
-    (fun slot ->
-      match slot.s_state with
-      | Todo p -> classify_guarded t ~inline:true p slot
-      | Waiting _ | Done _ -> ())
-    slots;
-  let texts =
-    List.map
-      (fun s -> match s.s_state with Done r -> r | _ -> assert false)
-      slots
-  in
-  if batch then "[" ^ String.concat "," texts ^ "]" else List.hd texts
+  let e = enqueue t (parse_line line) in
+  advance t;
+  while not (entry_done e) do
+    await t;
+    advance t
+  done;
+  t.entries <- List.filter (fun e' -> e' != e) t.entries;
+  entry_reply e
 
 let begin_drain t =
   if not t.is_draining then begin
@@ -807,9 +723,7 @@ let begin_drain t =
 
 let draining t = t.is_draining
 let save t = Store.save t.store
-
-let shutdown t =
-  match t.service with None -> () | Some svc -> Pool.Service.shutdown svc
+let shutdown t = Pool.Service.shutdown t.service
 
 (* ------------------------------------------------------------------ *)
 (* Client-side codecs                                                  *)
@@ -909,8 +823,7 @@ type client = {
   cl_waiting : int Queue.t;
 }
 
-let serve_unix ?io ?limits ?backoff ?worker_backoff ?poison ?store_dir ~socket
-    () =
+let serve_unix ?limits ?poison ?store_dir ~socket () =
   (* self-pipe: worker completions wake the select loop immediately *)
   let pipe_r, pipe_w = Unix.pipe () in
   Unix.set_nonblock pipe_r;
@@ -920,10 +833,7 @@ let serve_unix ?io ?limits ?backoff ?worker_backoff ?poison ?store_dir ~socket
     (* a full pipe already holds a wake-up; dropping the byte is fine *)
     try ignore (Unix.write pipe_w wake 0 1) with Unix.Unix_error _ -> ()
   in
-  let t =
-    create ?io ?limits ?backoff ?worker_backoff ?poison ?store_dir ~on_result
-      ()
-  in
+  let t = create ?limits ?poison ?store_dir ~on_result () in
   let io = t.io in
   let fail msg =
     let e = Sched.Sched_error.Server msg in

@@ -11,9 +11,9 @@
        processor.  Wire lines are admitted into a bounded queue of
        {e entries} (a JSON array line is one entry with many request
        slots, admitted atomically); {!pump} classifies admitted slots,
-       coalesces identical in-flight misses, dispatches fresh misses —
-       inline at [workers = 0], to a persistent {!Pool.Service} worker
-       pool otherwise — and returns finished reply lines.  Every
+       coalesces identical in-flight misses, dispatches fresh misses to
+       a {!Pool.Service} — a synchronous one at [workers = 0], a pool of
+       worker domains otherwise — and returns finished reply lines.  Every
        effectful dependency — clock, sleep, logging — enters through the
        {!Io} seam, so the whole degradation ladder (overload shedding,
        budget timeouts, retry/backoff, poison quarantine, drain) is
@@ -44,20 +44,20 @@
     only).  Hence the CI serve gate: cold daemon, warm daemon,
     restarted daemon and [--workers N] daemon replies are
     byte-identical to {!direct_reply}, which computes the same answer
-    inline with no store at all.
+    in the caller with no store at all.
 
     {2 Coalescing}
 
-    Identical in-flight requests — same conviction key: mode x config
-    cache key x structural DDG encoding x trip — collapse onto one
-    computation; every waiter's reply renders with its own request id,
+    Identical in-flight requests — same conviction key (mode x config
+    cache key x structural DDG encoding x trip) and the same request
+    budget fields — collapse onto one computation; every waiter's reply
+    renders with its own request id,
     so coalesced replies are byte-identical to sequential ones.  Only
     the [stats] counters can tell the difference: [coalesced] counts
     attached waiters, [computes] counts computations actually started.
-    Coalescing needs an in-flight window, so it arises at
-    [workers >= 1]; at [workers = 0] every miss completes before the
-    next slot classifies and identical followers become store hits —
-    same bytes, different counters.
+    A computation stays in flight until a {!pump} integrates its
+    result, so identical slots classified in one pump coalesce at every
+    worker count, [workers = 0] included.
 
     {2 Degradation ladder}
 
@@ -69,8 +69,8 @@
     {- Per-request {!Sched.Budget} expiry → ["degraded"] with class
        ["timeout"]; never cached, never retried.}
     {- A raise or bug-class error → up to [retries] sequential
-       re-attempts spaced by {!Backoff} (each worker domain retries its
-       own jobs with its own backoff); if it still fails the request is
+       re-attempts spaced by {!Backoff} (each worker retries its own
+       jobs with its own backoff); if it still fails the request is
        answered ["fault"] and its key is {e poisoned}: subsequent
        identical requests answer ["poisoned"] without touching the
        scheduler.  One crashing request convicts only itself.}
@@ -107,46 +107,46 @@ type limits = {
           (default 2) *)
   workers : int;
       (** worker domains for miss computation (default 0: every miss
-          computes inline on the engine's own domain — the
-          byte-identical reference path) *)
+          computes on the engine's own domain, at submission) *)
 }
 
 val default_limits : limits
 
 type t
-(** A serve engine.  Owner-side calls ({!offer}, {!pump}, {!step},
-    {!handle}, …) must come from one domain only (the select loop
-    does); at [workers >= 1] computations run on pool domains and
-    funnel back through {!pump}. *)
+(** A serve engine.  Owner-side calls ({!offer}, {!pump}, {!handle}, …)
+    must come from one domain only (the select loop does); at
+    [workers >= 1] computations run on pool domains and funnel back
+    through {!pump}. *)
 
 val create :
   ?io:Io.t ->
   ?limits:limits ->
-  ?backoff:Backoff.t ->
-  ?worker_backoff:(int -> Backoff.t) ->
+  ?backoff:(int -> Backoff.t) ->
   ?poison:string list ->
   ?store_dir:string ->
   ?on_result:(unit -> unit) ->
   unit ->
   t
-(** [io] defaults to {!Io.real}.  [backoff] spaces transient-fault
-    retries on the inline path (default [Backoff.make ~sleep:io.sleep
-    ()]); [worker_backoff i] builds worker domain [i]'s private backoff
-    (default [Backoff.make ~seed:(i + 1) ~sleep:io.sleep ()] — a
-    {!Backoff.t} is single-owner).  [poison] names loop ids whose
-    schedule requests raise {!Experiment.Injected_fault} inside the
-    computation — the fault-injection hook [repro serve --poison]
-    exposes.  [store_dir] enables the disk tier: entries persisted by
-    {!save} are served warm after a restart; a corrupt table file is
-    quarantined at load ({!Store}), not fatal.  [on_result] fires on a
-    worker domain after each pool computation finishes — the daemon's
-    select-loop wake-up ({!Pool.Service.create}). *)
+(** [io] defaults to {!Io.real}.  [backoff i] builds worker [i]'s
+    private backoff, which spaces its transient-fault retries (default
+    [Backoff.make ~seed:(i + 1) ~sleep:io.sleep ()] — a {!Backoff.t} is
+    single-owner); at [workers = 0], worker 0 is the engine's own
+    domain.  [poison] names loop ids whose schedule requests raise
+    {!Experiment.Injected_fault} inside the computation — the
+    fault-injection hook [repro serve --poison] exposes.  [store_dir]
+    enables the disk tier: entries persisted by {!save} are served warm
+    after a restart; a corrupt table file is quarantined at load
+    ({!Store}), not fatal.  [on_result] fires after each computation
+    finishes, on the domain that ran it — the daemon's select-loop
+    wake-up ({!Pool.Service.create}). *)
 
 val handle : t -> string -> string
-(** Process one request line synchronously, bypassing the queue; misses
-    compute inline even at [workers >= 1].  A batch line answers one
-    array line.  Never raises: malformed input answers ["bad-request"],
-    a crashing computation answers ["fault"]. *)
+(** Process one request line and return its reply line: the line is
+    admitted without the queue bound (even while draining), then the
+    engine is pumped until that entry is answered.  Other admitted
+    entries advance too, but their replies stay for {!pump}.  A batch
+    line answers one array line.  Never raises: malformed input answers
+    ["bad-request"], a crashing computation answers ["fault"]. *)
 
 val offer : t -> string -> string option
 (** Admit a request line into the bounded queue: [None] = admitted (its
@@ -159,23 +159,13 @@ val pump : t -> (int * string) list
     classify admitted slots (answering what needs no computation,
     coalescing identical in-flight misses, dispatching fresh misses),
     and return the reply lines of entries that completed, as
-    [(seq, reply_line)] in admission order.  At [workers = 0] one call
-    resolves everything admitted. *)
+    [(seq, reply_line)] in admission order; [seq] counts admissions
+    from 0.  At [workers = 0] one call resolves everything admitted. *)
 
 val pump_wait : t -> (int * string) list
 (** {!pump}, but if nothing completed and unresolved entries remain,
     block on the worker funnel and pump again — for tests and in-process
     drivers; the daemon waits in [select] on its self-pipe instead. *)
-
-val needs_pump : t -> bool
-(** Whether {!pump} has immediate work: unclassified slots, or worker
-    results waiting in the funnel. *)
-
-val step : t -> (string * string) option
-(** Dequeue and process the oldest admitted entry to completion on this
-    domain: [Some (request_line, reply_line)], or [None] on an empty
-    queue.  The inline reference path ([repro serve] at
-    [--workers 0]). *)
 
 val pending : t -> int
 (** Admitted request slots not yet resolved (classification pending or
@@ -196,9 +186,9 @@ val save : t -> unit
     [store_dir]. *)
 
 val shutdown : t -> unit
-(** Join the worker pool, if any ({!Pool.Service.shutdown}): in-flight
-    and queued computations finish first and remain integrable by
-    {!pump}.  Idempotent; no-op at [workers = 0]. *)
+(** Join the worker pool ({!Pool.Service.shutdown}): in-flight and
+    queued computations finish first and remain integrable by {!pump}.
+    Idempotent. *)
 
 (** {1 Client-side codecs}
 
@@ -242,24 +232,22 @@ val direct_reply :
   Workload.Generator.loop ->
   string
 (** The reply a daemon must produce for {!request} with the same
-    arguments, computed inline with no store, no queue and no retries —
-    the reference side of the serve equality gate ([repro client
-    --local]). *)
+    arguments, computed in the caller with no store, no queue, no pool
+    and no retries — the reference side of the serve equality gate
+    ([repro client --local]). *)
 
 (** {1 The daemon} *)
 
 val serve_unix :
-  ?io:Io.t ->
   ?limits:limits ->
-  ?backoff:Backoff.t ->
-  ?worker_backoff:(int -> Backoff.t) ->
   ?poison:string list ->
   ?store_dir:string ->
   socket:string ->
   unit ->
   int
-(** Run the daemon on a Unix-domain stream socket at [socket] (a stale
-    socket file is unlinked first) until SIGTERM/SIGINT, then drain:
+(** Run the daemon, with {!Io.real} and the default backoffs, on a
+    Unix-domain stream socket at [socket] (a stale socket file is
+    unlinked first) until SIGTERM/SIGINT, then drain:
     admitted requests finish (worker computations included) and their
     replies flush, new work is shed, the worker pool is joined, the
     store is saved atomically, and the process result is [0].  Replies

@@ -280,6 +280,7 @@ let json_of_increments (o : Sched.Driver.outcome) =
 module Run_json = struct
   let counts = json_of_counts
   let increments = json_of_increments
+  let stats = json_of_repl_stats
 end
 
 let json_of_entry fp en =

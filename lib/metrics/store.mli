@@ -155,4 +155,8 @@ module Run_json : sig
   val increments : Sched.Driver.outcome -> Json.t
   (** The II increments summed per cause:
       [{"bus":b,"recurrence":r,"registers":g}]. *)
+
+  val stats : Replication.Replicate.stats -> Json.t
+  (** The replication pass's statistics, one member per field in
+      declaration order; a serve reply keeps its four totals. *)
 end

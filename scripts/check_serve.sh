@@ -18,8 +18,9 @@
 #      workers-0 replies above
 #  11. a batched burst of identical requests coalesces onto exactly one
 #      computation (stats computes=1, coalesced=99) with replies
-#      byte-identical to the inline reference, and a SIGTERM landing
-#      mid-burst still drains cleanly
+#      byte-identical to the inline reference, at the default width and
+#      at --workers 4, and a SIGTERM landing mid-burst still drains
+#      cleanly
 #
 # Fault classes covered: torn disk write (9), worker crash (5, 10),
 # over-budget request (3, 10), corrupt request JSON (4), signal during
@@ -161,20 +162,27 @@ grep -q '"workers":4' "$DIR/workers_stats.txt" || fail "stats does not report th
 stop_daemon
 
 # --- 11. batched burst coalesces, SIGTERM mid-burst drains -----------
-# 100 identical cold requests in one atomically-admitted batch line:
-# exactly one computation runs, the other 99 coalesce onto it, and the
-# one array reply is byte-identical to 100 inline reference replies.
-CACHE="$DIR/cache_batch"
-: > "$DIR/daemon.log"
-start_daemon "--workers 4 --queue-bound 256"
-$REPRO client --socket "$SOCK" -b tomcatv --loops 2 --mode repl --batch --repeat 100 > "$DIR/burst_batch.txt"
-[ "$(wc -l < "$DIR/burst_batch.txt")" -eq 1 ] || fail "batch did not answer one array line"
+# 100 identical cold requests in one atomically-admitted batch line, on
+# a fresh cache: exactly one computation runs, the other 99 coalesce
+# onto it, and the one array reply is byte-identical to 100 inline
+# reference replies.  Run at the default width (misses compute on the
+# daemon's own domain) and at --workers 4; the second daemon stays up.
 $REPRO client --local -b tomcatv --loops 2 --mode repl --repeat 100 > "$DIR/burst_direct.txt"
 printf '[%s]\n' "$(paste -sd, "$DIR/burst_direct.txt")" > "$DIR/burst_expect.txt"
-diff "$DIR/burst_expect.txt" "$DIR/burst_batch.txt" || fail "batched burst replies differ from the inline reference"
-$REPRO client --socket "$SOCK" --loops "" --stats > "$DIR/burst_stats.txt"
-grep -q '"computes":1' "$DIR/burst_stats.txt" || fail "burst of 100 ran more than one computation"
-grep -q '"coalesced":99' "$DIR/burst_stats.txt" || fail "burst of 100 did not coalesce 99 requests"
+burst_check() {
+  CACHE="$DIR/cache_batch_$1"
+  : > "$DIR/daemon.log"
+  start_daemon "$2 --queue-bound 256"
+  $REPRO client --socket "$SOCK" -b tomcatv --loops 2 --mode repl --batch --repeat 100 > "$DIR/burst_batch.txt"
+  [ "$(wc -l < "$DIR/burst_batch.txt")" -eq 1 ] || fail "$1: batch did not answer one array line"
+  diff "$DIR/burst_expect.txt" "$DIR/burst_batch.txt" || fail "$1: batched burst replies differ from the inline reference"
+  $REPRO client --socket "$SOCK" --loops "" --stats > "$DIR/burst_stats.txt"
+  grep -q '"computes":1' "$DIR/burst_stats.txt" || fail "$1: burst of 100 ran more than one computation"
+  grep -q '"coalesced":99' "$DIR/burst_stats.txt" || fail "$1: burst of 100 did not coalesce 99 requests"
+}
+burst_check default ""
+stop_daemon
+burst_check workers4 "--workers 4"
 # SIGTERM lands while a fresh batch is still computing on the workers:
 # the admitted batch finishes, its reply flushes, the daemon exits 0.
 $REPRO client --socket "$SOCK" -b swim --loops 3,4 --mode repl --batch --repeat 10 > "$DIR/drain_batch.txt" &

@@ -596,6 +596,59 @@ let test_pool_exception () =
           Alcotest.failf "jobs=%d: unexpected %s" jobs (Printexc.to_string e))
     [ 1; 2; 4 ]
 
+(* The serve engine's one dispatch path, at width 0 (jobs run on the
+   caller, inside [submit]) and width 2.  Jobs go in reverse, so a
+   job's submission index is not its value. *)
+let test_pool_service () =
+  let module S = Metrics.Pool.Service in
+  List.iter
+    (fun workers ->
+      let at what = Printf.sprintf "%s (width %d)" what workers in
+      let ran = Atomic.make 0 and fired = Atomic.make 0 in
+      let svc =
+        S.create
+          ~on_result:(fun () -> Atomic.incr fired)
+          ~workers
+          (fun _ x ->
+            Atomic.incr ran;
+            if x = 3 then raise (Boom x) else 10 * x)
+      in
+      let jobs = List.init 8 (fun i -> 7 - i) in
+      List.iteri
+        (fun i x ->
+          S.submit svc x;
+          if workers = 0 then begin
+            check int (at "the job ran inside submit") (i + 1) (Atomic.get ran);
+            check bool (at "wait returns at once, with a result") true
+              (S.wait svc)
+          end)
+        jobs;
+      S.shutdown svc;
+      S.shutdown svc;
+      let results =
+        List.sort (fun (a, _) (b, _) -> compare a b) (S.poll svc)
+      in
+      check (Alcotest.list int)
+        (at "every job comes back once, with its own job")
+        (List.init 8 Fun.id) (List.map fst results);
+      List.iter
+        (fun (x, res) ->
+          match res with
+          | Ok v -> check int (at "a job's own result") (10 * x) v
+          | Error { Metrics.Pool.index; exn = Boom b; _ } ->
+              check int (at "the raising job") 3 b;
+              check int (at "its fault carries the submission index") 4 index
+          | Error f ->
+              Alcotest.failf "unexpected fault %s" (Printexc.to_string f.exn))
+        results;
+      check int (at "on_result fires once per job") 8 (Atomic.get fired);
+      check bool (at "wait with nothing in flight returns at once") false
+        (S.wait svc);
+      match S.submit svc 0 with
+      | () -> Alcotest.failf "width %d: submit after shutdown accepted" workers
+      | exception Invalid_argument _ -> ())
+    [ 0; 2 ]
+
 let test_pool_default_jobs () =
   check bool "default_jobs positive" true (Metrics.Pool.default_jobs () >= 1)
 
@@ -654,6 +707,7 @@ let suite =
     Alcotest.test_case "pool map order" `Quick test_pool_map_order;
     Alcotest.test_case "pool filter_map" `Quick test_pool_filter_map;
     Alcotest.test_case "pool exception" `Quick test_pool_exception;
+    Alcotest.test_case "pool service" `Quick test_pool_service;
     Alcotest.test_case "pool default jobs" `Quick test_pool_default_jobs;
     Alcotest.test_case "pool clamp" `Quick test_pool_clamp;
     Alcotest.test_case "profile merge across domains" `Quick

@@ -50,10 +50,12 @@ let engine ?limits ?backoff ?poison ?store_dir () =
   in
   Metrics.Serve.create
     ~io:(Metrics.Serve.Io.silent ())
-    ?limits ~backoff ?poison ?store_dir ()
+    ?limits
+    ~backoff:(fun _ -> backoff)
+    ?poison ?store_dir ()
 
-(* a worker-pool engine: silent, no-wait backoff on both the inline and
-   the per-worker retry paths, and a queue wide enough for batch bursts *)
+(* an engine of [workers] domains (0: the engine's own), silent, with a
+   no-wait backoff per worker and a queue wide enough for batch bursts *)
 let worker_engine ?(workers = 1) ?(queue_bound = 256) ?poison () =
   let limits =
     { Metrics.Serve.default_limits with workers; queue_bound }
@@ -61,8 +63,7 @@ let worker_engine ?(workers = 1) ?(queue_bound = 256) ?poison () =
   Metrics.Serve.create
     ~io:(Metrics.Serve.Io.silent ())
     ~limits
-    ~backoff:(Metrics.Backoff.none ())
-    ~worker_backoff:(fun _ -> Metrics.Backoff.none ())
+    ~backoff:(fun _ -> Metrics.Backoff.none ())
     ?poison ()
 
 (* pump (blocking on the worker funnel as needed) until every admitted
@@ -200,17 +201,20 @@ let test_queue_bound_sheds () =
         (Metrics.Json.to_str (field "id" shed))
   | _ -> failf "queue bound 2 did not admit exactly 2 of 3");
   check int "pending counts the admitted requests" 2 (Metrics.Serve.pending t);
-  (* admission order is reply order, and queued service still matches
-     the inline reference *)
-  List.iteri
-    (fun i line ->
-      match Metrics.Serve.step t with
-      | Some (line', reply) ->
-          check string "step dequeues in admission order" line line';
-          check string "queued reply equals direct" (direct ~mode:base i) reply
-      | None -> failf "step %d found an empty queue" i)
-    [ List.nth lines 0; List.nth lines 1 ];
-  check bool "drained queue steps None" true (Metrics.Serve.step t = None);
+  (* [handle] admits past the bound and answers its own line alone,
+     leaving the admitted entries for the pump *)
+  check string "handle answers past a full queue" (direct ~mode:base 2)
+    (Metrics.Serve.handle t (List.nth lines 2));
+  check bool "handle leaves the admitted entries queued" true
+    (Metrics.Serve.busy t);
+  (* admission order is reply order, by sequence number, and queued
+     service still matches the inline reference *)
+  check
+    (list (pair int string))
+    "pump answers the admitted entries in admission order"
+    [ (0, direct ~mode:base 0); (1, direct ~mode:base 1) ]
+    (run_to_completion t);
+  check int "nothing pending after the pump" 0 (Metrics.Serve.pending t);
   (* the shed made room: the queue admits again *)
   check bool "freed queue admits again" true
     (Metrics.Serve.offer t (List.nth lines 2) = None)
@@ -225,11 +229,9 @@ let test_drain_sheds_but_finishes_admitted () =
   (match Metrics.Serve.offer t (request ~mode:base 1) with
   | Some shed -> check string "drain sheds new work" "overloaded" (status shed)
   | None -> failf "draining engine admitted new work");
-  match Metrics.Serve.step t with
-  | Some (_, reply) ->
-      check string "admitted request still finishes across the drain"
-        (direct ~mode:base 0) reply
-  | None -> failf "admitted request lost in the drain"
+  check (list string) "admitted request still finishes across the drain"
+    [ direct ~mode:base 0 ]
+    (in_admission_order (run_to_completion t))
 
 (* ------------------------------------------------------------------ *)
 (* Degradation: budgets, bad requests, faults, poison                   *)
@@ -408,41 +410,60 @@ let test_stats_counters () =
 (* Batching, coalescing and the worker pool                             *)
 (* ------------------------------------------------------------------ *)
 
+(* At every worker count, the engine's own domain included: identical
+   slots classified in one pump share one computation. *)
 let test_batch_coalesces_to_one_compute () =
   let n = 100 in
-  let t = worker_engine () in
-  Fun.protect ~finally:(fun () -> Metrics.Serve.shutdown t) @@ fun () ->
-  let batch =
-    Metrics.Serve.batch_request (List.init n (fun _ -> request ~mode:repl 0))
-  in
-  check bool "batch admitted atomically" true
-    (Metrics.Serve.offer t batch = None);
-  (match run_to_completion t with
-  | [ (_, reply) ] ->
-      check string "burst replies byte-identical to the inline reference"
-        (Metrics.Serve.batch_request
-           (List.init n (fun _ -> direct ~mode:repl 0)))
-        reply
-  | rs -> failf "batch answered %d lines, wanted 1" (List.length rs));
-  let stats = Metrics.Serve.handle t (Metrics.Serve.stats_request ()) in
-  check int "exactly one computation ran" 1 (count "computes" stats);
-  check int "every other request coalesced onto it" (n - 1)
-    (count "coalesced" stats);
-  check int "every slot was a store miss" n (count "misses" stats);
-  check int "one batch admitted" 1 (count "batches" stats);
-  check int "every waiter was served" n (count "served" stats)
+  List.iter
+    (fun workers ->
+      let t = worker_engine ~workers () in
+      Fun.protect ~finally:(fun () -> Metrics.Serve.shutdown t) @@ fun () ->
+      let at what = Printf.sprintf "%s (workers %d)" what workers in
+      let batch =
+        Metrics.Serve.batch_request
+          (List.init n (fun _ -> request ~mode:repl 0))
+      in
+      check bool (at "batch admitted atomically") true
+        (Metrics.Serve.offer t batch = None);
+      (match run_to_completion t with
+      | [ (_, reply) ] ->
+          check string
+            (at "burst replies byte-identical to the inline reference")
+            (Metrics.Serve.batch_request
+               (List.init n (fun _ -> direct ~mode:repl 0)))
+            reply
+      | rs -> failf "batch answered %d lines, wanted 1" (List.length rs));
+      let stats = Metrics.Serve.handle t (Metrics.Serve.stats_request ()) in
+      check int (at "exactly one computation ran") 1 (count "computes" stats);
+      check int (at "every other request coalesced onto it") (n - 1)
+        (count "coalesced" stats);
+      check int (at "no request was a store hit") 0 (count "hits" stats);
+      check int (at "every slot was a store miss") n (count "misses" stats);
+      check int (at "one batch admitted") 1 (count "batches" stats);
+      check int (at "every waiter was served") n (count "served" stats))
+    [ 0; 1 ]
 
 let test_worker_counts_agree_bytewise () =
-  let victim = (loop 3).Workload.Generator.id in
+  let victims = List.map (fun i -> (loop i).Workload.Generator.id) [ 3; 4 ] in
   (* mixed workload: two plain misses, a poisoned crasher, a budget
-     timeout — then a second wave re-hitting all three degradation
-     outcomes once the first wave's convictions have settled *)
+     timeout, a batch line repeating a second crasher and one pairing a
+     zero-attempt budget with a plain request for the same loop — then a
+     second wave re-hitting all three degradation outcomes once the
+     first wave's convictions have settled *)
+  let repeated_crash =
+    Metrics.Serve.batch_request [ request ~mode:base 4; request ~mode:base 4 ]
+  and mixed_budgets =
+    Metrics.Serve.batch_request
+      [ request ~budget_attempts:0 ~mode:base 2; request ~mode:base 2 ]
+  in
   let wave1 () =
     [
       request ~mode:repl 0;
       request ~mode:repl 1;
       request ~mode:base 3;
       request ~budget_attempts:0 ~mode:repl 2;
+      repeated_crash;
+      mixed_budgets;
     ]
   and wave2 () =
     [
@@ -452,10 +473,7 @@ let test_worker_counts_agree_bytewise () =
     ]
   in
   let run workers =
-    let t =
-      if workers = 0 then engine ~poison:[ victim ] ()
-      else worker_engine ~workers ~poison:[ victim ] ()
-    in
+    let t = worker_engine ~workers ~poison:victims () in
     Fun.protect ~finally:(fun () -> Metrics.Serve.shutdown t) @@ fun () ->
     let wave lines =
       List.iter
@@ -469,10 +487,22 @@ let test_worker_counts_agree_bytewise () =
     wave (wave1 ()) @ wave (wave2 ())
   in
   let reference = run 0 in
+  (* the repeat coalesces onto the first crash, at workers 0 too: both
+     elements answer the one computation's fault *)
+  check (list string) "a repeated crash in one batch faults twice"
+    [ "fault"; "fault" ]
+    (List.map
+       (fun el -> Metrics.Json.(to_str (member "status" el)))
+       (Metrics.Json.to_list (Metrics.Json.parse (List.nth reference 4))));
+  (* a request never shares a computation run under another budget *)
+  check string "each budget answers its own direct reply"
+    (Metrics.Serve.batch_request
+       [ direct ~budget_attempts:0 ~mode:base 2; direct ~mode:base 2 ])
+    (List.nth reference 5);
   List.iter
     (fun w ->
       check (list string)
-        (Printf.sprintf "--workers %d replies byte-equal the inline path" w)
+        (Printf.sprintf "--workers %d replies byte-equal workers 0" w)
         reference (run w))
     [ 1; 4 ]
 

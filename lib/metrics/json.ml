@@ -91,9 +91,16 @@ let print v =
 
 (* [parse] and [fold_member] read through the same functions, so they
    accept one grammar and fail with the same message at the same byte. *)
-type cursor = { s : string; n : int; mutable pos : int }
+type cursor = {
+  s : string;
+  n : int;
+  mutable pos : int;
+  small : t array;
+      (* empty, or the [Num] of each integer from -1 to 999 read so far
+         at index [i + 1] ([Null] until read) *)
+}
 
-let cursor s = { s; n = String.length s; pos = 0 }
+let cursor ?(small = [||]) s = { s; n = String.length s; pos = 0; small }
 let fail c msg = raise (Bad (Printf.sprintf "%s at byte %d" msg c.pos))
 let peek c = if c.pos < c.n then Some c.s.[c.pos] else None
 let advance c = c.pos <- c.pos + 1
@@ -163,6 +170,28 @@ let parse_string c =
   go ();
   Buffer.contents b
 
+(* The value of a literal of at most three digits, or of "-1": the
+   integers a cursor with a [small] table reads as one shared value
+   each.  -2 for any other literal. *)
+let small_int c ~start ~len =
+  if len = 2 && c.s.[start] = '-' && c.s.[start + 1] = '1' then -1
+  else if len > 3 then -2
+  else begin
+    let v = ref 0 in
+    for i = start to start + len - 1 do
+      match c.s.[i] with
+      | '0' .. '9' as d when !v >= 0 ->
+          v := (!v * 10) + Char.code d - Char.code '0'
+      | _ -> v := -2
+    done;
+    !v
+  end
+
+let float_literal c ~start ~len =
+  match float_of_string_opt (String.sub c.s start len) with
+  | Some f -> Num f
+  | None -> fail c "bad number"
+
 let parse_number c =
   let start = c.pos in
   let number_char = function
@@ -172,10 +201,17 @@ let parse_number c =
   while match peek c with Some ch -> number_char ch | None -> false do
     advance c
   done;
-  if c.pos = start then fail c "expected number";
-  match float_of_string_opt (String.sub c.s start (c.pos - start)) with
-  | Some f -> f
-  | None -> fail c "bad number"
+  let len = c.pos - start in
+  if len = 0 then fail c "expected number";
+  let v = if Array.length c.small = 0 then -2 else small_int c ~start ~len in
+  if v = -2 then float_literal c ~start ~len
+  else
+    match c.small.(v + 1) with
+    | Null ->
+        let x = float_literal c ~start ~len in
+        c.small.(v + 1) <- x;
+        x
+    | x -> x
 
 (* The items of the array or object whose opening bracket is next:
    [item] reads each one, and [close] is the closing bracket. *)
@@ -221,7 +257,7 @@ let rec parse_value c =
   | Some 't' -> literal c "true" (Bool true)
   | Some 'f' -> literal c "false" (Bool false)
   | Some 'n' -> literal c "null" Null
-  | Some _ -> Num (parse_number c)
+  | Some _ -> parse_number c
   | None -> fail c "unexpected end of input"
 
 let finish c =
@@ -236,10 +272,13 @@ let parse s =
 
 (* Elements reach [f] as the parser reads them, so each element's tree
    can die young instead of the whole array's surviving to the end.
-   Errors come out as [parse], [member] and [to_list] would raise them:
-   the whole text is read before a missing or non-list member fails. *)
+   The integers from -1 to 999, which a store table is mostly made of,
+   read as one shared value each across the document, so an element's
+   tree holds no number of its own for them.  Errors come out as
+   [parse], [member] and [to_list] would raise them: the whole text is
+   read before a missing or non-list member fails. *)
 let fold_member name f init s =
-  let c = cursor s in
+  let c = cursor ~small:(Array.make 1001 Null) s in
   skip_ws c;
   if peek c <> Some '{' then begin
     ignore (parse_value c);

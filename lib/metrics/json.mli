@@ -47,7 +47,11 @@ val fold_member :
     {!member}, only the first member called [name] is folded over; a
     later one is returned among the others.  [before] lets a caller
     check a header written ahead of the array before it decodes any
-    element, as the schedule store does.
+    element, as the schedule store does.  The integer literals from -1
+    to 999 read as one shared [Num] value each across the document
+    (each literal still reads as {!parse} reads it), so an element's
+    tree that a minor collection catches promotes no number of its
+    own for them.
 
     @raise Bad exactly where [to_list (member name (parse text))] would,
     with the same message.  [f] may already have seen elements when a

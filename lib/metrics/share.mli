@@ -12,7 +12,10 @@
     Identity is exact content only; no digest alone decides it:
     - a graph is keyed by its {!Ddg.Graph.structural_encoding}, its name
       and its node labels;
-    - a partition is keyed by that graph and its content.
+    - a partition is keyed by that graph and its content;
+    - a schedule's cycle and bus arrays, and an outcome's increments,
+      by their content alone.
+    Int arrays hash by their whole content ({!Sched.Partition.Ints}).
 
     The table holds no routed graph.  A run comes out with its schedule
     unrouted ({!Sched.Schedule.unrouted}): its routed graph is
@@ -31,13 +34,30 @@ val create : unit -> t
 val string : t -> string -> string
 (** The table's string equal to this one (this one, the first time). *)
 
+val graph : t -> Ddg.Graph.t -> Ddg.Graph.t
+(** The table's graph equal to this one (this one, the first time).
+    A {!Suite} over a store passes its own loops' graphs through the
+    store's table first, so a run decoded for an untransformed loop
+    holds the loop's own graph. *)
+
 val partition :
   t -> Ddg.Graph.t -> assign:int array -> Ddg.Graph.t * int array
 (** [partition t g ~assign] is the table's graph equal to [g] and its
     partition of that graph equal to [assign]. *)
 
+val ints : t -> int array -> int array
+(** The table's schedule array (cycles or buses) equal to this one
+    (this one, the first time).  {!run} and {!Store}'s decoding pass
+    every schedule's arrays through it. *)
+
+val increments :
+  t -> (Sched.Driver.cause * int) list -> (Sched.Driver.cause * int) list
+(** The table's increments equal to these (these, the first time). *)
+
 val run : t -> Experiment.loop_run -> Experiment.loop_run
 (** The run with its outcome's graph and partition replaced by the
-    table's ({!partition}), and its schedule unrouted around them, with
-    the latency-0 flag exactly in [Replication_latency0] mode: a run's
-    route is [Route.build] of its graph and partition. *)
+    table's ({!partition}), its schedule's cycle and bus arrays and its
+    increments by the table's equal ones, and its schedule unrouted
+    around the graph and partition, with the latency-0 flag exactly in
+    [Replication_latency0] mode: a run's route is [Route.build] of its
+    graph and partition. *)

@@ -51,11 +51,16 @@
    register families and spill variants, so each store holds one
    {!Share} table for its decoded values: a graph is shared by its
    name, labels and {!Ddg.Graph.structural_encoding}; a partition array
-   by that graph and its content; the [x] string by value.  The table
-   holds no routed graph.  No digest alone decides identity.  A {!Suite}
-   over the store passes every run it computes through the same table
-   before recording it, so the memory tier and the disk tier hold one
-   value per distinct content.
+   by that graph and its content; cycle and bus arrays and increments
+   by their content; the [x] string by value.  The table holds no
+   routed graph.  No digest alone decides identity.  A {!Suite} over
+   the store passes its loops' graphs through the same table before
+   anything is decoded, and every run it computes before recording it,
+   so the memory tier and the disk tier hold one value per distinct
+   content, and a decoded untransformed run holds its loop's own graph.
+   A decoded entry's tree holds no number of its own for the small
+   integers ({!Json.fold_member}), so what a minor collection promotes
+   of it stays small beside the values the table keeps.
 
    Counters.  Every lookup/IO updates both the per-store {!stats} and
    the global always-on counters in {!Sched.Profile}. *)
@@ -360,8 +365,8 @@ let entry_of_json t ~config ~latency0 j =
               Sched.Schedule.config;
               routing = Unrouted { graph; assign; latency0 };
               ii;
-              cycles;
-              buses;
+              cycles = Share.ints t.share cycles;
+              buses = Share.ints t.share buses;
             }
           in
           let outcome =
@@ -372,11 +377,12 @@ let entry_of_json t ~config ~latency0 j =
               mii;
               ii;
               increments =
-                [
-                  (Sched.Driver.Bus, inc "bus");
-                  (Sched.Driver.Recurrence, inc "recurrence");
-                  (Sched.Driver.Registers, inc "registers");
-                ];
+                Share.increments t.share
+                  [
+                    (Sched.Driver.Bus, inc "bus");
+                    (Sched.Driver.Recurrence, inc "recurrence");
+                    (Sched.Driver.Registers, inc "registers");
+                  ];
               n_comms = Json.to_int (Json.member "n_comms" j);
             }
           in

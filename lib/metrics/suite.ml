@@ -31,10 +31,12 @@ type t = {
          scheduling (direct or traced) and fed by every pass; only
          touched on the orchestrating domain *)
   share : Share.t;
-      (* every run the suite computes is rebuilt around one graph and
-         one partition per distinct content, its schedule unrouted,
-         before it is kept or recorded; the store's own table when there
-         is a store *)
+      (* every run the suite computes is rebuilt around one value per
+         distinct content (graph, partition, cycle and bus arrays,
+         increments), its schedule unrouted, before it is kept or
+         recorded; the store's own table when there is a store, seeded
+         with the suite's loops' graphs so that a run the store decodes
+         for an untransformed loop holds the loop's own graph *)
   jobs_ : int;
 }
 
@@ -42,6 +44,12 @@ let create ?loops ?(jobs = 1) ?store () =
   let loops_ =
     match loops with Some l -> l | None -> Workload.Generator.suite ()
   in
+  let share =
+    match store with Some s -> Store.share s | None -> Share.create ()
+  in
+  List.iter
+    (fun (l : Workload.Generator.loop) -> ignore (Share.graph share l.graph))
+    loops_;
   {
     loops_;
     cache = Hashtbl.create 32;
@@ -50,8 +58,7 @@ let create ?loops ?(jobs = 1) ?store () =
     views = Hashtbl.create 256;
     digests = Hashtbl.create 64;
     store;
-    share =
-      (match store with Some s -> Store.share s | None -> Share.create ());
+    share;
     jobs_ = jobs;
   }
 

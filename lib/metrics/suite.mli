@@ -50,8 +50,12 @@
     members of a register family.  So every run a pass computes — direct,
     replayed, spilled or lengthened — goes through a {!Share} table
     before it is kept or recorded, and comes out holding the table's one
-    graph, partition and routed graph for its content.  With a store the
-    table is the store's own, so decoded runs share with computed ones. *)
+    graph, partition, cycle array, bus array and increments for its
+    content, and no routed graph.  With a store the table is the store's
+    own, so decoded runs share with computed ones; {!create} passes the
+    suite's loops' graphs through it first, so a run that kept its
+    loop's graph untransformed holds the loop's own graph, decoded or
+    computed. *)
 
 type t
 

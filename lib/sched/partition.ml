@@ -3,34 +3,74 @@ open Ddg
 type t = int array
 
 (* ------------------------------------------------------------------ *)
+(* Tables keyed by int arrays                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The whole content, mixed once at the end: [Hashtbl.hash] reads at
+   most ten meaningful words, so arrays agreeing on their first nine
+   entries would share one bucket. *)
+let hash_ints (a : int array) =
+  let h = ref (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    h := (!h * 31) + Array.unsafe_get a i
+  done;
+  Hashtbl.hash !h
+
+let equal_ints (a : int array) (b : int array) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
+
+module Ints = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = equal_ints
+  let hash = hash_ints
+end)
+
+module Ints_at = Hashtbl.Make (struct
+  type t = int * int array
+
+  let equal (i, a) (j, b) = i = j && equal_ints a b
+  let hash (i, a) = Hashtbl.hash ((hash_ints a * 31) + i)
+end)
+
+(* ------------------------------------------------------------------ *)
 (* Coarsening                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* A macro-node: a set of original nodes plus its per-kind op counts so
-   capacity checks are O(1). *)
-type macro = { members : int list; kind_count : int array }
+(* A macro-node: how many original nodes it holds, and its per-kind op
+   counts so capacity checks are O(1). *)
+type macro = { size : int; kind_count : int array }
 
 let macro_of_node g v =
   let kind_count = Array.make Machine.Fu.count 0 in
   (match Machine.Opclass.fu_kind (Graph.op g v) with
   | Some k -> kind_count.(Machine.Fu.index k) <- 1
   | None -> ());
-  { members = [ v ]; kind_count }
+  { size = 1; kind_count }
 
 let merge_macro a b =
   {
-    members = List.rev_append a.members b.members;
+    size = a.size + b.size;
     kind_count = Array.init Machine.Fu.count (fun i ->
         a.kind_count.(i) + b.kind_count.(i));
   }
 
-(* A macro-node is contractible if at least one cluster could hold it at
-   this II (on heterogeneous machines, the roomiest cluster decides). *)
-let fits config ~ii m =
+(* Two macro-nodes are contractible if at least one cluster could hold
+   their merge at this II (on heterogeneous machines, the roomiest
+   cluster decides). *)
+let fits config ~ii a b =
   List.for_all
     (fun k ->
       let units = Machine.Config.max_cluster_fus config k in
-      m.kind_count.(Machine.Fu.index k) <= units * ii)
+      let i = Machine.Fu.index k in
+      a.kind_count.(i) + b.kind_count.(i) <= units * ii)
     Machine.Fu.all
 
 (* Edges between macro-nodes, weights accumulated. *)
@@ -59,7 +99,7 @@ let coarsen_level config ~ii g analysis macros macro_of =
   let pairs = Matching.greedy ~n edges in
   let contractible =
     List.filter
-      (fun (u, v) -> fits config ~ii (merge_macro macros.(u) macros.(v)))
+      (fun (u, v) -> fits config ~ii macros.(u) macros.(v))
       pairs
   in
   if contractible = [] then None
@@ -132,7 +172,7 @@ let assign_macros config g analysis ~ii macros macro_of =
       (Graph.edges g);
     conn
   in
-  let size m = List.length macros.(m).members in
+  let size m = macros.(m).size in
   let order =
     List.sort
       (fun a b -> Stdlib.compare (size b, a) (size a, b))
@@ -295,10 +335,13 @@ module Hier = struct
      roomiest cluster's unit counts and {!assign_macros} is run per
      view, so one skeleton serves every machine sharing the
      cluster/unit structure — bus counts, bus latencies and register
-     files may all differ.  A mutex guards the memo state: loops with
-     identical DDGs may share one skeleton across pool domains within
-     one parallel sweep.  Everything memoized is deterministic, so the
-     lock only prevents torn state, never changes results. *)
+     files may all differ.  The skeleton also holds the one copy of
+     each distinct partition its views' memos keep ([s_arrays]): views
+     for different buses and latencies mostly compute equal
+     partitions.  A mutex guards the memo state: loops with identical
+     DDGs may share one skeleton across pool domains within one
+     parallel sweep.  Everything memoized is deterministic, so the lock
+     only prevents torn state, never changes results. *)
   type skel = {
     s_config : Machine.Config.t;  (* structure donor: clusters + units *)
     s_graph : Graph.t;
@@ -314,6 +357,7 @@ module Hier = struct
     mutable s_analysis : Analysis.t option;  (* at [max base_ii rec_mii] *)
     mutable s_base : coarse option;  (* coarsest level at [base_ii] *)
     s_coarse : (int, coarse) Hashtbl.t;  (* continued coarsening per II *)
+    s_arrays : int array Ints.t;  (* every view memo's arrays, by content *)
   }
 
   (* A per-configuration view of a skeleton.  Assignment and refinement
@@ -322,7 +366,8 @@ module Hier = struct
      their memos live here and a view may serve a whole register family
      across sequential passes.  A view is used by one domain at a time
      — the suite hands each loop to a single worker per pass — so the
-     memos are unlocked; only the skeleton underneath is shared. *)
+     memo tables are unlocked; only the skeleton underneath, which
+     holds the arrays they map to, is shared. *)
   type t = {
     h_skel : skel;
     h_config : Machine.Config.t;
@@ -332,7 +377,7 @@ module Hier = struct
            so skeleton artifacts — index arrays over node ids — apply
            verbatim *)
     h_init : (int, int array) Hashtbl.t;  (* memoized {!initial} per II *)
-    h_refine : (int * int array, int array) Hashtbl.t;
+    h_refine : int array Ints_at.t;
         (* memoized {!refine} per (II, input partition).  The escalation's
            lineage chain is a pure function of the II — the walk refines
            the previous level's partition regardless of why the attempt
@@ -374,6 +419,7 @@ module Hier = struct
       s_analysis = None;
       s_base = None;
       s_coarse = Hashtbl.create 8;
+      s_arrays = Ints.create 16;
     }
 
   (* Callers hold [s_lock]. *)
@@ -416,7 +462,7 @@ module Hier = struct
       h_config = config;
       h_graph = graph;
       h_init = Hashtbl.create 8;
-      h_refine = Hashtbl.create 8;
+      h_refine = Ints_at.create 8;
     }
 
   let create ?rec_mii config g ~base_ii =
@@ -455,6 +501,18 @@ module Hier = struct
         in
         (lvl, analysis))
 
+  (* The skeleton's array equal to [a], which [a] (a copy of it with
+     [~copy]) becomes the first time: what a view memoizes is held once
+     per skeleton, whichever view computed it. *)
+  let intern ?(copy = false) s a =
+    Mutex.protect s.s_lock (fun () ->
+        match Ints.find_opt s.s_arrays a with
+        | Some b -> b
+        | None ->
+            let b = if copy then Array.copy a else a in
+            Ints.add s.s_arrays b b;
+            b)
+
   let initial t ~ii =
     Profile.time Profile.Partition (fun () ->
         if t.h_skel.s_trivial then Array.make (Graph.n_nodes t.h_graph) 0
@@ -473,8 +531,9 @@ module Hier = struct
                   Array.map (fun m -> cluster_of_macro.(m)) lvl.hl_macro_of
                 in
                 let assign =
-                  refine_impl ~rec_mii:t.h_skel.s_rec_mii t.h_config
-                    t.h_graph ~ii assign
+                  intern t.h_skel
+                    (refine_impl ~rec_mii:t.h_skel.s_rec_mii t.h_config
+                       t.h_graph ~ii assign)
                 in
                 Hashtbl.replace t.h_init ii assign;
                 assign
@@ -487,17 +546,20 @@ module Hier = struct
         if t.h_skel.s_trivial then Array.copy assign
         else
           let memo =
-            match Hashtbl.find_opt t.h_refine (ii, assign) with
+            match Ints_at.find_opt t.h_refine (ii, assign) with
             | Some a -> a
             | None ->
                 Profile.count Profile.Partition_computed;
                 let refined =
-                  refine_impl ~rec_mii:t.h_skel.s_rec_mii t.h_config
-                    t.h_graph ~ii assign
+                  intern t.h_skel
+                    (refine_impl ~rec_mii:t.h_skel.s_rec_mii t.h_config
+                       t.h_graph ~ii assign)
                 in
-                (* The key is copied: callers own their input array and
-                   may hand it on elsewhere. *)
-                Hashtbl.replace t.h_refine (ii, Array.copy assign) refined;
+                (* The key is the skeleton's copy: callers own their
+                   input array and may hand it on elsewhere. *)
+                Ints_at.replace t.h_refine
+                  (ii, intern ~copy:true t.h_skel assign)
+                  refined;
                 refined
           in
           Array.copy memo)

@@ -18,9 +18,21 @@
       pseudo-schedule metric ({!Pseudo.estimate}); the best improving move
       is applied until a pass yields no improvement.
 
-    A partition is an [int array] mapping node id to cluster number. *)
+    A partition is an [int array] mapping node id to cluster number.
+    Coarsening keeps, per macro-node, only how many nodes it holds and
+    its per-kind op counts: assignment orders macro-nodes by size, and
+    the capacity test reads the counts. *)
 
 type t = int array
+
+module Ints : Hashtbl.S with type key = int array
+(** Hash tables keyed by int arrays (partitions, and the cycle and bus
+    arrays of schedules), hashed by their whole content.
+    [Hashtbl.hash] reads at most ten meaningful words, so arrays that
+    agree on their first nine entries would share one bucket. *)
+
+module Ints_at : Hashtbl.S with type key = int * int array
+(** {!Ints} keyed by an int beside the array (an II, a graph's rank). *)
 
 val initial : Machine.Config.t -> Ddg.Graph.t -> ii:int -> t
 (** Coarsen, assign and refine at the given II.  For a unified machine the
@@ -42,7 +54,9 @@ val initial : Machine.Config.t -> Ddg.Graph.t -> ii:int -> t
     finished partitions are memoized, so the escalation's second-chance
     partitions — recomputed at every failed level — cost one
     assign-and-refine after the first visit, and repeated visits are
-    array copies.
+    array copies.  The memos of every view over one skeleton hold each
+    distinct partition once: the skeleton keeps the arrays they map to
+    (and the inputs {!refine} is keyed by), by exact content.
 
     Not domain-safe: query a hierarchy from one domain at a time. *)
 module Hier : sig
@@ -56,8 +70,10 @@ module Hier : sig
       cluster/unit structure, so one skeleton serves every machine
       sharing it — bus counts, bus latencies and register files may all
       differ — and, keyed by canonical DDG digest, every loop with a
-      structurally identical graph.  Internally mutex-guarded: views
-      over one skeleton may run concurrently on pool domains. *)
+      structurally identical graph.  It also holds, once per distinct
+      content, every array its views' memos keep.  Internally
+      mutex-guarded: views over one skeleton may run concurrently on
+      pool domains. *)
 
   val create :
     ?rec_mii:int -> Machine.Config.t -> Ddg.Graph.t -> base_ii:int -> t

@@ -200,6 +200,28 @@ let test_roundtrip_examples () =
       List [ Obj [ ("a", List [ Num 0.5; Str "\n" ]) ] ];
     ]
 
+(* [fold_member] reads the integers from -1 to 999 as one shared value
+   each across a document; every literal still reads as [parse] reads
+   it, down to the sign of zero. *)
+let test_fold_member_numbers () =
+  let literals =
+    [ "-0"; "0"; "-1"; "7"; "007"; "999"; "1000"; "-12"; "1e2"; "2.5";
+      "-1.0"; "0.0"; "-10"; "12" ]
+  in
+  let text = "{\"k\":[" ^ String.concat "," (literals @ literals) ^ "]}" in
+  let folded, _ = fold_member "k" (fun _ acc x -> x :: acc) [] text in
+  let folded = List.rev folded in
+  let parsed = to_list (member "k" (parse text)) in
+  check (list string) "every literal reads as parse reads it"
+    (List.map print parsed) (List.map print folded);
+  let n = List.length literals in
+  List.iteri
+    (fun i lit ->
+      let a = List.nth folded i and b = List.nth folded (i + n) in
+      let small = List.mem lit [ "0"; "-1"; "7"; "007"; "999"; "12" ] in
+      check bool (lit ^ " is shared exactly when small") small (a == b))
+    literals
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ roundtrip; roundtrip_twice; integral_as_printf; fold_member_agrees ]
@@ -207,4 +229,6 @@ let suite =
       test_case "printer grammar examples" `Quick test_examples;
       test_case "round-trip corner cases" `Quick test_roundtrip_examples;
       test_case "to_int refuses out-of-range integers" `Quick test_to_int_range;
+      test_case "fold_member shares small integers" `Quick
+        test_fold_member_numbers;
     ]

@@ -227,15 +227,20 @@ let with_store_dir f =
 (* Runs computed apart share their values by exact content: every run
    the suite keeps holds the one graph and the one partition of its
    content, whichever mode, machine or register-family replay produced
-   it, and no routed graph.  The key is the sharing rule itself — the
-   graph's structure, name and labels, and the partition.  Held on a
-   cold suite over a store, and on a suite the saved store serves. *)
+   it, and no routed graph; runs with equal cycle arrays, bus arrays or
+   increments hold one of each; and a run that kept its loop's graph
+   untransformed holds the loop's own graph.  The key is the sharing
+   rule itself — the graph's structure, name and labels, and the
+   partition.  Held on a cold suite over a store, and on a suite the
+   saved store serves. *)
 let test_cached_runs_shared () =
-  let key (r : Metrics.Experiment.loop_run) =
-    let g = r.outcome.Sched.Driver.graph in
+  let graph_key g =
     ( Ddg.Graph.structural_encoding g,
       Ddg.Graph.name g,
-      List.map (Ddg.Graph.label g) (Ddg.Graph.nodes g),
+      List.map (Ddg.Graph.label g) (Ddg.Graph.nodes g) )
+  in
+  let key (r : Metrics.Experiment.loop_run) =
+    ( graph_key r.outcome.Sched.Driver.graph,
       Array.to_list r.outcome.Sched.Driver.assign )
   in
   let check_shared side suite =
@@ -243,6 +248,15 @@ let test_cached_runs_shared () =
     ignore (Metrics.Figures.sec4_regs suite);
     let first = Hashtbl.create 1024 in
     let shared = ref 0 in
+    let one_of what tbl content v =
+      match Hashtbl.find_opt tbl content with
+      | None -> Hashtbl.add tbl content v
+      | Some v0 -> check bool what true (v0 == v)
+    in
+    let cycles = Hashtbl.create 1024
+    and buses = Hashtbl.create 1024
+    and increments = Hashtbl.create 64 in
+    let own_graph = ref 0 in
     List.iter
       (fun mode ->
         List.iter
@@ -256,6 +270,19 @@ let test_cached_runs_shared () =
                     (Machine.Config.name config)
                 in
                 check bool (what ^ " holds no routed graph") true (unrouted r);
+                let o = r.outcome and s = r.outcome.Sched.Driver.schedule in
+                one_of (what ^ " shares its cycles") cycles
+                  (Array.to_list s.Sched.Schedule.cycles) s.Sched.Schedule.cycles;
+                one_of (what ^ " shares its buses") buses
+                  (Array.to_list s.Sched.Schedule.buses) s.Sched.Schedule.buses;
+                one_of (what ^ " shares its increments") increments
+                  o.Sched.Driver.increments o.Sched.Driver.increments;
+                let lg = r.loop.Workload.Generator.graph in
+                if graph_key o.Sched.Driver.graph = graph_key lg then begin
+                  incr own_graph;
+                  check bool (what ^ " holds its loop's own graph") true
+                    (o.Sched.Driver.graph == lg)
+                end;
                 match Hashtbl.find_opt first (key r) with
                 | None -> Hashtbl.add first (key r) r
                 | Some (r0 : Metrics.Experiment.loop_run) ->
@@ -269,7 +296,9 @@ let test_cached_runs_shared () =
               (Metrics.Suite.runs suite mode config))
           (Machine.Config.paper_configs @ sec4_family))
       [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ];
-    check bool (side ^ ": some runs share a key") true (!shared > 0)
+    check bool (side ^ ": some runs share a key") true (!shared > 0);
+    check bool (side ^ ": some runs keep their loop's graph") true
+      (!own_graph > 0)
   in
   let loops = Lazy.force small_loops in
   with_store_dir @@ fun dir ->
@@ -702,6 +731,69 @@ let test_hierarchy_views_compute_once () =
   check int "repl 4c1b2l64r computes none" 0
     (computed Metrics.Experiment.Replication "4c1b2l64r")
 
+(* Views over one skeleton hold each distinct partition once: the
+   suite's way of building them (one skeleton per structure and graph
+   digest, one view per loop, buses and latency), walked by the base
+   and the replication run over every loop at two machines of one
+   structure.  Beyond the skeletons, the graphs and the machines, the
+   views then keep only their memo tables, about 14 words per computed
+   partition; views holding arrays of their own keep about 65. *)
+let test_hierarchy_memos_shared () =
+  let loops = Lazy.force small_loops in
+  let configs =
+    List.map (fun n -> Option.get (Machine.Config.of_name n))
+      [ "4c1b2l64r"; "4c2b4l64r" ]
+  in
+  let skels = Hashtbl.create 32 in
+  let skel_of config (l : Workload.Generator.loop) =
+    let digest = Ddg.Graph.digest l.graph in
+    match Hashtbl.find_opt skels digest with
+    | Some s -> s
+    | None ->
+        let s =
+          Sched.Partition.Hier.skeleton (Sched.Driver.hierarchy config l.graph)
+        in
+        Hashtbl.replace skels digest s;
+        s
+  in
+  Sched.Profile.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sched.Profile.set_enabled false) @@ fun () ->
+  let before = Sched.Profile.events Sched.Profile.Partition_computed in
+  let views =
+    List.concat_map
+      (fun config ->
+        List.map
+          (fun (l : Workload.Generator.loop) ->
+            let hier =
+              Sched.Partition.Hier.view (skel_of config l) ~graph:l.graph config
+            in
+            List.iter
+              (fun mode ->
+                ignore (Metrics.Experiment.run_loop ~hier mode config l))
+              Metrics.Experiment.[ Baseline; Replication ];
+            hier)
+          loops)
+      configs
+  in
+  let computed =
+    Sched.Profile.events Sched.Profile.Partition_computed - before
+  in
+  let held =
+    ( Hashtbl.fold (fun _ s acc -> s :: acc) skels [],
+      List.map (fun (l : Workload.Generator.loop) -> l.graph) loops,
+      configs )
+  in
+  let beyond =
+    Obj.reachable_words (Obj.repr (views, held))
+    - Obj.reachable_words (Obj.repr held)
+  in
+  check bool (Printf.sprintf "partitions were computed (%d)" computed) true
+    (computed > 100);
+  if beyond > 24 * computed then
+    Alcotest.failf
+      "views hold %d words beyond their skeletons for %d computed partitions"
+      beyond computed
+
 let suite =
   [
     Alcotest.test_case "pool map order" `Quick test_pool_map_order;
@@ -719,6 +811,8 @@ let suite =
     Alcotest.test_case "suite caching" `Quick test_suite_caching;
     Alcotest.test_case "hierarchy views compute once" `Quick
       test_hierarchy_views_compute_once;
+    Alcotest.test_case "hierarchy memos share partitions" `Quick
+      test_hierarchy_memos_shared;
     Alcotest.test_case "replication beats baseline" `Slow
       test_replication_beats_baseline;
     Alcotest.test_case "fig1 fractions" `Slow test_fig1_fractions;

@@ -12,19 +12,23 @@ type component = {
 }
 
 val groups : Graph.t -> int list list
-(** Raw SCCs (Tarjan) in topological order of the condensation, members
-    ascending — no per-component recurrence MII.  The cheap entry point
-    for callers that only need the partition (the MII of a component
-    costs a binary search over Bellman-Ford passes). *)
+(** Raw SCCs in the order Tarjan's algorithm emits them, a reverse
+    topological order of the condensation (a component comes after every
+    component it reaches), members ascending — no per-component
+    recurrence MII.  The cheap entry point for callers that only need
+    the partition (the MII of a component costs a binary search over
+    Bellman-Ford passes).  Allocates its result and O(n) words of
+    scratch: the walk is iterative over int arrays. *)
 
 val rec_mii_of : Graph.t -> int list -> int
 (** Recurrence MII of one component of {!groups}: smallest II satisfying
-    every cycle inside it; 1 for trivial components. *)
+    every cycle inside it; 1 for trivial components.  Allocates in the
+    size of the component and its members' out-edges, not of the
+    graph. *)
 
 val compute : Graph.t -> component list
 (** All SCCs (Tarjan), non-trivial recurrences first in decreasing
-    [rec_mii] order, then trivial components in topological order of the
-    condensation. *)
+    [rec_mii] order, then trivial components in {!groups}' order. *)
 
 val recurrences : Graph.t -> component list
 (** Only the non-trivial components, decreasing [rec_mii]. *)

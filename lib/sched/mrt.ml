@@ -31,19 +31,19 @@ let set_bit (r : row) i =
   r.(i / word_bits) <- r.(i / word_bits) lor (1 lsl (i mod word_bits))
 [@@inline]
 
-(* Are bits [s, s + len) of [r] all clear?  [s + len] must not exceed
-   the row's slot count (wraparound is the caller's business). *)
-let range_clear (r : row) s len =
-  let fin = s + len in
-  let rec go s =
-    s >= fin
-    ||
-    let wi = s / word_bits and bi = s mod word_bits in
-    let take = min (word_bits - bi) (fin - s) in
-    let mask = ((1 lsl take) - 1) lsl bi in
-    r.(wi) land mask = 0 && go (s + take)
-  in
-  go s
+(* Are bits [s, fin) of [r] all clear?  [fin] must not exceed the row's
+   slot count (wraparound is the caller's business).  Placement probes
+   this for every candidate cycle of a copy, so it takes its bounds as
+   arguments rather than allocating a closure over them. *)
+let rec clear_until (r : row) s fin =
+  s >= fin
+  ||
+  let wi = s / word_bits and bi = s mod word_bits in
+  let take = min (word_bits - bi) (fin - s) in
+  let mask = ((1 lsl take) - 1) lsl bi in
+  r.(wi) land mask = 0 && clear_until r (s + take) fin
+
+let range_clear (r : row) s len = clear_until r s (s + len)
 
 let set_range (r : row) s len =
   let fin = s + len in
@@ -119,14 +119,12 @@ let bus_free_at t ~bus ~cycle =
   if s + lat <= t.ii_ then range_clear row s lat
   else range_clear row s (t.ii_ - s) && range_clear row 0 (s + lat - t.ii_)
 
-let find_bus t ~cycle =
-  let n = Array.length t.bus in
-  let rec go b =
-    if b >= n then None
-    else if bus_free_at t ~bus:b ~cycle then Some b
-    else go (b + 1)
-  in
-  go 0
+let rec first_free_bus t ~cycle b =
+  if b >= Array.length t.bus then None
+  else if bus_free_at t ~bus:b ~cycle then Some b
+  else first_free_bus t ~cycle (b + 1)
+
+let find_bus t ~cycle = first_free_bus t ~cycle 0
 
 let reserve_bus t ~bus ~cycle =
   if not (bus_free_at t ~bus ~cycle) then

@@ -17,4 +17,8 @@ val order : ?analysis:Ddg.Analysis.t -> Ddg.Graph.t -> ii:int -> int list
 (** A permutation of the node ids in scheduling order.  [analysis], when
     supplied, must be [Analysis.compute g ~ii] — passing it spares the
     ordering its own timing fixpoint (the placement loop computes one
-    anyway). *)
+    anyway).  The placement loop orders the routed graph at every II
+    attempt, so a call allocates only its result and O(n) words of int
+    arrays and byte sets (plus {!Ddg.Scc.groups}' and, with two or more
+    recurrences, {!Ddg.Scc.rec_mii_of}'s), nothing per node visited or
+    per candidate compared. *)

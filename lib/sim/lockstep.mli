@@ -11,9 +11,19 @@
 
     Long-running loops are executed explicitly until the pipeline has
     demonstrably reached its steady state (every modulo slot exercised
-    with all stages overlapping) and the remaining iterations are then
-    accounted analytically with [Texec = (N - 1 + SC) * II], which the
-    explicit prefix is also validated against. *)
+    with all stages overlapping).  Over that explicit prefix the
+    simulator checks operand readiness and, per absolute cycle,
+    functional-unit and bus occupancy.  The remaining iterations are not
+    executed, and the total cycle count is analytic,
+    [Texec = (N - 1 + SC) * II]; nothing compares it with the prefix.
+
+    An II below 1, a node with a negative issue cycle and a node on a
+    cluster the machine does not have are reported before anything
+    executes, in {!Checker}'s words.
+    The prefix is walked cycle by cycle from a counting sort of the
+    nodes by kernel cycle, so a run allocates its result and scratch
+    linear in the nodes, the clusters and the kernel length, never a
+    record per issue event. *)
 
 type counts = {
   cycles : int;            (** total execution cycles, [(N-1+SC)*II] *)
@@ -35,7 +45,8 @@ val run :
 (** [useful_per_iteration] defaults to the number of non-copy nodes in
     the routed graph; when the schedule comes from a replicated graph,
     pass the original instruction count so replicas are not counted as
-    useful work. *)
+    useful work.  An [Error] names the first violation in issue order:
+    by absolute cycle, then iteration, then node id. *)
 
 val run_exn :
   ?useful_per_iteration:int -> Sched.Schedule.t -> iterations:int -> counts

@@ -16,6 +16,7 @@ let () =
       ("regalloc", Test_regalloc.suite);
       ("replication", Test_replication.suite);
       ("sim", Test_sim.suite);
+      ("kernels", Test_kernels.suite);
       ("codegen", Test_codegen.suite);
       ("regsim", Test_regsim.suite);
       ("workload", Test_workload.suite);

@@ -94,6 +94,31 @@ let test_lockstep_rejects_bad_schedule () =
   check bool "execution fails" true
     (Result.is_error (Sim.Lockstep.run bad ~iterations:8))
 
+(* A node without an issue cycle (what the fault catalog's
+   lose-issue-cycle leaves) or on a cluster the machine lacks, and an II
+   below 1, are an [Error] in the checker's words — not an index or
+   division exception. *)
+let test_lockstep_names_misplaced_node () =
+  let g = Ddg.Examples.tiny_chain ~n:4 () in
+  let o = schedule unified g in
+  let lost = corrupt o (fun c -> c.(0) <- -1) in
+  check (Alcotest.result Alcotest.reject Alcotest.string) "no issue cycle"
+    (Error "node t0 has no issue cycle")
+    (Sim.Lockstep.run lost ~iterations:8);
+  let s = o.Sched.Driver.schedule in
+  let route = Sched.Schedule.route s in
+  let assign = Array.copy route.Sched.Route.assign in
+  assign.(2) <- 1;
+  let stray =
+    { s with Sched.Schedule.routing = Routed { route with Sched.Route.assign } }
+  in
+  check (Alcotest.result Alcotest.reject Alcotest.string) "bogus cluster"
+    (Error "node t2 assigned to bogus cluster 1")
+    (Sim.Lockstep.run stray ~iterations:8);
+  check (Alcotest.result Alcotest.reject Alcotest.string) "II 0"
+    (Error "II 0 < 1")
+    (Sim.Lockstep.run { s with Sched.Schedule.ii = 0 } ~iterations:8)
+
 let test_lockstep_one_iteration () =
   let g = Ddg.Examples.tiny_chain ~n:4 () in
   let o = schedule unified g in
@@ -140,6 +165,8 @@ let suite =
       test_lockstep_useful_override;
     Alcotest.test_case "lockstep rejects bad schedule" `Quick
       test_lockstep_rejects_bad_schedule;
+    Alcotest.test_case "lockstep names a misplaced node" `Quick
+      test_lockstep_names_misplaced_node;
     Alcotest.test_case "lockstep one iteration" `Quick
       test_lockstep_one_iteration;
     Alcotest.test_case "lockstep matches analytic on replicated" `Quick

@@ -1,7 +1,7 @@
 # Convenience entry points; everything is plain dune underneath.
 
 .PHONY: all check check-fast test check-faults fuzz-smoke validate-quick \
-  check-cache check-figures check-serve check-exact clean
+  check-cache check-figures check-serve check-exact check-outputs clean
 
 all:
 	dune build
@@ -65,6 +65,13 @@ check-serve:
 # (docs/TESTING.md).
 check-exact:
 	dune exec bin/repro.exe -- gap --fuzz 12 --budget 5
+
+# Committed-output gate: a fresh `repro ablate` and `repro extensions`
+# must equal ablate_output.txt and extensions_output.txt, and a full
+# `repro figures --csv` must equal data/ (scripts/check_outputs.sh; one
+# mktemp -d per run; `tables` or `csv` runs one half).
+check-outputs:
+	sh scripts/check_outputs.sh
 
 clean:
 	dune clean

@@ -186,7 +186,7 @@ let acyclic_of g =
         (Ddg.Graph.Builder.add b ~label:(Ddg.Graph.label g v)
            (Ddg.Graph.op g v)))
     (Ddg.Graph.nodes g);
-  List.iter
+  Array.iter
     (fun (e : Ddg.Graph.edge) ->
       if e.distance = 0 then
         match e.kind with
@@ -1044,112 +1044,6 @@ let client_exchange ~socket ~timeout_s lines =
     Printf.eprintf "repro: daemon closed after %d of %d replies (draining?)\n%!"
       !got expected
 
-(* Open-loop burst load generator: send every request line up front,
-   timestamp reply-line arrivals, and print one JSON summary instead of
-   the replies.  A batch reply line accounts for one latency sample per
-   element (the batch completes as a unit). *)
-let client_bench ~socket ~timeout_s lines =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (match Unix.connect fd (Unix.ADDR_UNIX socket) with
-  | exception Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "repro: error class=server cannot connect to %s: %s\n%!"
-        socket (Unix.error_message e);
-      exit 22
-  | () -> ());
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun line ->
-      let b = Bytes.of_string (line ^ "\n") in
-      let n = Bytes.length b in
-      let rec send off =
-        if off < n then
-          match Unix.write fd b off (n - off) with
-          | w -> send (off + w)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> send off
-      in
-      send 0)
-    lines;
-  let deadline = t0 +. timeout_s in
-  let expected = List.length lines in
-  let got = ref 0 in
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let eof = ref false in
-  let samples = ref [] in
-  (* latency ms, one per request *)
-  let last = ref t0 in
-  while (not !eof) && !got < expected do
-    let remaining = deadline -. Unix.gettimeofday () in
-    if remaining <= 0. then begin
-      Printf.eprintf "repro: error class=server reply timeout after %gs\n%!"
-        timeout_s;
-      exit 22
-    end;
-    match Unix.select [ fd ] [] [] remaining with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | 0 -> eof := true
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            let s = Buffer.contents buf in
-            (match String.rindex_opt s '\n' with
-            | None -> ()
-            | Some last_nl ->
-                Buffer.clear buf;
-                Buffer.add_string buf
-                  (String.sub s (last_nl + 1)
-                     (String.length s - last_nl - 1));
-                List.iter
-                  (fun line ->
-                    if not (String.equal line "") then begin
-                      incr got;
-                      let t = Unix.gettimeofday () in
-                      last := t;
-                      let count =
-                        match Metrics.Json.parse line with
-                        | Metrics.Json.List els -> List.length els
-                        | _ -> 1
-                        | exception Metrics.Json.Bad _ -> 1
-                      in
-                      let ms = (t -. t0) *. 1000. in
-                      for _ = 1 to count do
-                        samples := ms :: !samples
-                      done
-                    end)
-                  (String.split_on_char '\n' (String.sub s 0 last_nl))))
-  done;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  if !eof && !got < expected then
-    Printf.eprintf "repro: daemon closed after %d of %d replies (draining?)\n%!"
-      !got expected;
-  let lat = Array.of_list !samples in
-  Array.sort compare lat;
-  let percentile p =
-    let n = Array.length lat in
-    if n = 0 then 0.
-    else lat.(min (n - 1) (int_of_float ((float_of_int (n - 1) *. p) +. 0.5)))
-  in
-  let requests = Array.length lat in
-  let seconds = !last -. t0 in
-  let r3 f = Float.round (f *. 1000.) /. 1000. in
-  print_endline
-    (Metrics.Json.print
-       (Metrics.Json.Obj
-          [
-            ("requests", Metrics.Json.Num (float_of_int requests));
-            ("reply_lines", Metrics.Json.Num (float_of_int !got));
-            ("seconds", Metrics.Json.Num (r3 seconds));
-            ( "rps",
-              Metrics.Json.Num
-                (if seconds > 0. then r3 (float_of_int requests /. seconds)
-                 else 0.) );
-            ("p50_ms", Metrics.Json.Num (r3 (percentile 0.5)));
-            ("p95_ms", Metrics.Json.Num (r3 (percentile 0.95)));
-          ]))
-
 let mode_conv =
   let parse s =
     match Metrics.Experiment.mode_of_tag s with
@@ -1160,7 +1054,7 @@ let mode_conv =
     (parse, fun ppf m -> Format.pp_print_string ppf (Metrics.Experiment.mode_tag m))
 
 let client_run socket local config mode benchmark indices repeat budget_s
-    budget_attempts evict health stats raw batch bench timeout_s =
+    budget_attempts evict health stats raw batch timeout_s =
   if local then
     List.iter print_endline
       (client_direct config mode benchmark indices repeat budget_s
@@ -1188,7 +1082,6 @@ let client_run socket local config mode benchmark indices repeat budget_s
     in
     if lines = [] then
       Printf.eprintf "repro: client has nothing to send (see --loops)\n%!"
-    else if bench then client_bench ~socket ~timeout_s lines
     else client_exchange ~socket ~timeout_s lines
   end
 
@@ -1270,15 +1163,6 @@ let client_cmd =
              admitted JSON array line; the reply is one array line whose \
              elements are byte-identical to standalone replies.")
   in
-  let bench =
-    Arg.(
-      value & flag
-      & info [ "bench" ]
-          ~doc:
-            "Open-loop burst mode: send every request up front, then print \
-             one JSON summary (requests, seconds, rps, p50_ms, p95_ms) \
-             instead of the reply lines.")
-  in
   let timeout_s =
     Arg.(
       value & opt float 60.
@@ -1294,7 +1178,7 @@ let client_cmd =
     Term.(
       const client_run $ socket_arg $ local $ config_arg $ mode $ benchmark
       $ indices $ repeat $ budget_s $ budget_attempts $ evict $ health $ stats
-      $ raw $ batch $ bench $ timeout_s)
+      $ raw $ batch $ timeout_s)
 
 (* ------------------------------------------------------------------ *)
 (* example: the paper's Figure 3 walkthrough                           *)

@@ -120,7 +120,7 @@ let check_intrinsic ~push ~registers ~latency0 (s : Sched.Schedule.t) =
     (* Routing: a register value may only cross clusters on a bus.  Any
        cross-cluster register edge whose source is not a copy means a
        consumer reads a remote register file directly. *)
-    List.iter
+    Array.iter
       (fun e ->
         let u = e.Graph.src and v = e.Graph.dst in
         if
@@ -135,7 +135,7 @@ let check_intrinsic ~push ~registers ~latency0 (s : Sched.Schedule.t) =
                (Graph.label g u) assign.(u) (Graph.label g v) assign.(v)))
       (Graph.edges g);
     (* Dependences at the committed II, with re-derived latencies. *)
-    List.iter
+    Array.iter
       (fun e ->
         let u = e.Graph.src and v = e.Graph.dst in
         if sound.(u) && sound.(v) then begin
@@ -386,7 +386,7 @@ let check_replication ~push ~original (s : Sched.Schedule.t) =
     (* Memory ordering: every instance pair of an ordered original pair
        must still be ordered (replicated loads obey their original's
        memory dependences). *)
-    List.iter
+    Array.iter
       (fun (e : Graph.edge) ->
         if e.Graph.kind = Graph.Mem then
           List.iter

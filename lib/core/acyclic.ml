@@ -24,7 +24,7 @@ let critical_copies (sched : Sched.Listsched.t) =
           ( route.Sched.Route.copy_of.(e.Graph.src),
             route.Sched.Route.assign.(e.Graph.dst) )
       else None)
-    (Graph.edges rg)
+    (Array.to_list (Graph.edges rg))
   |> List.sort_uniq Stdlib.compare
 
 (* capacity sanity for acyclic replication: the consuming cluster must

@@ -22,7 +22,7 @@ let critical_comm_edges (outcome : Sched.Driver.outcome) =
         let cluster = route.Sched.Route.assign.(e.Graph.dst) in
         Some (producer, cluster)
       else None)
-    (Graph.edges rg)
+    (Array.to_list (Graph.edges rg))
   |> List.sort_uniq Stdlib.compare
 
 let try_one config (outcome : Sched.Driver.outcome) (producer, cluster) =

@@ -162,7 +162,7 @@ let materialize state ~base stats =
     let c = if Iset.mem home p then home else Iset.min_elt p in
     Hashtbl.find inst_id (v, c)
   in
-  List.iter
+  Array.iter
     (fun e ->
       let u = e.Graph.src and v = e.Graph.dst in
       match e.Graph.kind with

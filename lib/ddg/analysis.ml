@@ -30,7 +30,7 @@ let fixpoint n edges weight_of relaxes =
 let compute graph ~ii =
   if ii < 1 then invalid_arg "Graph.Analysis.compute: ii < 1";
   let n = Graph.n_nodes graph in
-  let edges = Graph.edge_array graph in
+  let edges = Graph.edges graph in
   let weight e = e.Graph.latency - (ii * e.Graph.distance) in
   let asap_ =
     fixpoint n edges weight (fun dist e w ->

@@ -76,11 +76,12 @@ let canonical g =
     in
     let edge_sigs =
       List.sort String.compare
-        (List.map
-           (fun (e : Graph.edge) ->
-             Printf.sprintf "%s>%s:%d.%d%c" !colors.(e.src) !colors.(e.dst)
-               e.latency e.distance (kind_char e.kind))
-           (Graph.edges g))
+        (Array.to_list
+           (Array.map
+              (fun (e : Graph.edge) ->
+                Printf.sprintf "%s>%s:%d.%d%c" !colors.(e.src) !colors.(e.dst)
+                  e.latency e.distance (kind_char e.kind))
+              (Graph.edges g)))
     in
     Digest.to_hex
       (Digest.string

@@ -12,8 +12,7 @@ type t = {
   graph_name : string;
   ops : Machine.Opclass.t array;
   labels : string array;
-  all_edges : edge list;
-  edge_arr : edge array;  (* same edges, for allocation-free fixpoints *)
+  edges : edge array;  (* insertion order *)
   succ : edge list array;
   pred : edge list array;
   (* register-only views, precomputed at build time: the replication
@@ -27,8 +26,7 @@ type t = {
 let n_nodes t = Array.length t.ops
 let op t i = t.ops.(i)
 let label t i = t.labels.(i)
-let edges t = t.all_edges
-let edge_array t = t.edge_arr
+let edges t = t.edges
 let succs t i = t.succ.(i)
 let preds t i = t.pred.(i)
 let reg_succs t i = t.reg_succ.(i)
@@ -70,7 +68,7 @@ let structural_encoding t =
       Buffer.add_char b ';';
       Buffer.add_string b (Machine.Opclass.to_string op))
     t.ops;
-  List.iter
+  Array.iter
     (fun e ->
       Buffer.add_char b '|';
       Buffer.add_string b (string_of_int e.src);
@@ -81,7 +79,7 @@ let structural_encoding t =
       Buffer.add_char b ',';
       Buffer.add_string b (string_of_int e.distance);
       Buffer.add_char b (match e.kind with Reg -> 'r' | Mem -> 'm'))
-    t.all_edges;
+    t.edges;
   Buffer.contents b
 
 let digest t = Digest.string (structural_encoding t)
@@ -163,49 +161,65 @@ module Builder = struct
   let mem_depend ?(distance = 0) b ~src ~dst =
     edge b { src; dst; latency = 1; distance; kind = Mem }
 
-  (* Kahn's algorithm on distance-0 edges; a leftover node means a
+  (* Kahn's algorithm on the distance-0 edges of the finished [succ]
+     lists, queued in an int array: a node never queued means a
      zero-distance cycle, which no execution order could satisfy. *)
-  let acyclic_same_iteration n edges =
+  let acyclic_same_iteration edges succ =
+    let n = Array.length succ in
     let indeg = Array.make n 0 in
-    let out = Array.make n [] in
-    List.iter
-      (fun e ->
-        if e.distance = 0 then begin
-          indeg.(e.dst) <- indeg.(e.dst) + 1;
-          out.(e.src) <- e.dst :: out.(e.src)
-        end)
+    Array.iter
+      (fun e -> if e.distance = 0 then indeg.(e.dst) <- indeg.(e.dst) + 1)
       edges;
-    let queue = Queue.create () in
-    Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-    let seen = ref 0 in
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      incr seen;
-      List.iter
-        (fun v ->
-          indeg.(v) <- indeg.(v) - 1;
-          if indeg.(v) = 0 then Queue.add v queue)
-        out.(u)
+    let queue = Array.make n 0 in
+    let tail = ref 0 in
+    let push v =
+      queue.(!tail) <- v;
+      incr tail
+    in
+    for v = 0 to n - 1 do
+      if indeg.(v) = 0 then push v
     done;
-    !seen = n
+    let rec release = function
+      | [] -> ()
+      | e :: rest ->
+          if e.distance = 0 then begin
+            indeg.(e.dst) <- indeg.(e.dst) - 1;
+            if indeg.(e.dst) = 0 then push e.dst
+          end;
+          release rest
+    in
+    let head = ref 0 in
+    while !head < !tail do
+      release succ.(queue.(!head));
+      incr head
+    done;
+    !tail = n
 
   let build b =
-    let pairs = Array.sub b.node_arr 0 b.count in
-    let ops = Array.map fst pairs in
-    let labels = Array.map snd pairs in
-    let all_edges = List.rev b.rev_edges in
-    let n = Array.length ops in
-    if not (acyclic_same_iteration n all_edges) then
-      invalid_arg "Ddg.Builder.build: zero-distance dependence cycle";
+    let n = b.count in
+    let ops = Array.init n (fun i -> fst b.node_arr.(i)) in
+    let labels = Array.init n (fun i -> snd b.node_arr.(i)) in
     let succ = Array.make n [] in
     let pred = Array.make n [] in
-    List.iter
-      (fun e ->
-        succ.(e.src) <- e :: succ.(e.src);
-        pred.(e.dst) <- e :: pred.(e.dst))
-      all_edges;
-    Array.iteri (fun i l -> succ.(i) <- List.rev l) succ;
-    Array.iteri (fun i l -> pred.(i) <- List.rev l) pred;
+    (* The builder's list is newest first: filling the array from its
+       end, and consing onto [succ]/[pred] in list order, leaves all
+       three in insertion order. *)
+    let edges =
+      match b.rev_edges with
+      | [] -> [||]
+      | newest :: _ as rev ->
+          let m = List.length rev in
+          let edges = Array.make m newest in
+          List.iteri
+            (fun i e ->
+              edges.(m - 1 - i) <- e;
+              succ.(e.src) <- e :: succ.(e.src);
+              pred.(e.dst) <- e :: pred.(e.dst))
+            rev;
+          edges
+    in
+    if not (acyclic_same_iteration edges succ) then
+      invalid_arg "Ddg.Builder.build: zero-distance dependence cycle";
     let regs es =
       if List.for_all (fun e -> e.kind = Reg) es then es
       else List.filter (fun e -> e.kind = Reg) es
@@ -214,8 +228,7 @@ module Builder = struct
       graph_name = b.bname;
       ops;
       labels;
-      all_edges;
-      edge_arr = Array.of_list all_edges;
+      edges;
       succ;
       pred;
       reg_succ = Array.map regs succ;
@@ -231,7 +244,7 @@ let to_dot t =
       (Printf.sprintf "  n%d [label=\"%s\\n%s\"];\n" i t.labels.(i)
          (Machine.Opclass.to_string t.ops.(i)))
   done;
-  List.iter
+  Array.iter
     (fun e ->
       let style =
         match (e.kind, e.distance) with
@@ -241,7 +254,7 @@ let to_dot t =
       in
       Buffer.add_string buf
         (Printf.sprintf "  n%d -> n%d%s;\n" e.src e.dst style))
-    t.all_edges;
+    t.edges;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
@@ -251,4 +264,4 @@ let pp_stats ppf t =
     (if String.equal t.graph_name "" then "<ddg>" else t.graph_name)
     (n_nodes t) (count Machine.Fu.Int) (count Machine.Fu.Fp)
     (count Machine.Fu.Mem)
-    (List.length t.all_edges)
+    (Array.length t.edges)

@@ -36,12 +36,10 @@ val op : t -> int -> Machine.Opclass.t
 val label : t -> int -> string
 (** Short human-readable name of a node (e.g. ["A"], ["load3"]). *)
 
-val edges : t -> edge list
-(** All edges, in insertion order. *)
-
-val edge_array : t -> edge array
-(** The same edges as an array — the longest-path fixpoints sweep it
-    thousands of times per schedule.  Callers must not mutate it. *)
+val edges : t -> edge array
+(** All edges, in insertion order: the graph's one edge store itself,
+    not a copy, so callers must not mutate it.  {!succs} and {!preds}
+    hold the same records. *)
 
 val succs : t -> int -> edge list
 val preds : t -> int -> edge list

@@ -13,7 +13,7 @@ let has_positive_cycle g ii =
   if n = 0 then false
   else begin
     let dist = Array.make n 0 in
-    let edges = Graph.edge_array g in
+    let edges = Graph.edges g in
     let m = Array.length edges in
     let changed = ref true in
     let pass = ref 0 in
@@ -36,7 +36,7 @@ let feasible_ii g ii = not (has_positive_cycle g ii)
 
 let rec_mii g =
   let total_latency =
-    List.fold_left (fun acc e -> acc + max 1 e.Graph.latency) 1 (Graph.edges g)
+    Array.fold_left (fun acc e -> acc + max 1 e.Graph.latency) 1 (Graph.edges g)
   in
   let rec search lo hi =
     if lo >= hi then lo

@@ -179,14 +179,15 @@ let json_of_graph g =
         Json.List (List.map (fun v -> Json.Str (G.label g v)) (G.nodes g)) );
       ( "edges",
         Json.List
-          (List.map
-             (fun (e : G.edge) ->
-               Json.List
-                 [
-                   jint e.src; jint e.dst; jint e.latency; jint e.distance;
-                   Json.Str (match e.kind with G.Reg -> "r" | G.Mem -> "m");
-                 ])
-             (G.edges g)) );
+          (Array.to_list
+             (Array.map
+                (fun (e : G.edge) ->
+                  Json.List
+                    [
+                      jint e.src; jint e.dst; jint e.latency; jint e.distance;
+                      Json.Str (match e.kind with G.Reg -> "r" | G.Mem -> "m");
+                    ])
+                (G.edges g))) );
     ]
 
 let graph_of_json j =

@@ -91,61 +91,6 @@ let finish ~mii ~counters p ii =
       n_comms = Route.n_copies (Schedule.route p.p_schedule);
     }
 
-(* ------------------------------------------------------------------ *)
-(* Route reuse across II levels                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Consecutive levels of one escalation frequently retry the same
-   partition of the untransformed graph — the partitioner settles long
-   before a register-capped walk gives up — and [Route.build] does not
-   read the II at all, so the routed graph is cached per escalation,
-   keyed by partition content.  A transformed or spilled graph is a
-   fresh object at every attempt, so its route could never be found
-   again: it bypasses the cache rather than keep dead routed graphs
-   alive across the escalation.  The recurrence-feasibility check on
-   the routed graph *is* II-dependent, but monotone (a longer period
-   only loosens recurrences), so each entry caches its known feasibility
-   frontier and the Bellman-Ford re-runs only inside the unknown gap.
-   Each escalation owns its cache, so it needs no lock. *)
-type route_entry = {
-  re_assign : int array;
-  re_route : Route.t;
-  mutable re_feas : int;  (* smallest II known feasible *)
-  mutable re_infeas : int;  (* largest II known infeasible *)
-}
-
-let route_cache_cap = 8
-
-(* [rc] holds the entries newest first. *)
-let route_for (rc : route_entry list ref) ~latency0 config g ~assign =
-  match List.find_opt (fun e -> e.re_assign = assign) !rc with
-  | Some e -> e
-  | None ->
-      let entry =
-        {
-          re_assign = Array.copy assign;
-          re_route = Route.build ~latency0 config g ~assign;
-          re_feas = max_int;
-          re_infeas = min_int;
-        }
-      in
-      rc := entry :: List.filteri (fun i _ -> i < route_cache_cap - 1) !rc;
-      entry
-
-let route_feasible entry ii =
-  if ii >= entry.re_feas then true
-  else if ii <= entry.re_infeas then false
-  else begin
-    let b = Ddg.Mii.feasible_ii entry.re_route.Route.graph ii in
-    if b then entry.re_feas <- ii else entry.re_infeas <- ii;
-    b
-  end
-
-(* An uncached route and its recurrence-feasibility test. *)
-let route_uncached ~latency0 config g' assign' =
-  let route = Route.build ~latency0 config g' ~assign:assign' in
-  (route, Ddg.Mii.feasible_ii route.Route.graph)
-
 (* The transform hook at one attempt: the graph and partition the
    attempt schedules. *)
 let transformed ?transform config g ~assign ~ii =
@@ -169,13 +114,17 @@ let spillable ~limit pressure spills_left =
      <= spills_left
 
 (* Bus check, routing, placement and the register check of one graph
-   at a fixed II.  [route] supplies the routed graph and its
-   recurrence-feasibility test. *)
-let rec place ~latency0 ?spiller ~route config ~ii g' assign' spills_left =
+   at a fixed II.  The copies are added afresh at every attempt (Section
+   2.3.2): the routed graph is a pure function of the graph, the
+   partition, the latency-0 flag and the bus latency, so no attempt
+   keeps one for another — a route kept across levels lived long
+   enough to reach the major heap (docs/ALGORITHMS.md, "The route
+   cache rule"). *)
+let rec place ~latency0 ?spiller config ~ii g' assign' spills_left =
   if Comm.extra config g' ~assign:assign' ~ii > 0 then Failed Bus
   else begin
-    let routed, feasible = route g' assign' in
-    if not (feasible ii) then
+    let routed = Route.build ~latency0 config g' ~assign:assign' in
+    if not (Ddg.Mii.feasible_ii routed.Route.graph ii) then
       (* Copies stretched a recurrence beyond the current II: the bus
          latency is to blame (the plain graph is feasible at
          ii >= mii). *)
@@ -193,7 +142,7 @@ let rec place ~latency0 ?spiller ~route config ~ii g' assign' spills_left =
               Profile.time Profile.Regalloc (fun () ->
                   Regpressure.max_per_cluster schedule)
           in
-          settle ~latency0 ?spiller ~route config ~ii
+          settle ~latency0 ?spiller config ~ii
             {
               p_schedule = schedule;
               p_graph = g';
@@ -208,7 +157,7 @@ let rec place ~latency0 ?spiller ~route config ~ii g' assign' spills_left =
    re-placed at the same II while rounds remain and the excess is still
    spillable (else the attempt escalates — saving 4 rewrite-route-place
    rounds per level on hopelessly overflowing loops). *)
-and settle ~latency0 ?spiller ~route config ~ii p spills_left =
+and settle ~latency0 ?spiller config ~ii p spills_left =
   let limit = Machine.Config.registers_per_cluster config in
   if latency0 || Array.for_all (fun x -> x <= limit) p.p_pressure then
     Placed p
@@ -229,24 +178,16 @@ and settle ~latency0 ?spiller ~route config ~ii p spills_left =
               f config p.p_schedule ~graph:p.p_graph ~assign:p.p_assign)
         with
         | Some (g'', a'') ->
-            place ~latency0 ?spiller ~route config ~ii g'' a''
-              (spills_left - 1)
+            place ~latency0 ?spiller config ~ii g'' a'' (spills_left - 1)
         | None -> fail ())
     | _ -> fail ()
 
 (* One full attempt — transform hook, bus check, routing, placement,
    register check (with optional spill-and-retry) — at a fixed II and
-   partition.  Only the untransformed graph goes through the route
-   cache (see above). *)
-let try_once ?transform ~latency0 ?spiller ~rcache config g ~ii ~assign =
+   partition. *)
+let try_once ?transform ~latency0 ?spiller config g ~ii ~assign =
   let g', assign' = transformed ?transform config g ~assign ~ii in
-  let route g' assign' =
-    if g' == g then
-      let entry = route_for rcache ~latency0 config g ~assign:assign' in
-      (entry.re_route, route_feasible entry)
-    else route_uncached ~latency0 config g' assign'
-  in
-  place ~latency0 ?spiller ~route config ~ii g' assign' max_spill_rounds
+  place ~latency0 ?spiller config ~ii g' assign' max_spill_rounds
 
 (* The escalation loop visits every II from the MII up, but a loop the
    register file simply cannot hold keeps producing the exact same
@@ -304,9 +245,8 @@ type level = {
 let escalate ?transform ?(latency0 = false) ?spiller ?on_level ?budget
     config g ~hier ~mii ~cap ~counters ii0 assign0 =
   let give_up () = Error (Sched_error.Escalation_cap { mii; cap }) in
-  let rcache = ref [] in
   let try_once ~ii ~assign =
-    try_once ?transform ~latency0 ?spiller ~rcache config g ~ii ~assign
+    try_once ?transform ~latency0 ?spiller config g ~ii ~assign
   in
   let rec walk ~streak ~prev_sig ii assign =
     if ii > cap then give_up ()
@@ -628,9 +568,7 @@ module Trace = struct
     let judge ~ii ~pre result =
       let settled b p =
         match
-          settle ~latency0:false ?spiller
-            ~route:(route_uncached ~latency0:false config)
-            config ~ii p max_spill_rounds
+          settle ~latency0:false ?spiller config ~ii p max_spill_rounds
         with
         | Placed p -> `Fit (p, b)
         | Failed c -> `Fail c

@@ -42,7 +42,7 @@ let asap_cycles g =
   let asap = Array.make n 0 in
   let edges = Graph.edges g in
   for _ = 1 to n do
-    List.iter
+    Array.iter
       (fun (e : Graph.edge) ->
         if e.Graph.distance = 0 then begin
           let lo = asap.(e.Graph.src) + req_latency g e in
@@ -183,10 +183,10 @@ let make_enc ?(replicate = true) ?horizon config g =
       wany = zero3 ();
       dcp = zero3 ();
       reg_edges =
-        Array.of_list
-          (List.filter
+        Array.of_seq
+          (Seq.filter
              (fun (e : Graph.edge) -> e.Graph.kind = Graph.Reg)
-             (Graph.edges g));
+             (Array.to_seq (Graph.edges g)));
       sel_loc = [||];
       sel_cp = [||];
       len_guards = Hashtbl.create 8;
@@ -323,7 +323,7 @@ let make_enc ?(replicate = true) ?horizon config g =
   done;
   (* distance-0 memory ordering: cycle(u) + 1 <= cycle(v), every
      instance pair *)
-  List.iter
+  Array.iter
     (fun (e : Graph.edge) ->
       if e.Graph.kind = Graph.Mem && e.Graph.distance = 0 then
         let u = e.Graph.src and v = e.Graph.dst in
@@ -376,7 +376,7 @@ let encode_level enc ~ii =
     end
   done;
   (* loop-carried memory ordering: cycle(u) + 1 <= cycle(v) + ii*d *)
-  List.iter
+  Array.iter
     (fun (e : Graph.edge) ->
       if e.Graph.kind = Graph.Mem && e.Graph.distance > 0 then begin
         let u = e.Graph.src and v = e.Graph.dst in
@@ -644,7 +644,7 @@ let decode enc ~ii =
     done
   done;
   (* memory ordering between every kept instance pair *)
-  List.iter
+  Array.iter
     (fun (e : Graph.edge) ->
       if e.Graph.kind = Graph.Mem then
         for k1 = 0 to clusters - 1 do

@@ -7,7 +7,7 @@ type t = {
 }
 
 let check_acyclic g =
-  if List.exists (fun e -> e.Graph.distance > 0) (Graph.edges g) then
+  if Array.exists (fun e -> e.Graph.distance > 0) (Graph.edges g) then
     invalid_arg "Listsched: loop-carried dependence in acyclic code"
 
 let latency_of config g v =
@@ -149,7 +149,7 @@ let verify config t =
   let rg = t.route.Route.graph in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  List.iter
+  Array.iter
     (fun e ->
       if t.cycles.(e.Graph.src) + e.Graph.latency > t.cycles.(e.Graph.dst)
       then

@@ -76,7 +76,7 @@ let fits config ~ii a b =
 (* Edges between macro-nodes, weights accumulated. *)
 let macro_edges g analysis macro_of =
   let table = Hashtbl.create 64 in
-  List.iter
+  Array.iter
     (fun e ->
       let mu = macro_of.(e.Graph.src) and mv = macro_of.(e.Graph.dst) in
       if mu <> mv then begin
@@ -156,7 +156,7 @@ let assign_macros config g analysis ~ii macros macro_of =
      other endpoint is already placed. *)
   let connection m =
     let conn = Array.make clusters 0 in
-    List.iter
+    Array.iter
       (fun e ->
         let mu = macro_of.(e.Graph.src) and mv = macro_of.(e.Graph.dst) in
         let other =
@@ -582,7 +582,7 @@ let is_valid config assign =
     assign
 
 let cut_weight g analysis assign =
-  List.fold_left
+  Array.fold_left
     (fun acc e ->
       if
         e.Graph.kind = Graph.Reg

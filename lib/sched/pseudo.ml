@@ -58,7 +58,7 @@ let length_with_cuts config g ~assign ~ii =
       + (if cut then bus_lat else 0)
       - (ii * e.Graph.distance)
     in
-    let edges = Graph.edge_array g in
+    let edges = Graph.edges g in
     let m = Array.length edges in
     let changed = ref true in
     let pass = ref 0 in

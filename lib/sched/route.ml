@@ -44,7 +44,7 @@ let build ?(latency0 = false) config g ~assign =
     needs_copy;
   (* Memory edges and same-cluster register edges are kept unchanged, so
      the routed graph shares their records with [g]. *)
-  List.iter
+  Array.iter
     (fun e ->
       if
         e.Graph.kind = Graph.Reg

@@ -96,7 +96,7 @@ let rewrite config (sched : Schedule.t) ~graph ~assign =
            keep the register value.  Only the first matching edge moves
            (a consumer using the value twice keeps its other read). *)
         let moved = ref None in
-        List.iter
+        Array.iter
           (fun e ->
             if
               e.Graph.kind = Graph.Reg

@@ -1,6 +1,8 @@
 open Ddg
 
-let check ?(registers = true) (sched : Sched.Schedule.t) =
+(* The checks of a schedule whose II is at least 1: every per-slot table
+   below is sized by the II and indexed modulo it. *)
+let check_slots ~registers (sched : Sched.Schedule.t) =
   let config = sched.Sched.Schedule.config in
   let route = Sched.Schedule.route sched in
   let g = route.Sched.Route.graph in
@@ -10,7 +12,6 @@ let check ?(registers = true) (sched : Sched.Schedule.t) =
   let n = Graph.n_nodes g in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  if ii < 1 then err "II %d < 1" ii;
   (* Nodes whose placement is already known to be nonsense are excluded
      from the resource accounting below, so the checker stays total — it
      reports the placement error instead of crashing on an array index. *)
@@ -38,7 +39,7 @@ let check ?(registers = true) (sched : Sched.Schedule.t) =
       err "non-copy %s carries bus %d" (Graph.label g v) buses.(v)
   done;
   (* Dependences. *)
-  List.iter
+  Array.iter
     (fun e ->
       let lhs = cycles.(e.Graph.src) + e.Graph.latency in
       let rhs = cycles.(e.Graph.dst) + (ii * e.Graph.distance) in
@@ -121,6 +122,11 @@ let check ?(registers = true) (sched : Sched.Schedule.t) =
       (Sched.Regpressure.per_cluster sched)
   end;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
+
+let check ?(registers = true) (sched : Sched.Schedule.t) =
+  let ii = sched.Sched.Schedule.ii in
+  if ii < 1 then Error [ Printf.sprintf "II %d < 1" ii ]
+  else check_slots ~registers sched
 
 let check_exn ?registers sched =
   match check ?registers sched with

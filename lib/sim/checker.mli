@@ -16,7 +16,8 @@
     property-check on everything the scheduler emits. *)
 
 val check : ?registers:bool -> Sched.Schedule.t -> (unit, string list) result
-(** [Ok ()] or the complete list of violations, human-readable.
+(** [Ok ()] or the complete list of violations, human-readable.  An II
+    below 1 is reported alone: every other check is per modulo slot.
     [registers:false] skips the MaxLive constraint — used for the
     Section-5.1 latency-0 upper-bound schedules, which the paper
     declares "obviously wrong" and exempts from feasibility. *)

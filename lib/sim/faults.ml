@@ -128,7 +128,7 @@ let break_dependence =
            edge between distinct nodes can be violated by reissuing the
            producer. *)
         match
-          List.find_opt
+          Array.find_opt
             (fun e -> e.Graph.src <> e.Graph.dst)
             (Graph.edges g)
         with

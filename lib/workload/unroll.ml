@@ -20,7 +20,7 @@ let unroll g ~factor =
           assert (got = id k v))
         (Graph.nodes g)
     done;
-    List.iter
+    Array.iter
       (fun e ->
         for k = 0 to factor - 1 do
           (* iteration k + d of the original loop is copy (k+d) mod U of

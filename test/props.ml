@@ -90,7 +90,7 @@ let prop_analysis_windows =
       let a = Analysis.compute g ~ii in
       List.for_all (fun v -> Analysis.asap a v <= Analysis.alap a v)
         (Graph.nodes g)
-      && List.for_all (fun e -> Analysis.slack a e >= 0) (Graph.edges g)
+      && Array.for_all (fun e -> Analysis.slack a e >= 0) (Graph.edges g)
       && List.for_all
            (fun v ->
              Analysis.asap a v + Analysis.height a v
@@ -237,7 +237,7 @@ let prop_route_localizes_edges =
         let assign = Sched.Partition.initial config g ~ii in
         let route = Sched.Route.build config g ~assign in
         let rg = route.Sched.Route.graph in
-        List.for_all
+        Array.for_all
           (fun e ->
             e.Graph.kind <> Graph.Reg
             || route.Sched.Route.assign.(e.Graph.src)
@@ -269,7 +269,7 @@ let acyclic_of_seed seed =
   List.iter
     (fun v -> ignore (Graph.Builder.add b (Graph.op g v)))
     (Graph.nodes g);
-  List.iter
+  Array.iter
     (fun e ->
       if e.Graph.distance = 0 then
         match e.Graph.kind with
@@ -296,7 +296,7 @@ let prop_unroll_preserves_work =
       let g = graph_of_seed seed in
       let g2 = Workload.Unroll.unroll g ~factor:3 in
       Graph.n_nodes g2 = 3 * Graph.n_nodes g
-      && List.length (Graph.edges g2) = 3 * List.length (Graph.edges g))
+      && Array.length (Graph.edges g2) = 3 * Array.length (Graph.edges g))
 
 let prop_spill_rewrite_shape =
   QCheck.Test.make ~name:"spill rewrites keep graph well-formed" ~count:60
@@ -328,8 +328,8 @@ let prop_spill_rewrite_shape =
           | Some (g', assign') ->
               Graph.n_nodes g' = Graph.n_nodes o.Sched.Driver.graph + 2
               && Array.length assign' = Graph.n_nodes g'
-              && List.length (Graph.edges g')
-                 = List.length (Graph.edges o.Sched.Driver.graph) + 2))
+              && Array.length (Graph.edges g')
+                 = Array.length (Graph.edges o.Sched.Driver.graph) + 2))
 
 let prop_spiller_never_raises_ii =
   QCheck.Test.make ~name:"the spiller never raises the final II" ~count:60
@@ -401,19 +401,26 @@ let prop_cached_select_matches_oracle =
       end)
 
 (* The adjacency views precomputed by [Graph.Builder.build] must match
-   their original filter-based definitions, and a node no memory edge
-   leaves or enters shares its list instead of copying it. *)
+   their original filter-based definitions: [succs]/[preds] hold the
+   edge array's own records, filtered by endpoint, in array order.  A
+   node no memory edge leaves or enters shares its list instead of
+   copying it. *)
 let prop_precomputed_adjacency =
   QCheck.Test.make ~name:"precomputed adjacency matches filtered edges"
     ~count:200 seed_arb (fun seed ->
       let g = graph_of_seed seed in
+      let edges = Array.to_list (Graph.edges g) in
       let is_reg e = e.Graph.kind = Graph.Reg in
       List.for_all
         (fun v ->
           let shared view all =
             (not (List.for_all is_reg (all g v))) || view g v == all g v
           in
-          Graph.reg_succs g v = List.filter is_reg (Graph.succs g v)
+          List.equal ( == ) (Graph.succs g v)
+            (List.filter (fun e -> e.Graph.src = v) edges)
+          && List.equal ( == ) (Graph.preds g v)
+               (List.filter (fun e -> e.Graph.dst = v) edges)
+          && Graph.reg_succs g v = List.filter is_reg (Graph.succs g v)
           && Graph.reg_preds g v = List.filter is_reg (Graph.preds g v)
           && shared Graph.reg_succs Graph.succs
           && shared Graph.reg_preds Graph.preds)

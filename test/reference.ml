@@ -61,7 +61,7 @@ let subset_rec_mii g members =
     List.filter
       (fun e ->
         Hashtbl.mem in_set e.Graph.src && Hashtbl.mem in_set e.Graph.dst)
-      (Graph.edges g)
+      (Array.to_list (Graph.edges g))
   in
   if edges = [] then 1
   else begin

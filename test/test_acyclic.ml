@@ -22,7 +22,7 @@ let acyclic_of g =
         (Ddg.Graph.Builder.add b ~label:(Ddg.Graph.label g v)
            (Ddg.Graph.op g v)))
     (Ddg.Graph.nodes g);
-  List.iter
+  Array.iter
     (fun e ->
       if e.Ddg.Graph.distance = 0 then
         match e.Ddg.Graph.kind with

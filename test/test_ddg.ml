@@ -22,7 +22,7 @@ let mk_simple () =
 let test_builder_basics () =
   let g, ld, add, st, iv = mk_simple () in
   check int "nodes" 4 (Graph.n_nodes g);
-  check int "edges" 4 (List.length (Graph.edges g));
+  check int "edges" 4 (Array.length (Graph.edges g));
   check bool "op" true (Graph.op g ld = Machine.Opclass.Load);
   check bool "store" true (Graph.is_store g st);
   check int "find_label" add (Graph.find_label g "add");
@@ -48,7 +48,7 @@ let test_latency_override () =
   let c = Graph.Builder.add b Machine.Opclass.Int_arith in
   Graph.Builder.depend b ~latency:7 ~src:a ~dst:c;
   let g = Graph.Builder.build b in
-  check int "override" 7 (List.hd (Graph.edges g)).Graph.latency
+  check int "override" 7 (Graph.edges g).(0).Graph.latency
 
 let test_builder_rejects () =
   let b = Graph.Builder.create () in
@@ -94,11 +94,11 @@ let test_builder_edge_checks () =
   Graph.Builder.edge b mem;
   let g = Graph.Builder.build b in
   check bool "records added as they are" true
-    (match Graph.edges g with [ r; m ] -> r == reg && m == mem | _ -> false)
+    (match Graph.edges g with [| r; m |] -> r == reg && m == mem | _ -> false)
 
 (* Each DDG fact is stored once: a node no memory edge touches shares
    its register views with [succs]/[preds], and a whole graph costs at
-   most 16 words per node and edge (the edge record itself is 6). *)
+   most 12 words per node and edge (the edge record itself is 6). *)
 let test_one_copy_per_fact () =
   List.iter
     (fun (l : Workload.Generator.loop) ->
@@ -117,7 +117,7 @@ let test_one_copy_per_fact () =
             && Graph.reg_preds g v == Graph.preds g v)
       done;
       let words = Obj.reachable_words (Obj.repr g) in
-      let bound = 16 * (Graph.n_nodes g + List.length (Graph.edges g)) in
+      let bound = 12 * (Graph.n_nodes g + Array.length (Graph.edges g)) in
       if words > bound then
         Alcotest.failf "%s: %d words, bound %d" l.id words bound)
     (Workload.Generator.suite ())
@@ -183,7 +183,7 @@ let permuted g perm =
         (Graph.Builder.add b ~label:(Graph.label g old_id)
            (Graph.op g old_id)))
     inv;
-  List.iter
+  Array.iter
     (fun (e : Graph.edge) ->
       let src = perm.(e.Graph.src) and dst = perm.(e.Graph.dst) in
       match e.Graph.kind with
@@ -211,7 +211,7 @@ let rebuilt g ~edge =
   List.iter
     (fun v -> ignore (Graph.Builder.add b (Graph.op g v)))
     (Graph.nodes g);
-  List.iteri
+  Array.iteri
     (fun i (e : Graph.edge) ->
       let e = edge i e in
       match e.Graph.kind with
@@ -287,7 +287,7 @@ let test_fingerprint_sensitive () =
       | (e : Graph.edge) :: tl ->
           if e.Graph.kind = Graph.Reg then i else first (i + 1) tl
     in
-    first 0 (Graph.edges g)
+    first 0 (Array.to_list (Graph.edges g))
   in
   check bool "corpus loop has a register edge" true (victim >= 0);
   let bump_latency i (e : Graph.edge) =

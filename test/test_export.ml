@@ -78,7 +78,9 @@ let test_unroll_with_mem_deps () =
   (* the distance-1 mem edge becomes intra-iteration between copies 0->1
      and wraps 1->0 with distance 1 *)
   let mem_edges =
-    List.filter (fun e -> e.Ddg.Graph.kind = Ddg.Graph.Mem) (Ddg.Graph.edges g2)
+    List.filter
+      (fun e -> e.Ddg.Graph.kind = Ddg.Graph.Mem)
+      (Array.to_list (Ddg.Graph.edges g2))
   in
   check int "two mem edges" 2 (List.length mem_edges);
   check bool "one intra, one wrapped" true

@@ -224,7 +224,7 @@ let test_allocation_budgets () =
           let route = Sched.Schedule.route s in
           let rg = route.Sched.Route.graph in
           let ii = s.Sched.Schedule.ii in
-          let size = Graph.n_nodes rg + List.length (Graph.edges rg) in
+          let size = Graph.n_nodes rg + Array.length (Graph.edges rg) in
           let what kernel = Printf.sprintf "%s: %s" l.id kernel in
           let budget = (12 * size) + 100 in
           within ~what:(what "Scc.groups") ~budget

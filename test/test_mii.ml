@@ -80,10 +80,16 @@ let test_analysis_slack () =
   let g = Graph.Builder.build b in
   let an = Analysis.compute g ~ii:4 in
   let edge_cd =
-    List.find (fun e -> e.Graph.src = c && e.Graph.dst = d) (Graph.edges g)
+    Option.get
+      (Array.find_opt
+         (fun e -> e.Graph.src = c && e.Graph.dst = d)
+         (Graph.edges g))
   in
   let edge_fd =
-    List.find (fun e -> e.Graph.src = f && e.Graph.dst = d) (Graph.edges g)
+    Option.get
+      (Array.find_opt
+         (fun e -> e.Graph.src = f && e.Graph.dst = d)
+         (Graph.edges g))
   in
   check int "tight edge slack" 0 (Analysis.slack an edge_fd);
   check int "loose edge slack" 2 (Analysis.slack an edge_cd);

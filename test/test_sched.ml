@@ -147,7 +147,7 @@ let test_route_fig3 () =
   check int "copy_of" d route.Sched.Route.copy_of.(cp_d);
   (* after routing, every register edge is intra-cluster except
      copy->consumer *)
-  List.iter
+  Array.iter
     (fun e ->
       if e.Graph.kind = Graph.Reg then
         let cu = route.Sched.Route.assign.(e.Graph.src) in
@@ -176,7 +176,7 @@ let test_route_copy_edge_latencies () =
 (* A routed graph copies one fact per communication and no more: the
    edges it keeps unchanged (memory edges and same-cluster register
    edges, the ones between original nodes) are the source's records
-   themselves, and the route costs at most 16 words per routed node and
+   themselves, and the route costs at most 12 words per routed node and
    edge beyond its source. *)
 let test_route_shares_edges () =
   let config =
@@ -195,18 +195,18 @@ let test_route_shares_edges () =
           (fun e ->
             e.Graph.kind = Graph.Mem
             || assign.(e.Graph.src) = assign.(e.Graph.dst))
-          (Graph.edges g)
+          (Array.to_list (Graph.edges g))
       in
       let between_originals =
         List.filter
           (fun e -> e.Graph.src < n && e.Graph.dst < n)
-          (Graph.edges rg)
+          (Array.to_list (Graph.edges rg))
       in
       check bool (l.id ^ " shares its kept edges") true
         (List.length kept = List.length between_originals
         && List.for_all2 ( == ) kept between_originals);
       let beyond = words (route, g) - words g in
-      let bound = 16 * (Graph.n_nodes rg + List.length (Graph.edges rg)) in
+      let bound = 12 * (Graph.n_nodes rg + Array.length (Graph.edges rg)) in
       if beyond > bound then
         Alcotest.failf "%s: route takes %d words beyond its source, bound %d"
           l.id beyond bound)
@@ -524,13 +524,11 @@ let test_trace_stays_lean () =
         (replayed_stats = !direct_stats))
     [ (64, None); (128, None); (32, Some Sched.Spill.spiller) ]
 
-(* The per-escalation route cache, held by exact counts: a baseline
-   walk builds one routed graph per distinct bus-feasible partition it
-   tries.  A spy transform that rewrites nothing collects those
-   partitions.  The cache keeps 8 routes, so a walk trying more may
-   rebuild an evicted one; only walks within that capacity are held to
-   equality. *)
-let test_route_built_once_per_partition () =
+(* Every attempt routes its own graph, held by exact counts: a
+   baseline walk builds exactly one routed graph per bus-feasible
+   attempt, which a spy transform that rewrites nothing counts.  No
+   attempt reuses another's route, and none builds its own twice. *)
+let test_route_built_once_per_attempt () =
   let config = Option.get (Machine.Config.of_name "4c1b2l32r") in
   let loops =
     List.concat_map
@@ -539,26 +537,18 @@ let test_route_built_once_per_partition () =
   in
   Sched.Profile.set_enabled true;
   Fun.protect ~finally:(fun () -> Sched.Profile.set_enabled false) @@ fun () ->
-  let held = ref 0 in
   List.iter
     (fun (l : Workload.Generator.loop) ->
-      let tried = ref [] in
+      let attempts = ref 0 in
       let spy config g ~assign ~ii =
-        if Sched.Comm.extra config g ~assign ~ii = 0
-           && not (List.mem assign !tried)
-        then tried := Array.copy assign :: !tried;
+        if Sched.Comm.extra config g ~assign ~ii = 0 then incr attempts;
         None
       in
       let before = Sched.Profile.events Sched.Profile.Route_built in
       ignore (Sched.Driver.schedule_loop ~transform:spy config l.graph);
       let built = Sched.Profile.events Sched.Profile.Route_built - before in
-      let distinct = List.length !tried in
-      if distinct <= 8 then begin
-        incr held;
-        check int (l.id ^ " routed graphs built") distinct built
-      end)
-    loops;
-  check bool "some walks within the cache's capacity" true (!held > 0)
+      check int (l.id ^ " routed graphs built") !attempts built)
+    loops
 
 (* ---------------- register pressure ---------------- *)
 
@@ -631,8 +621,8 @@ let suite =
       test_trace_register_family_only;
     Alcotest.test_case "trace keeps rejected attempts lean" `Quick
       test_trace_stays_lean;
-    Alcotest.test_case "route built once per partition" `Quick
-      test_route_built_once_per_partition;
+    Alcotest.test_case "route built once per bus-feasible attempt" `Quick
+      test_route_built_once_per_attempt;
     Alcotest.test_case "regpressure chain" `Quick test_regpressure_chain;
     Alcotest.test_case "regpressure long lifetime" `Quick
       test_regpressure_long_lifetime;

@@ -119,6 +119,18 @@ let test_lockstep_names_misplaced_node () =
     (Error "II 0 < 1")
     (Sim.Lockstep.run { s with Sched.Schedule.ii = 0 } ~iterations:8)
 
+(* The checker sizes its per-slot tables by the II and takes cycles
+   modulo it, so an II below 1 is its whole answer, not a division or
+   allocation exception. *)
+let test_checker_rejects_ii_below_one ii () =
+  let g = Ddg.Examples.tiny_chain ~n:4 () in
+  let s = (schedule unified g).Sched.Driver.schedule in
+  check
+    (Alcotest.result Alcotest.unit (Alcotest.list Alcotest.string))
+    (Printf.sprintf "II %d" ii)
+    (Error [ Printf.sprintf "II %d < 1" ii ])
+    (Sim.Checker.check { s with Sched.Schedule.ii })
+
 let test_lockstep_one_iteration () =
   let g = Ddg.Examples.tiny_chain ~n:4 () in
   let o = schedule unified g in
@@ -167,6 +179,10 @@ let suite =
       test_lockstep_rejects_bad_schedule;
     Alcotest.test_case "lockstep names a misplaced node" `Quick
       test_lockstep_names_misplaced_node;
+    Alcotest.test_case "checker rejects II 0" `Quick
+      (test_checker_rejects_ii_below_one 0);
+    Alcotest.test_case "checker rejects II -1" `Quick
+      (test_checker_rejects_ii_below_one (-1));
     Alcotest.test_case "lockstep one iteration" `Quick
       test_lockstep_one_iteration;
     Alcotest.test_case "lockstep matches analytic on replicated" `Quick

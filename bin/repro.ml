@@ -64,12 +64,28 @@ let loops_of ~quick =
       Workload.Benchmark.all
   else Workload.Generator.suite ()
 
+(* The pool silently clamps to the recommended domain count; surface the
+   clamp here so a `--jobs 8` on a small machine isn't mistaken for an
+   eight-way run. *)
+let effective_jobs jobs =
+  let e = Metrics.Pool.clamp_jobs jobs in
+  Metrics.Log.clamp_warning ~requested:jobs ~effective:e;
+  e
+
+let jobs_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains (default 1).")
+
 (* ------------------------------------------------------------------ *)
 (* figures                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let figures quick only csv =
-  let suite = Metrics.Suite.create ~loops:(loops_of ~quick) () in
+let figures quick jobs only csv =
+  let suite =
+    Metrics.Suite.create ~loops:(loops_of ~quick) ~jobs:(effective_jobs jobs)
+      ()
+  in
   let wanted id = match only with [] -> true | ids -> List.mem id ids in
   List.iter
     (fun (id, render) ->
@@ -96,7 +112,7 @@ let figures_cmd =
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")
-    Term.(const figures $ quick_arg $ only $ csv)
+    Term.(const figures $ quick_arg $ jobs_arg $ only $ csv)
 
 (* ------------------------------------------------------------------ *)
 (* ablate / extensions: beyond the paper's figures                     *)
@@ -413,14 +429,6 @@ let loop_cmd =
 (* suite                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The pool silently clamps to the recommended domain count; surface the
-   clamp here so a `--jobs 8` on a small machine isn't mistaken for an
-   eight-way run. *)
-let effective_jobs jobs =
-  let e = Metrics.Pool.clamp_jobs jobs in
-  Metrics.Log.clamp_warning ~requested:jobs ~effective:e;
-  e
-
 let suite_run config quick jobs strict retry poison budget cache =
   let jobs = effective_jobs jobs in
   let loops = loops_of ~quick in
@@ -467,11 +475,6 @@ let suite_run config quick jobs strict retry poison budget cache =
         (Sched.Sched_error.exit_code
            (snd (List.hd quarantined)).Metrics.Experiment.q_error)
   end
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains (default 1).")
 
 let suite_cmd =
   let strict =

@@ -93,14 +93,15 @@ let print v =
    accept one grammar and fail with the same message at the same byte. *)
 type cursor = {
   s : string;
-  n : int;
+  n : int;  (* the text is [s]'s first [n] bytes *)
   mutable pos : int;
   small : t array;
       (* empty, or the [Num] of each integer from -1 to 999 read so far
          at index [i + 1] ([Null] until read) *)
 }
 
-let cursor ?(small = [||]) s = { s; n = String.length s; pos = 0; small }
+let cursor ?(small = [||]) ?len s =
+  { s; n = Option.value len ~default:(String.length s); pos = 0; small }
 let fail c msg = raise (Bad (Printf.sprintf "%s at byte %d" msg c.pos))
 let peek c = if c.pos < c.n then Some c.s.[c.pos] else None
 let advance c = c.pos <- c.pos + 1
@@ -276,9 +277,16 @@ let parse s =
    read as one shared value each across the document, so an element's
    tree holds no number of its own for them.  Errors come out as
    [parse], [member] and [to_list] would raise them: the whole text is
-   read before a missing or non-list member fails. *)
-let fold_member name f init s =
-  let c = cursor ~small:(Array.make 1001 Null) s in
+   read before a missing or non-list member fails.  With [len], the text
+   is [s]'s first [len] bytes: the cursor reads no byte at or past its
+   [n], and every string the parser returns is a fresh copy, so a
+   caller may pass a view of a buffer it reuses. *)
+let fold_member ?len name f init s =
+  (match len with
+  | Some l when l < 0 || l > String.length s ->
+      invalid_arg "Json.fold_member: len outside the string"
+  | _ -> ());
+  let c = cursor ~small:(Array.make 1001 Null) ?len s in
   skip_ws c;
   if peek c <> Some '{' then begin
     ignore (parse_value c);

@@ -36,9 +36,10 @@ val parse : string -> t
 (** @raise Bad on malformed input or trailing garbage. *)
 
 val fold_member :
+  ?len:int ->
   string -> ((string * t) list -> 'a -> t -> 'a) -> 'a -> string ->
   'a * (string * t) list
-(** [fold_member name f init text] reads [text], which must hold an
+(** [fold_member ?len name f init text] reads [text], which must hold an
     object, and folds [f] over the elements of its array member [name]
     as the parser reads each one: [f before acc element], where [before]
     are the members read before [name], in order.  No list of the
@@ -53,9 +54,19 @@ val fold_member :
     tree that a minor collection catches promotes no number of its
     own for them.
 
+    With [len], the text is [text]'s first [len] bytes alone, read as
+    [String.sub text 0 len] would be: same results, same messages, same
+    byte positions, and no byte past [len] is read.  No value returned
+    or handed to [f] shares memory with [text] (every string is a
+    copy), so [text] may be a view ([Bytes.unsafe_to_string]) of a
+    buffer the caller writes again once the call has returned; the
+    schedule store reads every table file this way, through one buffer.
+
     @raise Bad exactly where [to_list (member name (parse text))] would,
     with the same message.  [f] may already have seen elements when a
-    later byte turns out malformed. *)
+    later byte turns out malformed.
+    @raise Invalid_argument when [len] is negative or longer than
+    [text]. *)
 
 val member : string -> t -> t
 (** Field of an object. @raise Bad when absent or not an object. *)

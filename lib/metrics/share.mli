@@ -10,8 +10,12 @@
     those values.
 
     Identity is exact content only; no digest alone decides it:
-    - a graph is keyed by its {!Ddg.Graph.structural_encoding}, its name
-      and its node labels;
+    - a graph is keyed by itself: two graphs are one when their names,
+      operation classes, node labels and edges (every field, in
+      insertion order) are equal.  Its hash mixes all of that but the
+      labels, read in place, so the table builds no key for a lookup
+      and keeps nothing beside the graph (no structural encoding, no
+      copy of its labels);
     - a partition is keyed by that graph and its content;
     - a schedule's cycle and bus arrays, and an outcome's increments,
       by their content alone.
@@ -24,8 +28,11 @@
 
     Sharing is safe because graphs and partitions are never mutated in
     place ({!Sim.Faults} clones a schedule before corrupting it);
-    callers must keep it that way.  A table only grows, and is not
-    domain-safe: use it from one domain. *)
+    callers must keep it that way.  A table only grows.  It is
+    domain-safe: each call below takes the table's one lock once, so a
+    {!Suite}'s pool workers share each run as they finish it.  Which of
+    two equal values a table keeps may then depend on the workers'
+    timing; being equal, no output can tell. *)
 
 type t
 

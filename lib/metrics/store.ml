@@ -45,19 +45,25 @@
    already read, and its tree dropped, so no tree of a whole file is
    ever built.  Entries join the table only once the whole file has
    parsed: a file torn halfway through its entries serves none of them,
-   and a file whose header follows its entries counts as stale.
+   and a file whose header follows its entries counts as stale.  Each
+   store reads its files through one buffer, grown (at least doubling)
+   to the largest file read so far, where a whole-file string per table
+   would land in the major heap; the parser reads only the current
+   file's bytes of it (a torn file is not parsed on into an earlier
+   file's tail), and no decoded value aliases it.
 
    The figure suite stores the same loops under many configurations,
    register families and spill variants, so each store holds one
    {!Share} table for its decoded values: a graph is shared by its
-   name, labels and {!Ddg.Graph.structural_encoding}; a partition array
-   by that graph and its content; cycle and bus arrays and increments
-   by their content; the [x] string by value.  The table holds no
-   routed graph.  No digest alone decides identity.  A {!Suite} over
-   the store passes its loops' graphs through the same table before
-   anything is decoded, and every run it computes before recording it,
-   so the memory tier and the disk tier hold one value per distinct
-   content, and a decoded untransformed run holds its loop's own graph.
+   content (name, operation classes, labels and edges); a partition
+   array by that graph and its content; cycle and bus arrays and
+   increments by their content; the [x] string by value.  The table
+   holds no routed graph.  No digest alone decides identity.  A
+   {!Suite} over the store passes its loops' graphs through the same
+   table before anything is decoded, and every run it computes before
+   recording it, so the memory tier and the disk tier hold one value
+   per distinct content, and a decoded untransformed run holds its
+   loop's own graph.
    A decoded entry's tree holds no number of its own for the small
    integers ({!Json.fold_member}), so what a minor collection promotes
    of it stays small beside the values the table keeps.
@@ -102,6 +108,9 @@ type t = {
   share : Share.t;
       (* one value per distinct content: decoded entries, and the runs a
          {!Suite} over this store computes (see "Tiers" above) *)
+  mutable buf : Bytes.t;
+      (* the one read buffer: every table file is read into it, and it
+         grows (at least doubling) to the largest file read so far *)
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_read : int;
@@ -121,6 +130,7 @@ let create ?dir () =
     tables = Hashtbl.create 32;
     fps = Hashtbl.create 256;
     share = Share.create ();
+    buf = Bytes.empty;
     s_hits = 0;
     s_misses = 0;
     s_read = 0;
@@ -328,8 +338,10 @@ let json_of_entry fp en =
    communication needs a bus, and the routed graph has one node per
    original node plus one copy per communication
    ({!Sched.Comm.count}), the length of the stored cycle and bus
-   arrays.  Any malformed/implausible entry decodes to [None] and is
-   simply dropped (a future save rewrites the file). *)
+   arrays.  The II must be at least 1 and at least the MII: every
+   reader that takes a cycle modulo the II relies on the first, and no
+   schedule beats the second.  Any malformed/implausible entry decodes
+   to [None] and is simply dropped (a future save rewrites the file). *)
 let entry_of_json t ~config ~latency0 j =
   try
     let fp = Json.to_str (Json.member "fp" j) in
@@ -354,6 +366,7 @@ let entry_of_json t ~config ~latency0 j =
           let cycles = int_array (Json.member "cycles" j) in
           let buses = int_array (Json.member "buses" j) in
           let n = G.n_nodes graph in
+          if ii < 1 || ii < mii then raise (Json.Bad "store: impossible II");
           if Array.length assign <> n then
             raise (Json.Bad "store: partition shape mismatch");
           let comms = Sched.Comm.count graph ~assign in
@@ -439,7 +452,21 @@ let header tb =
 let current tb fields =
   List.for_all (fun (k, v) -> Json.member k (Json.Obj fields) = v) (header tb)
 
-(* Entry by entry, under the header-first rule of "Tiers" above. *)
+(* The file's bytes, into the first [len] bytes of [t.buf]; returns
+   [len]. *)
+let read_file t path =
+  In_channel.with_open_bin path @@ fun ic ->
+  let len = Int64.to_int (In_channel.length ic) in
+  if len > Bytes.length t.buf then
+    t.buf <- Bytes.create (max len (2 * Bytes.length t.buf));
+  match In_channel.really_input ic t.buf 0 len with
+  | Some () -> len
+  | None -> raise End_of_file
+
+(* Entry by entry, under the header-first rule of "Tiers" above.  The
+   parser reads the buffer through a string view that dies with the
+   call, and copies every string it returns, so no decoded value
+   aliases the buffer the next load writes again. *)
 let load_table t tb =
   match file_of t ~group:tb.tb_group ~ckey:tb.tb_ckey with
   | None -> ()
@@ -455,10 +482,11 @@ let load_table t tb =
         else acc
       in
       match
-        let text = In_channel.with_open_bin path In_channel.input_all in
-        t.s_read <- t.s_read + String.length text;
-        Sched.Profile.cache_io ~read:(String.length text) ~written:0;
-        Json.fold_member "entries" decode [] text
+        let len = read_file t path in
+        t.s_read <- t.s_read + len;
+        Sched.Profile.cache_io ~read:len ~written:0;
+        Json.fold_member ~len "entries" decode []
+          (Bytes.unsafe_to_string t.buf)
       with
       | exception _ -> quarantine_file path
       | decoded, others -> (

@@ -33,16 +33,17 @@
 
     Values decoded from disk are shared store-wide by exact content,
     through the store's {!Share} table: every table's entries for one
-    graph (same name, labels and {!Ddg.Graph.structural_encoding}) hold
-    one decoded graph, and one partition array per distinct partition of
+    graph (same name, operation classes, labels and edges) hold one
+    decoded graph, and one partition array per distinct partition of
     it.  Hits from different tables may therefore return physically
     equal [graph] and [assign] values, which callers must never mutate
     in place.  Neither tier holds a routed graph: every entry's schedule
     is unrouted ({!Sched.Schedule.unrouted}), whether decoded or
     {!record}ed, and {!Sched.Schedule.route} rebuilds it.  Each entry
     still passes its own shape check — its cycle and bus arrays hold one
-    slot per node of the graph routing would build — and a malformed
-    entry is dropped alone.
+    slot per node of the graph routing would build, and its II is at
+    least 1 and at least its MII — and a malformed entry is dropped
+    alone.
 
     Caching policy: successful runs and give-up errors
     ({!Sched.Sched_error.is_give_up}) are recorded; [Timeout] results
@@ -58,7 +59,9 @@
 
     A store instance is not domain-safe: consult it from the
     orchestrating domain only (the {!Suite}/{!Robust} integration does;
-    pool workers never see it).  All traffic is mirrored into the
+    pool workers never see it, only its domain-safe {!share} table).
+    Its table files are read through one buffer per store, reused from
+    file to file.  All traffic is mirrored into the
     always-on counters of {!Sched.Profile}. *)
 
 type t

@@ -33,10 +33,10 @@ type t = {
   share : Share.t;
       (* every run the suite computes is rebuilt around one value per
          distinct content (graph, partition, cycle and bus arrays,
-         increments), its schedule unrouted, before it is kept or
-         recorded; the store's own table when there is a store, seeded
-         with the suite's loops' graphs so that a run the store decodes
-         for an untransformed loop holds the loop's own graph *)
+         increments), its schedule unrouted, by the pool item that
+         computed it; the store's own table when there is a store,
+         seeded with the suite's loops' graphs so that a run the store
+         decodes for an untransformed loop holds the loop's own graph *)
   jobs_ : int;
 }
 
@@ -134,16 +134,12 @@ let view_for t config (l : Workload.Generator.loop) =
 (* ------------------------------------------------------------------ *)
 
 (* Classify a pass's per-loop results on the orchestrating domain:
-   share every success's values, record everything into the schedule
-   store (it drops timeouts and bugs itself), then keep the successes
-   and raise on bugs exactly as {!Experiment.keep_or_raise} always did.
-   Running the classification here rather than inside the pool workers
-   is what lets give-up errors reach the store instead of dying in the
-   worker's [filter_map]. *)
+   record everything into the schedule store (it drops timeouts and
+   bugs itself), then keep the successes and raise on bugs exactly as
+   {!Experiment.keep_or_raise} always did.  Running the classification
+   here rather than inside the pool workers is what lets give-up errors
+   reach the store instead of dying in the worker's [filter_map]. *)
 let classify_record t mode ?(variant = "") config pairs =
-  let pairs =
-    List.map (fun (l, res) -> (l, Result.map (Share.run t.share) res)) pairs
-  in
   (match t.store with
   | None -> ()
   | Some s ->
@@ -175,16 +171,17 @@ let store_served t mode ?(variant = "") config =
       in
       go [] t.loops_
 
-(* A pass's pool items hand back their runs unrouted
-   ({!Experiment.unrouted}), so the runs a pass has finished hold no
-   routed graph while its other items compute. *)
+(* A pass's pool items hand back their runs already shared
+   ({!Share.run}, which also unroutes them): a run that duplicates
+   values the table holds dies young with its item, instead of being
+   promoted with the whole pass's results before it is shared. *)
 let direct_runs t mode config =
   let items = List.map (fun l -> (l, view_for t config l)) t.loops_ in
   let pairs =
     Pool.map ~jobs:t.jobs_
       (fun ((l : Workload.Generator.loop), hier) ->
         ( l,
-          Result.map Experiment.unrouted
+          Result.map (Share.run t.share)
             (Experiment.run_loop ~hier mode config l) ))
       items
   in
@@ -212,7 +209,7 @@ let replay_all t ?(variant = "") ?spiller mode trs config =
     Pool.map ~jobs:t.jobs_
       (fun (tr, hier) ->
         ( Experiment.traced_loop tr,
-          Result.map Experiment.unrouted
+          Result.map (Share.run t.share)
             (Experiment.replay_traced ?spiller ~hier tr config) ))
       items
   in

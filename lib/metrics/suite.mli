@@ -49,10 +49,13 @@
     replication never rewrote, machines with the same copy latency, the
     members of a register family.  So every run a pass computes — direct,
     replayed, spilled or lengthened — goes through a {!Share} table
-    before it is kept or recorded, and comes out holding the table's one
-    graph, partition, cycle array, bus array and increments for its
-    content, and no routed graph.  With a store the table is the store's
-    own, so decoded runs share with computed ones; {!create} passes the
+    where it is finished, in the pool item that computed it (a
+    lengthened run, on the calling domain), and comes out holding the
+    table's one graph, partition, cycle array, bus array and increments
+    for its content, and no routed graph.  A duplicate therefore dies
+    young with its item instead of surviving, and being promoted, until
+    the whole pass is done.  With a store the table is the store's own,
+    so decoded runs share with computed ones; {!create} passes the
     suite's loops' graphs through it first, so a run that kept its
     loop's graph untransformed holds the loop's own graph, decoded or
     computed. *)
@@ -69,7 +72,8 @@ val create :
     number of domains each uncached sweep runs on ({!Pool}); the caches
     and skeleton store are only touched by the calling domain (per-loop
     hierarchy views are built before work is handed to the pool, and a
-    view reaches at most one worker per pass).  [store] installs a
+    view reaches at most one worker per pass), and the workers reach
+    only the domain-safe {!Share} table.  [store] installs a
     content-addressed schedule store consulted before, and fed by, every
     sweep (the suite only touches it on the calling domain; remember to
     {!Store.save} it afterwards when it has a disk tier). *)

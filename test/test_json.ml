@@ -152,6 +152,27 @@ let fold_member_agrees =
       in
       by_tree = by_fold)
 
+(* With [len], the fold reads the text's first [len] bytes and nothing
+   after them: over any text followed by any bytes, it returns what it
+   returns over the text alone, and fails with the same message at the
+   same byte.  The schedule store reads each table file into a buffer
+   that may still hold a longer file's bytes after it. *)
+let fold_member_len =
+  QCheck.Test.make ~name:"fold_member ~len ignores the bytes past len"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (text, suffix) -> Printf.sprintf "%S ^ %S" text suffix)
+       QCheck.Gen.(
+         pair gen_fold_text
+           (oneof
+              [ gen_fold_text; string_size ~gen:char (int_range 0 8) ])))
+    (fun (text, suffix) ->
+      let fold ?len s =
+        outcome (fun () ->
+            fold_member ?len "k" (fun before acc x -> (before, x) :: acc) [] s)
+      in
+      fold text = fold ~len:(String.length text) (text ^ suffix))
+
 open Alcotest
 
 (* Integral numbers outside the int range are refused, not wrapped:
@@ -224,7 +245,13 @@ let test_fold_member_numbers () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ roundtrip; roundtrip_twice; integral_as_printf; fold_member_agrees ]
+    [
+      roundtrip;
+      roundtrip_twice;
+      integral_as_printf;
+      fold_member_agrees;
+      fold_member_len;
+    ]
   @ [
       test_case "printer grammar examples" `Quick test_examples;
       test_case "round-trip corner cases" `Quick test_roundtrip_examples;

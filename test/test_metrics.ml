@@ -232,7 +232,9 @@ let with_store_dir f =
    untransformed holds the loop's own graph.  The key is the sharing
    rule itself — the graph's structure, name and labels, and the
    partition.  Held on a cold suite over a store, and on a suite the
-   saved store serves. *)
+   saved store serves, each on one domain and on two: on two, the
+   pool's workers share each run as they finish it, through one locked
+   table. *)
 let test_cached_runs_shared () =
   let graph_key g =
     ( Ddg.Graph.structural_encoding g,
@@ -301,14 +303,86 @@ let test_cached_runs_shared () =
       (!own_graph > 0)
   in
   let loops = Lazy.force small_loops in
-  with_store_dir @@ fun dir ->
-  let store = Metrics.Store.create ~dir () in
-  check_shared "cold" (Metrics.Suite.create ~loops ~store ());
-  Metrics.Store.save store;
-  let store = Metrics.Store.create ~dir () in
-  check_shared "served" (Metrics.Suite.create ~loops ~store ());
-  check int "the served suite computed nothing" 0
-    (Metrics.Store.stats store).Metrics.Store.misses
+  List.iter
+    (fun jobs ->
+      with_store_dir @@ fun dir ->
+      let side what = Printf.sprintf "%s (jobs %d)" what jobs in
+      let store = Metrics.Store.create ~dir () in
+      check_shared (side "cold") (Metrics.Suite.create ~loops ~jobs ~store ());
+      Metrics.Store.save store;
+      let store = Metrics.Store.create ~dir () in
+      check_shared (side "served")
+        (Metrics.Suite.create ~loops ~jobs ~store ());
+      check int
+        (side "the served suite computed nothing")
+        0 (Metrics.Store.stats store).Metrics.Store.misses)
+    [ 1; 2 ]
+
+(* A share table keys a graph by its whole content: a graph that
+   differs from the base in exactly one thing (its name, one label, one
+   op, one edge's latency, distance or kind, or the order of two edges)
+   is kept apart from it and from every other such graph, and a
+   structural copy of any of them returns the first one built. *)
+let test_share_keys_graphs_by_content () =
+  let module G = Ddg.Graph in
+  let edge ?(latency = 1) ?(distance = 0) ?(kind = G.Reg) src dst =
+    { G.src; dst; latency; distance; kind }
+  in
+  let ops = Machine.Opclass.[ Load; Fp_arith; Fp_mul; Store ] in
+  let labels = [ "ld"; "add"; "mul"; "st" ] in
+  let edges =
+    [
+      edge ~latency:2 0 1;
+      edge ~latency:3 1 2;
+      edge ~latency:6 2 3;
+      edge ~latency:2 0 3;
+      edge ~distance:1 ~kind:G.Mem 3 0;
+    ]
+  in
+  let build ?(name = "base") ?(labels = labels) ?(ops = ops) ?(edges = edges)
+      () =
+    let b = G.Builder.create ~name () in
+    List.iter2 (fun label op -> ignore (G.Builder.add b ~label op)) labels ops;
+    List.iter (G.Builder.edge b) edges;
+    G.Builder.build b
+  in
+  let set i x l = List.mapi (fun j y -> if i = j then x else y) l in
+  let variants =
+    [
+      ("base", fun () -> build ());
+      ("name", fun () -> build ~name:"other" ());
+      ("one label", fun () -> build ~labels:(set 2 "mul2" labels) ());
+      ("one op", fun () -> build ~ops:(set 2 Machine.Opclass.Fp_div ops) ());
+      ( "one latency",
+        fun () -> build ~edges:(set 1 (edge ~latency:4 1 2) edges) () );
+      ( "one distance",
+        fun () ->
+          build ~edges:(set 2 (edge ~latency:6 ~distance:1 2 3) edges) () );
+      ( "one kind",
+        fun () ->
+          build ~edges:(set 3 (edge ~latency:2 ~kind:G.Mem 0 3) edges) () );
+      ( "two edges' order",
+        fun () ->
+          build
+            ~edges:(set 0 (List.nth edges 1) (set 1 (List.nth edges 0) edges))
+            () );
+    ]
+  in
+  let share = Metrics.Share.create () in
+  let firsts =
+    List.map
+      (fun (what, make) ->
+        let g = make () in
+        check bool (what ^ ": kept apart") true
+          (Metrics.Share.graph share g == g);
+        (what, make, g))
+      variants
+  in
+  List.iter
+    (fun (what, make, g) ->
+      check bool (what ^ ": a copy returns the first") true
+        (Metrics.Share.graph share (make ()) == g))
+    firsts
 
 (* Everything a run's routed graph is: its graph's structure, name and
    labels, and its routing arrays. *)
@@ -836,6 +910,8 @@ let suite =
     Alcotest.test_case "runs keyed by the full config" `Slow
       test_runs_keyed_by_full_config;
     Alcotest.test_case "cached runs are shared" `Slow test_cached_runs_shared;
+    Alcotest.test_case "share keys graphs by content" `Quick
+      test_share_keys_graphs_by_content;
     Alcotest.test_case "a kept schedule routes exactly as it was scheduled"
       `Quick test_kept_schedule_routes_as_scheduled;
   ]

@@ -549,7 +549,7 @@ let shape_check_drops what misfit =
   in
   let warm = Metrics.Store.create ~dir () in
   let l = loop_of victim in
-  check bool ("entry with a misfit " ^ what ^ " array misses") true
+  check bool ("entry with a misfit " ^ what ^ " misses") true
     (lookup_is_miss ~config:config32 warm l);
   check bool "its sibling entry still hits" false (lookup_is_miss warm l);
   List.iter
@@ -565,13 +565,156 @@ let test_shape_check_per_entry () =
     (fun (what, misfit) -> shape_check_drops what misfit)
     Metrics.Json.
       [
-        ("cycle", function
+        ("cycle array", function
           | "cycles", List cs -> ("cycles", List (Num 0. :: cs))
           | field -> field);
-        ("partition", function
+        ("partition array", function
           | "assign", List cs -> ("assign", List (cs @ [ Num 0. ]))
           | field -> field);
+        ("MII above its II", function
+          | "mii", Num _ -> ("mii", Num 1000.)
+          | field -> field);
       ]
+
+(* An entry whose II cannot be a schedule's is dropped like any other
+   misfit: a suite run over a store ([repro suite --cache DIR]) whose
+   first Baseline entry had its II edited to 0 recomputes that loop,
+   missing once, and prints what the cold run printed. *)
+let test_impossible_ii_dropped () =
+  with_dir @@ fun dir ->
+  let loops = Lazy.force small_loops in
+  let suite store =
+    let o =
+      Metrics.Robust.run ~store
+        ~modes:[ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ]
+        config loops
+    in
+    Metrics.Robust.ipc_table config o.Metrics.Robust.o_runs
+  in
+  let fill = Metrics.Store.create ~dir () in
+  let cold = suite fill in
+  Metrics.Store.save fill;
+  let file =
+    match
+      List.filter
+        (fun f ->
+          String.starts_with ~prefix:"base-" f
+          && Filename.check_suffix f ".json")
+        (Array.to_list (Sys.readdir dir))
+    with
+    | [ f ] -> Filename.concat dir f
+    | fs ->
+        Alcotest.failf "expected one Baseline table file, found %d"
+          (List.length fs)
+  in
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  let key = "\"ii\":" in
+  let rec find i =
+    if String.sub text i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while text.[!stop] >= '0' && text.[!stop] <= '9' do
+    incr stop
+  done;
+  Out_channel.with_open_bin file (fun oc ->
+      Out_channel.output_string oc
+        (String.sub text 0 start ^ "0"
+        ^ String.sub text !stop (String.length text - !stop)));
+  let warm = Metrics.Store.create ~dir () in
+  check Alcotest.string "the rerun prints the cold output" cold (suite warm);
+  check int "only the edited loop missed" 1 (Metrics.Store.stats warm).misses
+
+(* Everything a lookup answers, rendered through the store's own codecs. *)
+let answer_content = function
+  | Metrics.Store.Miss -> "miss"
+  | Metrics.Store.Hit_give_up (cls, msg) -> "give-up " ^ cls ^ ": " ^ msg
+  | Metrics.Store.Hit r ->
+      let o = r.Metrics.Experiment.outcome in
+      let ints a =
+        Metrics.Json.List
+          (List.map
+             (fun i -> Metrics.Json.Num (float_of_int i))
+             (Array.to_list a))
+      in
+      Metrics.Json.(
+        print
+          (List
+             [
+               Metrics.Store.Graph_json.encode o.Sched.Driver.graph;
+               ints o.Sched.Driver.assign;
+               ints [| o.Sched.Driver.ii; o.mii; o.n_comms |];
+               Metrics.Store.Run_json.increments o;
+               ints o.schedule.Sched.Schedule.cycles;
+               ints o.schedule.Sched.Schedule.buses;
+               Metrics.Store.Run_json.counts r.counts;
+               (match r.repl_stats with
+               | None -> Null
+               | Some st -> Metrics.Store.Run_json.stats st);
+             ]))
+
+(* A store reads every table file into one buffer it reuses.  A table
+   read after a longer one answers exactly as it does in a store that
+   read it alone.  A torn file read after a longer one is quarantined,
+   not parsed on into the longer file's bytes left in the buffer: here
+   the longer file is the torn file's own text, whole and then padded,
+   so a parse that ran past the torn file's end would read a whole,
+   current table and serve it. *)
+let test_read_buffer_reused () =
+  with_dir @@ fun dir ->
+  let loops = take 8 (Lazy.force small_loops) in
+  let fill = Metrics.Store.create ~dir () in
+  List.iteri
+    (fun i l ->
+      List.iter
+        (fun config ->
+          Metrics.Store.record fill ~mode:Metrics.Experiment.Baseline ~config
+            l
+            (Metrics.Experiment.run_loop Metrics.Experiment.Baseline config l))
+        (if i < 2 then [ config; config32 ] else [ config ]))
+    loops;
+  Metrics.Store.save fill;
+  let long = table_file dir config and short = table_file dir config32 in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let write path text =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+  in
+  let short_text = read short in
+  check bool "the first table's file is the longer" true
+    (String.length (read long) > String.length short_text);
+  let answers store =
+    List.map
+      (fun l ->
+        answer_content
+          (Metrics.Store.lookup store ~mode:Metrics.Experiment.Baseline
+             ~config:config32 l))
+      loops
+  in
+  let load_long store =
+    ignore
+      (Metrics.Store.lookup store ~mode:Metrics.Experiment.Baseline ~config
+         (List.hd loops))
+  in
+  let alone = answers (Metrics.Store.create ~dir ()) in
+  check bool "the short table serves its entries" true
+    (List.exists (fun a -> a <> "miss") alone);
+  let after = Metrics.Store.create ~dir () in
+  load_long after;
+  check
+    Alcotest.(list string)
+    "a table read after a longer one answers as alone" alone (answers after);
+  write long (short_text ^ String.make 64 ' ');
+  write short (String.sub short_text 0 (String.length short_text / 2));
+  let torn = Metrics.Store.create ~dir () in
+  load_long torn;
+  List.iteri
+    (fun i a ->
+      check Alcotest.string
+        (Printf.sprintf "torn table: loop %d answers cold" i)
+        "miss" a)
+    (answers torn);
+  check bool "torn file quarantined" true (Sys.file_exists (short ^ ".corrupt"))
 
 (* [save] renders a table one entry at a time; the bytes are still those
    of [Json.print] over the whole document. *)
@@ -731,6 +874,10 @@ let suite =
       test_shared_routes_exact;
     Alcotest.test_case "shape check stays per entry" `Quick
       test_shape_check_per_entry;
+    Alcotest.test_case "entry with an impossible II is dropped" `Quick
+      test_impossible_ii_dropped;
+    Alcotest.test_case "one read buffer per store" `Quick
+      test_read_buffer_reused;
     Alcotest.test_case "evict" `Quick test_evict;
     Alcotest.test_case "save skips clean tables" `Quick
       test_save_skips_clean_tables;

@@ -82,7 +82,7 @@ type model = {
       (* (mode tag, loop id) -> status signature *)
   sweeps : (int * int, string) Hashtbl.t;
       (* (loop index, register count) -> outcome signature, shared by
-         direct schedules and sweep replays *)
+         direct schedules and sweeps *)
   serve_replies : (int * int, string) Hashtbl.t;
       (* (mode, loop) -> the reply bytes a serve daemon owes this
          request: memoized from Serve.direct_reply on first use, pinned
@@ -324,17 +324,19 @@ let exec env m cmd =
       in
       observe_sweep m ~loop ~regs sg
   | Sweep { loop; regs } ->
-      let family =
-        List.map
-          (fun r -> Machine.Config.with_registers base_config ~registers:r)
-          regs
-      in
-      let results =
-        Sched.Driver.schedule_sweep family loops.(loop).Workload.Generator.graph
-      in
-      List.iter2
-        (fun r (_, res) -> observe_sweep m ~loop ~regs:r (sched_sig res))
-        regs results
+      (* The register file is the one field the partitioner never
+         reads, so one hierarchy view serves every member, as it does
+         for a suite's passes over a register family: each member's run
+         through it must match a direct schedule of the same (loop,
+         regs). *)
+      let g = loops.(loop).Workload.Generator.graph in
+      let hier = Sched.Driver.hierarchy base_config g in
+      List.iter
+        (fun r ->
+          let config = Machine.Config.with_registers base_config ~registers:r in
+          observe_sweep m ~loop ~regs:r
+            (sched_sig (Sched.Driver.schedule_loop ~hier config g)))
+        regs
   | Cache_probe { mode; loop } ->
       (* Round-trip coherence: a result recorded into the schedule
          store must come back as a hit with an identical signature —

@@ -7,12 +7,13 @@
     fake tracks what the system has {e promised}: the status signature
     every (mode, loop) pair has ever produced, the outcome signature of
     every (loop, register-count) pair whether it came from a direct
-    schedule or a trace replay, the rendered IPC table of a clean full
-    run, and how many healthy entries the last and the saved suite run
-    left in their stores.  After every command the real response is
-    checked against the fake (postconditions: determinism of
-    re-observations, hit counts on resume, byte-identical tables,
-    quarantine classes, timeout classification, disk round-trips).
+    schedule or a sweep through a shared hierarchy view, the rendered
+    IPC table of a clean full run, and how many healthy entries the
+    last and the saved suite run left in their stores.  After every
+    command the real response is checked against the fake
+    (postconditions: determinism of re-observations, hit counts on
+    resume, byte-identical tables, quarantine classes, timeout
+    classification, disk round-trips).
 
     A failing sequence is shrunk to a locally minimal one by greedy
     command removal, re-validating the sequence's preconditions on the
@@ -45,9 +46,11 @@ type cmd =
   | Schedule_direct of { loop : int; regs : int }
       (** bare [Driver.schedule_loop] at a register count *)
   | Sweep of { loop : int; regs : int list }
-      (** [Driver.schedule_sweep] over the register family: each
-          member's outcome must match whatever a direct schedule of the
-          same (loop, regs) observed, before or after *)
+      (** [Driver.schedule_loop] for each member of the register
+          family, all through one shared {!Sched.Driver.hierarchy}
+          view: each member's outcome must match whatever a direct
+          schedule of the same (loop, regs) observed, before or
+          after *)
   | Cache_probe of { mode : int; loop : int }
       (** run one loop, record it into the content-addressed schedule
           store ({!Metrics.Store}), and look it straight back up: the

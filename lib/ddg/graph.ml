@@ -17,8 +17,9 @@ type t = {
   pred : edge list array;
   (* register-only views, precomputed at build time: the replication
      subgraph BFS, communication counting and routing query these on
-     every node of every round.  A [succ]/[pred] list without memory
-     edges is shared here, not copied. *)
+     every node of every round.  A graph without memory edges shares
+     [succ] and [pred] themselves; otherwise each list without a memory
+     edge is shared, not copied. *)
   reg_succ : edge list array;
   reg_pred : edge list array;
 }
@@ -85,12 +86,20 @@ let structural_encoding t =
 let digest t = Digest.string (structural_encoding t)
 
 (* Excel-style base-26 label: 0 -> "A", 25 -> "Z", 26 -> "AA". *)
-let default_label i =
+let base26_label i =
   let rec go i acc =
     let acc = String.make 1 (Char.chr (Char.code 'A' + (i mod 26))) ^ acc in
     if i < 26 then acc else go ((i / 26) - 1) acc
   in
   go i ""
+
+(* Every graph labels its first nodes alike, so the labels of small ids
+   are built once and shared (strings are immutable). *)
+let small_labels = Array.init 256 base26_label
+
+let default_label i =
+  if i >= 0 && i < Array.length small_labels then small_labels.(i)
+  else base26_label i
 
 module Builder = struct
   (* Nodes live in a doubling array so [op_of] — consulted by every
@@ -220,20 +229,16 @@ module Builder = struct
     in
     if not (acyclic_same_iteration edges succ) then
       invalid_arg "Ddg.Builder.build: zero-distance dependence cycle";
-    let regs es =
-      if List.for_all (fun e -> e.kind = Reg) es then es
-      else List.filter (fun e -> e.kind = Reg) es
+    let reg_succ, reg_pred =
+      if Array.for_all (fun e -> e.kind = Reg) edges then (succ, pred)
+      else
+        let regs es =
+          if List.for_all (fun e -> e.kind = Reg) es then es
+          else List.filter (fun e -> e.kind = Reg) es
+        in
+        (Array.map regs succ, Array.map regs pred)
     in
-    {
-      graph_name = b.bname;
-      ops;
-      labels;
-      edges;
-      succ;
-      pred;
-      reg_succ = Array.map regs succ;
-      reg_pred = Array.map regs pred;
-    }
+    { graph_name = b.bname; ops; labels; edges; succ; pred; reg_succ; reg_pred }
 end
 
 let to_dot t =

@@ -103,11 +103,11 @@ let transform_of_mode = function
       let t, r = Replication.Macro.transform () in
       (Some t, r)
 
-let run_loop ?budget ?hier mode config loop =
+let run_loop ?spiller ?budget ?hier mode config loop =
   let transform, stats_ref = transform_of_mode mode in
   run_with ~mode ~latency0:(mode = Replication_latency0)
-    ~length_pass:(mode = Replication_length) ?budget ?hier ~transform
-    ~stats_ref config loop
+    ~length_pass:(mode = Replication_length) ?spiller ?budget ?hier
+    ~transform ~stats_ref config loop
 
 exception Illegal of string
 
@@ -234,66 +234,6 @@ let run_suite_isolated ?(jobs = 1) ?(retry = false) ?(retries = 1) ?backoff
     iso_skipped =
       List.filter_map (function `Skip s -> Some s | _ -> None) entries;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Register-family sweeps over an escalation trace                      *)
-(* ------------------------------------------------------------------ *)
-
-type traced = {
-  tr_loop : Workload.Generator.loop;
-  tr_mode : mode;
-  tr_trace : Sched.Driver.Trace.t;
-  tr_transform : Sched.Driver.transform option;
-  tr_stats0 : Replication.Replicate.stats option;
-      (* stats of the recording run's final attempt: also the stats of
-         any replay answered purely from the trace *)
-  tr_stats_ref : Replication.Replicate.stats option ref;
-}
-
-let traced_loop tr = tr.tr_loop
-
-let record_trace ?hier mode config loop =
-  (match mode with
-  | Baseline | Replication | Macro_replication -> ()
-  | Replication_latency0 | Replication_length ->
-      invalid_arg "Experiment.record_trace: mode is not register-sweepable");
-  let transform, stats_ref = transform_of_mode mode in
-  let trace =
-    Sched.Driver.Trace.record ?transform ?hier config
-      loop.Workload.Generator.graph
-  in
-  {
-    tr_loop = loop;
-    tr_mode = mode;
-    tr_trace = trace;
-    tr_transform = transform;
-    tr_stats0 = !stats_ref;
-    tr_stats_ref = stats_ref;
-  }
-
-let replay_traced ?spiller ?hier tr config =
-  let result, basis =
-    match tr.tr_transform with
-    | None -> Sched.Driver.Trace.replay ?spiller ?hier tr.tr_trace config
-    | Some t ->
-        Sched.Driver.Trace.replay ~transform:t ?spiller ?hier tr.tr_trace
-          config
-  in
-  (* A walk that finished on a rebuilt placement or live last invoked
-     the member's transform at its finishing attempt, so the hook's
-     last-run stats describe this member; one that finished on the
-     recorded success reuses the recording's final attempt, whose stats
-     were captured at record time (a failed rebuild may have run the
-     hook since). *)
-  let stats =
-    match basis with
-    | `Pure -> tr.tr_stats0
-    | `Hook | `Live -> !(tr.tr_stats_ref)
-  in
-  match result with
-  | Error e -> Error e
-  | Ok outcome ->
-      finish_run ~mode:tr.tr_mode ~latency0:false ~stats tr.tr_loop outcome
 
 (* [Replication_length] is [Replication] plus a post-hoc, II-preserving
    schedule-length pass on the successful outcome ({!run_with}'s

@@ -49,6 +49,7 @@ val unrouted : loop_run -> loop_run
     the other runners return their runs routed. *)
 
 val run_loop :
+  ?spiller:Sched.Driver.spiller ->
   ?budget:Sched.Budget.t ->
   ?hier:Sched.Partition.Hier.t ->
   mode ->
@@ -58,10 +59,11 @@ val run_loop :
 (** Schedule, verify with {!Sim.Checker}, execute with {!Sim.Lockstep}.
     A legality violation is [Error (Checker_violation _)], a simulator
     rejection [Error (Internal _)] — the harness treats both as bugs,
-    not data.  [budget] bounds the escalation and [hier] shares a
-    partition hierarchy, both as in {!Sched.Driver.schedule_loop};
-    [hier] must be a view for this very configuration over this loop's
-    graph. *)
+    not data.  [spiller] installs spill-and-retry on register overflow,
+    [budget] bounds the escalation and [hier] shares a partition
+    hierarchy, all as in {!Sched.Driver.schedule_loop}; [hier] must be
+    a view for this very configuration's register family over this
+    loop's graph. *)
 
 val run_with :
   ?mode:mode ->
@@ -83,7 +85,7 @@ exception Illegal of string
 
 val contains : string -> sub:string -> bool
 (** Plain substring search (the stdlib has none); shared by the
-    fault-injection assertions, the suite's sweep replays, and tooling. *)
+    fault-injection assertions and tooling. *)
 
 val error_is_bug : Sched.Sched_error.t -> bool
 (** Alias of {!Sched.Sched_error.is_bug}: true for classes that must
@@ -97,7 +99,7 @@ val keep_or_raise :
   id:string -> (loop_run, Sched.Sched_error.t) result -> loop_run option
 (** [Some run] on success, [None] on a give-up class, raises {!Illegal}
     on a bug class — the skip policy shared by {!run_suite} and the
-    sweep replays. *)
+    suite's passes ({!Suite}). *)
 
 val run_suite :
   ?jobs:int ->
@@ -162,54 +164,6 @@ val run_suite_isolated :
     {!Injected_fault} into the named loops.  [budget_s] bounds each
     loop's escalation wall-clock; expiry quarantines the loop as
     [Timeout]. *)
-
-(** {1 Register-family sweeps}
-
-    The Section-4 register-sensitivity experiment runs the same loops on
-    machines that differ only in register-file size.  Since only the
-    driver's terminal register check reads that size, one recorded
-    escalation trace ({!Sched.Driver.Trace}) answers the whole family:
-    record once (the suite records at the strictest member), replay per
-    member. *)
-
-type traced
-(** A loop's escalation trace plus the transform instance and replication
-    stats needed to replay it faithfully. *)
-
-val traced_loop : traced -> Workload.Generator.loop
-
-val record_trace :
-  ?hier:Sched.Partition.Hier.t ->
-  mode ->
-  Machine.Config.t ->
-  Workload.Generator.loop ->
-  traced
-(** Record the escalation trace of a loop at [config] (any member of
-    the register family).  Only [Baseline],
-    [Replication] and [Macro_replication] are register-sweepable.
-    [hier] as in {!run_loop}.
-    @raise Invalid_argument on the latency-0 and length-pass modes. *)
-
-val replay_traced :
-  ?spiller:Sched.Driver.spiller ->
-  ?hier:Sched.Partition.Hier.t ->
-  traced ->
-  Machine.Config.t ->
-  (loop_run, Sched.Sched_error.t) result
-(** Answer one family member from the trace — checker and simulator
-    included, exactly as {!run_loop} would have produced (the test suite
-    pins the equality).  The member may differ from the recording in its
-    register file only ({!Sched.Driver.Trace.replay}).  Replication
-    statistics follow the replay's {!Sched.Driver.Trace.basis}: the
-    recording's final statistics when the walk finished on the recorded
-    success, the hook's current ones when it finished on a rebuilt
-    placement (whose rebuild ran the member's transform) or live, so
-    they describe the member's own run either way.  With [spiller], a
-    recorded level whose placement overflows the member runs its spill
-    rounds in place.
-    [hier] — the member's hierarchy view — seeds live fallback.
-    @raise Invalid_argument if [config] is outside the trace's register
-    family. *)
 
 val lengthen_run : loop_run -> (loop_run, Sched.Sched_error.t) result
 (** Derive the [Replication_length] run of a loop from its

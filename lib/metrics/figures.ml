@@ -423,8 +423,8 @@ type sec4_regs_row = {
 }
 
 (* The machines of the register-sensitivity study: identical but for the
-   register-file size, so the suite can answer all three from one
-   escalation trace per loop (Suite.sweep_runs). *)
+   register-file size, so every pass over them shares each loop's
+   hierarchy view (Suite). *)
 let sec4_regs_family =
   List.map
     (fun regs ->
@@ -432,9 +432,6 @@ let sec4_regs_family =
     [ 32; 64; 128 ]
 
 let sec4_regs_data suite =
-  List.iter
-    (fun mode -> ignore (Suite.sweep_runs suite mode sec4_regs_family))
-    [ Experiment.Baseline; Experiment.Replication ];
   List.map
     (fun (config : Machine.Config.t) ->
       {
@@ -450,9 +447,6 @@ let sec4_regs_spill_row suite =
   let config =
     Machine.Config.make ~clusters:4 ~buses:1 ~bus_latency:2 ~registers:32
   in
-  (* Answered from the same traces as the 32-register rows above: a
-     replay only goes live (and pays for rescheduling) on loops where
-     the spiller actually has registers to spill. *)
   let run mode =
     Experiment.hmean
       (List.filter_map
@@ -469,8 +463,6 @@ let sec4_regs_spill_row suite =
   ]
 
 let sec4_regs suite =
-  (* data rows first: the family records its traces at its strictest
-     member, 32 registers, and the spill row then replays them there *)
   let data_rows =
     List.map
       (fun r ->

@@ -1,15 +1,6 @@
 type t = {
   loops_ : Workload.Generator.loop list;
   cache : (string, Experiment.loop_run list) Hashtbl.t;
-  family : (string, Machine.Config.t * Experiment.traced list) Hashtbl.t;
-      (* one trace set per (mode, register-blind machine family), filled
-         by register sweeps ({!sweep_runs}, {!spill_runs}) only; any
-         recording answers every register member — tighter files by
-         re-judging, roomier ones by promotion.  The set is re-recorded
-         when a member with a *stricter* register file arrives: its
-         escalations run deeper than the recording, so replaying them
-         live once and keeping the longer trace makes every later pass
-         over the family (notably the spill sweep) a dry replay. *)
   skels : (string, Sched.Partition.Hier.skel) Hashtbl.t;
       (* partition skeletons per (machine structure, canonical DDG
          digest) — mode-blind and config-blind, shared by every loop
@@ -28,8 +19,8 @@ type t = {
   digests : (string, string) Hashtbl.t;  (* loop id -> DDG digest *)
   store : Store.t option;
       (* content-addressed schedule store, consulted before any
-         scheduling (direct or traced) and fed by every pass; only
-         touched on the orchestrating domain *)
+         scheduling and fed by every pass; only touched on the
+         orchestrating domain *)
   share : Share.t;
       (* every run the suite computes is rebuilt around one value per
          distinct content (graph, partition, cycle and bus arrays,
@@ -53,7 +44,6 @@ let create ?loops ?(jobs = 1) ?store () =
   {
     loops_;
     cache = Hashtbl.create 32;
-    family = Hashtbl.create 8;
     skels = Hashtbl.create 64;
     views = Hashtbl.create 256;
     digests = Hashtbl.create 64;
@@ -76,14 +66,6 @@ let units_of (c : Machine.Config.t) =
   String.concat "+"
     (Array.to_list (Array.map cluster_units c.Machine.Config.fu_matrix))
   ^ if c.Machine.Config.copy_uses_int_slot then "+cp" else ""
-
-(* Register-blind identity of a configuration: everything the
-   escalation attempts depend on (clusters via the unit matrix, buses,
-   latency, copy slot), so machines differing only in register count
-   share one trace set. *)
-let family_key mode (c : Machine.Config.t) =
-  Printf.sprintf "%s/%db%dl[%s]" (mode_tag mode) c.Machine.Config.buses
-    c.Machine.Config.bus_latency (units_of c)
 
 (* ------------------------------------------------------------------ *)
 (* Shared partition skeletons                                          *)
@@ -171,70 +153,28 @@ let store_served t mode ?(variant = "") config =
       in
       go [] t.loops_
 
-(* A pass's pool items hand back their runs already shared
-   ({!Share.run}, which also unroutes them): a run that duplicates
-   values the table holds dies young with its item, instead of being
-   promoted with the whole pass's results before it is shared. *)
-let direct_runs t mode config =
+(* One pass over every loop at [config], on the pool: the scheduler's
+   own run of each loop, with [spiller] installed when given.  Its pool
+   items hand back their runs already shared ({!Share.run}, which also
+   unroutes them): a run that duplicates values the table holds dies
+   young with its item, instead of being promoted with the whole pass's
+   results before it is shared. *)
+let pass t ?variant ?spiller mode config =
   let items = List.map (fun l -> (l, view_for t config l)) t.loops_ in
   let pairs =
     Pool.map ~jobs:t.jobs_
       (fun ((l : Workload.Generator.loop), hier) ->
         ( l,
           Result.map (Share.run t.share)
-            (Experiment.run_loop ~hier mode config l) ))
+            (Experiment.run_loop ?spiller ~hier mode config l) ))
       items
   in
-  classify_record t mode config pairs
-
-(* Record one trace per loop at [config] for its register family,
-   replacing any earlier set of the family. *)
-let record_family t mode config =
-  let items = List.map (fun l -> (l, view_for t config l)) t.loops_ in
-  let trs =
-    Pool.map ~jobs:t.jobs_
-      (fun (l, hier) -> Experiment.record_trace ~hier mode config l)
-      items
-  in
-  Hashtbl.replace t.family (family_key mode config) (config, trs);
-  trs
-
-let replay_all t ?(variant = "") ?spiller mode trs config =
-  let items =
-    List.map
-      (fun tr -> (tr, view_for t config (Experiment.traced_loop tr)))
-      trs
-  in
-  let pairs =
-    Pool.map ~jobs:t.jobs_
-      (fun (tr, hier) ->
-        ( Experiment.traced_loop tr,
-          Result.map (Share.run t.share)
-            (Experiment.replay_traced ?spiller ~hier tr config) ))
-      items
-  in
-  classify_record t mode ~variant config pairs
-
-(* One trace per loop for [at]'s register family, get-or-record.  A
-   recording at [at]'s register count or below answers [at] dry (equal
-   count replays verbatim, a stricter recording promotes).  A recording
-   with *more* registers would leave [at] a live walk past the trace for
-   every register-bound loop — and later passes (the spill sweep) would
-   re-walk those same levels — so the family re-records at the stricter
-   member instead, replacing the set with the longer trace. *)
-let family_traces t mode ~at =
-  match Hashtbl.find_opt t.family (family_key mode at) with
-  | Some (rc, trs)
-    when rc.Machine.Config.total_registers <= at.Machine.Config.total_registers ->
-      trs
-  | Some _ | None -> record_family t mode at
+  classify_record t mode ?variant config pairs
 
 (* ------------------------------------------------------------------ *)
 (* The caching policy                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Traces pay only inside register sweeps (below): a plain sweep that
-   misses the run cache and the store schedules every loop directly. *)
 let rec runs t mode config =
   let key = runs_key mode config in
   match Hashtbl.find_opt t.cache key with
@@ -255,58 +195,15 @@ let rec runs t mode config =
                   (runs t Experiment.Replication config)
             | Experiment.Baseline | Experiment.Replication
             | Experiment.Replication_latency0 | Experiment.Macro_replication ->
-                direct_runs t mode config)
+                pass t mode config)
       in
       Hashtbl.replace t.cache key r;
       r
 
-(* Each register family records at its strictest missing member:
-   roomier members then replay by promotion, so no replay walks live
-   past its trace.  The store is asked first, so a warm sweep records
-   nothing.  The latency-0 ablation's routing flag is outside the trace
-   contract. *)
-let sweep_runs t mode configs =
-  (match mode with
-  | Experiment.Baseline | Experiment.Replication
-  | Experiment.Macro_replication ->
-      let cached c = Hashtbl.mem t.cache (runs_key mode c) in
-      let keep c r = Hashtbl.replace t.cache (runs_key mode c) r in
-      let served c =
-        match store_served t mode c with
-        | Some r ->
-            keep c r;
-            true
-        | None -> false
-      in
-      let missing = List.filter (fun c -> not (cached c || served c)) configs in
-      List.iter
-        (fun c ->
-          if not (cached c) then begin
-            let members =
-              List.filter (Sched.Driver.Trace.same_family c) missing
-            in
-            let strictest =
-              List.fold_left
-                (fun (a : Machine.Config.t) (m : Machine.Config.t) ->
-                  if m.total_registers < a.total_registers then m else a)
-                c members
-            in
-            let trs = family_traces t mode ~at:strictest in
-            List.iter
-              (fun m -> if not (cached m) then keep m (replay_all t mode trs m))
-              members
-          end)
-        missing
-  | Experiment.Replication_latency0 | Experiment.Replication_length -> ());
-  List.map (fun c -> (c, runs t mode c)) configs
-
 let spill_runs t mode config =
   match store_served t mode ~variant:"spill" config with
   | Some served -> served
-  | None ->
-      replay_all t ~variant:"spill" ~spiller:Sched.Spill.spiller mode
-        (family_traces t mode ~at:config)
-        config
+  | None -> pass t ~variant:"spill" ~spiller:Sched.Spill.spiller mode config
 
 let benchmark_runs t mode config =
   Experiment.group_by_benchmark (runs t mode config)

@@ -350,10 +350,10 @@ module Hier = struct
     s_trivial : bool;  (* unified machine or empty graph *)
     s_lock : Mutex.t;
     (* Analysis and base coarsening are computed on the first
-       from-scratch partition request: a trace replay's live
-       continuation often succeeds without ever needing one, and must
-       not pay for the whole hierarchy up front.  Options rather than
-       [Lazy.t]: forcing a lazy from two domains is a race. *)
+       from-scratch partition request, not at creation: a suite creates
+       a pass's views on its calling domain, and the work then falls to
+       the pool worker that first schedules the loop.  Options rather
+       than [Lazy.t]: forcing a lazy from two domains is a race. *)
     mutable s_analysis : Analysis.t option;  (* at [max base_ii rec_mii] *)
     mutable s_base : coarse option;  (* coarsest level at [base_ii] *)
     s_coarse : (int, coarse) Hashtbl.t;  (* continued coarsening per II *)
@@ -480,8 +480,8 @@ module Hier = struct
      stays legal and further pairs may fit).  Each continuation starts
      from the base level, never from a neighbouring II's continuation,
      so the result is a function of the II alone — independent of the
-     order the escalation queries it in (trace replays start mid-walk),
-     and of which view asked first. *)
+     order the escalation queries it in, and of which view asked
+     first. *)
   let coarsest_and_analysis s ~ii =
     Mutex.protect s.s_lock (fun () ->
         let analysis = analysis_unlocked s in

@@ -14,8 +14,9 @@ val per_cluster : Schedule.t -> int array
 
 val max_per_cluster : Schedule.t -> int array
 (** Alias of {!per_cluster}, named for its role in the driver's
-    escalation traces: the vector is recorded once per placed schedule
-    and re-judged against each register file of a sweep. *)
+    register check: the vector is computed once per placed schedule,
+    judged against the register file, and compared across levels by the
+    stationarity cut. *)
 
 val fits : limit:int -> int array -> bool
 (** [fits ~limit pressure]: every cluster within [limit] registers. *)

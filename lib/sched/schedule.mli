@@ -12,9 +12,9 @@
       routed graph.  Placement, the register check, spill rounds, the
       checker and the simulator read it on the hot path.
     - [Unrouted]: a schedule kept after its run finished (the suite's
-      run cache, the schedule store, escalation traces) holds the
-      transformed graph, its partition and the latency-0 flag instead,
-      and {!route} rebuilds the routed graph on each read.
+      run cache, the schedule store) holds the transformed graph, its
+      partition and the latency-0 flag instead, and {!route} rebuilds
+      the routed graph on each read.
     Read the routed graph through {!route} only. *)
 
 type routing =

@@ -30,7 +30,8 @@ let int_op rng =
   if Rng.chance rng 0.12 then Opclass.Int_mul else Opclass.Int_arith
 
 let generate_loop (p : Benchmark.t) rng index =
-  let b = Graph.Builder.create ~name:(Printf.sprintf "%s.%d" p.name index) () in
+  let id = Printf.sprintf "%s.%d" p.name index in
+  let b = Graph.Builder.create ~name:id () in
   let add op = Graph.Builder.add b op in
   let dep ?distance src dst = Graph.Builder.depend b ?distance ~src ~dst in
   let lo, hi = p.nodes in
@@ -187,7 +188,7 @@ let generate_loop (p : Benchmark.t) rng index =
   let trip = Rng.range rng (fst p.trip) (snd p.trip) in
   let visits = Rng.range rng (fst p.visits) (snd p.visits) in
   {
-    id = Printf.sprintf "%s.%d" p.name index;
+    id;
     benchmark = p.name;
     graph = Graph.Builder.build b;
     trip;

@@ -484,12 +484,11 @@ let prop_slots_overlap =
       Sched.Regalloc.slots_overlap ii a b = slots_overlap_scan ii a b)
 
 (* ------------------------------------------------------------------ *)
-(* Escalation-trace sweeps                                             *)
+(* Attempt budgets                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* schedule_sweep answers a register family from one recorded trace; it
-   must be observably identical to scheduling every member from scratch
-   — same II, same cause attribution, same placement, same error text. *)
+(* A schedule as every observer reads it: same II, same cause
+   attribution, same placement, same error text. *)
 let canon_result = function
   | Ok (o : Sched.Driver.outcome) ->
       Ok
@@ -502,69 +501,6 @@ let canon_result = function
           Array.to_list o.Sched.Driver.schedule.Sched.Schedule.buses,
           Machine.Config.name o.Sched.Driver.schedule.Sched.Schedule.config )
   | Error e -> Error e
-
-let reg_family ci =
-  let clusters, buses, bus_latency =
-    match ci mod 4 with
-    | 0 -> (2, 1, 1)
-    | 1 -> (4, 1, 2)
-    | 2 -> (4, 2, 2)
-    | _ -> (2, 1, 3)
-  in
-  List.map
-    (fun registers ->
-      Machine.Config.make ~clusters ~buses ~bus_latency ~registers)
-    [ 16; 32; 64; 128 ]
-
-let prop_sweep_matches_oracle =
-  QCheck.Test.make
-    ~name:"schedule_sweep equals independent schedule_loop calls" ~count:60
-    pair_arb (fun (seed, ci) ->
-      let g = graph_of_seed seed in
-      let configs = reg_family ci in
-      let swept = Sched.Driver.schedule_sweep configs g in
-      List.for_all2
-        (fun c (c', r) ->
-          c == c'
-          && canon_result r = canon_result (Sched.Driver.schedule_loop c g))
-        configs swept)
-
-let prop_sweep_replication_matches_oracle =
-  QCheck.Test.make
-    ~name:"replication sweeps equal independent replication runs" ~count:40
-    pair_arb (fun (seed, ci) ->
-      let g = graph_of_seed seed in
-      let configs = reg_family ci in
-      let tr, _ = Replication.Replicate.transform () in
-      let swept = Sched.Driver.schedule_sweep ~transform:tr configs g in
-      List.for_all2
-        (fun c (_, r) ->
-          let tr', _ = Replication.Replicate.transform () in
-          canon_result r
-          = canon_result (Sched.Driver.schedule_loop ~transform:tr' c g))
-        configs swept)
-
-let prop_sweep_spiller_matches_oracle =
-  QCheck.Test.make
-    ~name:"spiller sweeps equal independent spiller runs" ~count:40 pair_arb
-    (fun (seed, ci) ->
-      let g = graph_of_seed seed in
-      let configs = reg_family ci in
-      let swept =
-        Sched.Driver.schedule_sweep
-          ~spiller_for:(fun _ -> Some Sched.Spill.spiller)
-          configs g
-      in
-      List.for_all2
-        (fun c (_, r) ->
-          canon_result r
-          = canon_result
-              (Sched.Driver.schedule_loop ~spiller:Sched.Spill.spiller c g))
-        configs swept)
-
-(* ------------------------------------------------------------------ *)
-(* Attempt budgets                                                      *)
-(* ------------------------------------------------------------------ *)
 
 (* One attempt is one II level, spent before the level runs: a k-attempt
    budget leaves a walk that succeeds within its first k levels
@@ -709,9 +645,6 @@ let suite =
       prop_precomputed_adjacency;
       prop_generated_suite_schedulable;
       prop_slots_overlap;
-      prop_sweep_matches_oracle;
-      prop_sweep_replication_matches_oracle;
-      prop_sweep_spiller_matches_oracle;
       prop_attempt_cap;
       prop_shared_hierarchy_equals_fresh;
       prop_mrt_bitset_matches_scan;

@@ -445,3 +445,50 @@ let lockstep ?useful_per_iteration (sched : Sched.Schedule.t) ~iterations :
                 useful_ops = iterations * useful;
                 explicit_iterations = explicit_iters;
               })
+
+(* ---------------- SplitMix64 ---------------- *)
+
+(* The workload generator's random stream as first written: the state
+   in a mutable [int64] field, boxed afresh on every draw. *)
+module Rng = struct
+  type t = { mutable state : int64 }
+
+  let golden = 0x9E3779B97F4A7C15L
+  let create seed = { state = Int64.of_int seed }
+
+  let next t =
+    t.state <- Int64.add t.state golden;
+    let z = t.state in
+    let z =
+      Int64.mul
+        (Int64.logxor z (Int64.shift_right_logical z 30))
+        0xBF58476D1CE4E5B9L
+    in
+    let z =
+      Int64.mul
+        (Int64.logxor z (Int64.shift_right_logical z 27))
+        0x94D049BB133111EBL
+    in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let int t n =
+    if n <= 0 then invalid_arg "Rng.int: n <= 0";
+    let v = Int64.to_int (next t) land max_int in
+    v mod n
+
+  let range t lo hi =
+    if hi < lo then invalid_arg "Rng.range: hi < lo";
+    lo + int t (hi - lo + 1)
+
+  let float t =
+    let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
+    v /. 9007199254740992.0
+
+  let chance t p = float t < p
+
+  let pick t = function
+    | [] -> invalid_arg "Rng.pick: empty list"
+    | l -> List.nth l (int t (List.length l))
+
+  let split t = { state = next t }
+end

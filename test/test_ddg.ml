@@ -122,6 +122,53 @@ let test_one_copy_per_fact () =
         Alcotest.failf "%s: %d words, bound %d" l.id words bound)
     (Workload.Generator.suite ())
 
+(* A graph without memory edges keeps one adjacency: its register views
+   are its [succs]/[preds], node for node, and the graph holds nothing
+   beyond its record, name, op and label arrays, edge store, the two
+   adjacency arrays and their cons cells — no second pair of arrays.  A
+   graph with a memory edge still filters it out of its views. *)
+let test_register_views_share_adjacency () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  List.iter
+    (fun (l : Workload.Generator.loop) ->
+      let g = l.graph in
+      let n = Graph.n_nodes g and m = Array.length (Graph.edges g) in
+      for v = 0 to n - 1 do
+        check bool
+          (Printf.sprintf "%s node %d" l.id v)
+          true
+          (Graph.reg_succs g v == Graph.succs g v
+          && Graph.reg_preds g v == Graph.preds g v)
+      done;
+      let held =
+        words g
+        - words (Graph.name g)
+        - words (Array.init n (Graph.label g))
+        - words (Graph.edges g)
+      in
+      (* the record, the op array, [succ] and [pred], 2m cons cells *)
+      let adjacency = 9 + (3 * (n + 1)) + (6 * m) in
+      if held <> adjacency then
+        Alcotest.failf "%s: %d words beyond names and edges, want %d" l.id held
+          adjacency)
+    (Workload.Generator.generate (Workload.Benchmark.find "swim"));
+  let b = Graph.Builder.create () in
+  let ld = Graph.Builder.add b Machine.Opclass.Load in
+  let st = Graph.Builder.add b Machine.Opclass.Store in
+  let x = Graph.Builder.add b Machine.Opclass.Fp_arith in
+  Graph.Builder.depend b ~src:ld ~dst:x;
+  Graph.Builder.depend b ~src:x ~dst:st;
+  Graph.Builder.mem_depend b ~distance:1 ~src:st ~dst:ld;
+  let g = Graph.Builder.build b in
+  let kinds es = List.map (fun e -> e.Graph.kind) es in
+  check bool "the store's memory edge is filtered out" true
+    (Graph.reg_succs g st = [] && kinds (Graph.succs g st) = [ Graph.Mem ]);
+  check bool "the load's memory edge is filtered out" true
+    (kinds (Graph.reg_preds g ld) = []
+    && kinds (Graph.preds g ld) = [ Graph.Mem ]);
+  check bool "the load's register consumer is kept" true
+    (Graph.reg_succs g ld == Graph.succs g ld)
+
 let test_zero_distance_cycle_rejected () =
   let b = Graph.Builder.create () in
   let x = Graph.Builder.add b Machine.Opclass.Int_arith in
@@ -315,6 +362,8 @@ let suite =
     Alcotest.test_case "builder rejects" `Quick test_builder_rejects;
     Alcotest.test_case "builder edge checks" `Quick test_builder_edge_checks;
     Alcotest.test_case "one copy per fact" `Quick test_one_copy_per_fact;
+    Alcotest.test_case "register views share adjacency" `Quick
+      test_register_views_share_adjacency;
     Alcotest.test_case "zero-distance cycle rejected" `Quick
       test_zero_distance_cycle_rejected;
     Alcotest.test_case "loop-carried cycle allowed" `Quick

@@ -193,7 +193,7 @@ let sec4_family =
     [ 32; 64; 128 ]
 
 (* Everything a figure can observe about a run, and the replication
-   statistics a replayed member reports. *)
+   statistics it reports. *)
 let canon_run (r : Metrics.Experiment.loop_run) =
   ( r.loop.Workload.Generator.id,
     r.outcome.Sched.Driver.mii,
@@ -226,7 +226,7 @@ let with_store_dir f =
 
 (* Runs computed apart share their values by exact content: every run
    the suite keeps holds the one graph and the one partition of its
-   content, whichever mode, machine or register-family replay produced
+   content, whichever mode, machine or register-family member produced
    it, and no routed graph; runs with equal cycle arrays, bus arrays or
    increments hold one of each; and a run that kept its loop's graph
    untransformed holds the loop's own graph.  The key is the sharing
@@ -468,8 +468,13 @@ let test_kept_schedule_routes_as_scheduled () =
       same (f.loop.Workload.Generator.id ^ " spilled") f k)
     fresh kept
 
-(* Trace-replayed sweeps must be observably identical to running every
-   family member from scratch, at any pool size. *)
+(* Every member of a sweep through one suite, in input order. *)
+let sweep_runs suite mode configs =
+  List.map (fun c -> (c, Metrics.Suite.runs suite mode c)) configs
+
+(* A register family swept through one suite, whose passes share each
+   loop's hierarchy view across the members, must be observably
+   identical to running every member from scratch, at any pool size. *)
 let test_sweep_runs_match_direct () =
   let loops = take 10 (Lazy.force small_loops) in
   List.iter
@@ -492,7 +497,7 @@ let test_sweep_runs_match_direct () =
                     true
                     (canon_run a = canon_run b))
                 direct runs)
-            (Metrics.Suite.sweep_runs suite mode sec4_family))
+            (sweep_runs suite mode sec4_family))
         [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ])
     [ 1; 2 ]
 
@@ -538,11 +543,11 @@ let test_spill_runs_match_direct () =
     [ 1; 2 ]
 
 (* One sweep over three bus/latency families of one cluster/unit
-   structure: no trace answers a member of another bus/latency family
-   ({!Sched.Driver.Trace.replay} refuses one), so each member is
-   answered by its own family's recording.  Results must be observably
-   identical to direct sweeps, at any pool size — jobs=8 clamps to the
-   machine but must not change a byte either way. *)
+   structure: hierarchy views are keyed by buses and bus latency, so
+   each member partitions through its own family's views, over the
+   structure's one skeleton.  Results must be observably identical to
+   direct sweeps, at any pool size — jobs=8 clamps to the machine but
+   must not change a byte either way. *)
 let bus_latency_families =
   List.map
     (fun (buses, bus_latency) ->
@@ -571,56 +576,9 @@ let test_bus_latency_sweeps_match_direct () =
                     true
                     (canon_run a = canon_run b))
                 direct runs)
-            (Metrics.Suite.sweep_runs suite mode bus_latency_families))
+            (sweep_runs suite mode bus_latency_families))
         [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ])
     [ 1; 8 ]
-
-(* The stricter-member re-record: sweeping one member at a time, a roomy
-   member records first, then a tighter register file arrives — the
-   family re-records there.  One sweep over the whole family, in the
-   same order, records at its strictest member at once.  Either way
-   every member (including one answered before a re-record) must equal
-   its direct run. *)
-let test_rerecord_at_stricter_member () =
-  let loops = take 10 (Lazy.force small_loops) in
-  let family order =
-    List.map
-      (fun registers ->
-        Machine.Config.make ~clusters:4 ~buses:1 ~bus_latency:2 ~registers)
-      order
-  in
-  let sweep suite mode configs ~per_member =
-    if per_member then
-      List.concat_map
-        (fun c -> Metrics.Suite.sweep_runs suite mode [ c ])
-        configs
-    else Metrics.Suite.sweep_runs suite mode configs
-  in
-  List.iter
-    (fun (order, per_member) ->
-      let suite = Metrics.Suite.create ~loops () in
-      List.iter
-        (fun mode ->
-          List.iter
-            (fun (config, runs) ->
-              let direct = Metrics.Experiment.run_suite mode config loops in
-              List.iter2
-                (fun a b ->
-                  check bool
-                    (Printf.sprintf "%s after re-record equal"
-                       (Machine.Config.name config))
-                    true
-                    (canon_run a = canon_run b))
-                direct runs)
-            (sweep suite mode (family order) ~per_member);
-          (* the spill sweep replays whatever trace the re-record left *)
-          ignore
-            (Metrics.Suite.spill_runs suite mode
-               (List.hd (family [ 32 ]))))
-        [ Metrics.Experiment.Baseline; Metrics.Experiment.Replication ])
-    (List.concat_map
-       (fun order -> [ (order, true); (order, false) ])
-       [ [ 64; 32; 128 ]; [ 128; 64; 32 ] ])
 
 (* Display names are not injective: a custom homogeneous machine with
    other unit counts prints the default machine's name.  One suite asked
@@ -905,8 +863,6 @@ let suite =
       test_spill_runs_match_direct;
     Alcotest.test_case "bus and latency sweeps match direct" `Slow
       test_bus_latency_sweeps_match_direct;
-    Alcotest.test_case "re-record at stricter member" `Slow
-      test_rerecord_at_stricter_member;
     Alcotest.test_case "runs keyed by the full config" `Slow
       test_runs_keyed_by_full_config;
     Alcotest.test_case "cached runs are shared" `Slow test_cached_runs_shared;

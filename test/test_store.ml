@@ -88,11 +88,11 @@ let test_disk_tier_byte_equal () =
   check int "jobs=8 warm run has zero misses" 0
     (Metrics.Store.stats s3).misses
 
-(* A register sweep over a warm store must not schedule: the sweep asks
-   the store for every member (and the spilled row) before it records a
-   trace, so the warm Section-4 table charges no word to partitioning or
-   ordering.  Placement is not checked: the disk tier's decode rebuilds
-   routes with [Route.build], which is profiled there. *)
+(* A register sweep over a warm store must not schedule: every member
+   (and the spilled row) asks the store before it runs a pass, so the
+   warm Section-4 table charges no word to partitioning or ordering.
+   Placement is not checked: the disk tier's decode rebuilds routes
+   with [Route.build], which is profiled there. *)
 let test_warm_register_sweep_schedules_nothing () =
   with_dir @@ fun dir ->
   let loops = Lazy.force small_loops in

@@ -80,6 +80,103 @@ let test_generation_deterministic () =
       check int "same trip" x.trip y.trip)
     a b
 
+(* A digest of everything a generated loop carries: id, benchmark, trip,
+   visits, graph name, labels and structure. *)
+let suite_digest loops =
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (l : Workload.Generator.loop) ->
+      let g = l.graph in
+      Printf.bprintf b "%s|%s|%d|%d|%s|%s|%s\n" l.id l.benchmark l.trip
+        l.visits (Ddg.Graph.name g)
+        (String.concat "," (List.map (Ddg.Graph.label g) (Ddg.Graph.nodes g)))
+        (Ddg.Graph.structural_encoding g))
+    loops;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The suite with every benchmark profile's seed offset by [k], as the
+   benchmark's seeded inputs draw it. *)
+let offset_suite k =
+  List.concat_map
+    (fun (b : Workload.Benchmark.t) ->
+      Workload.Generator.generate
+        { b with Workload.Benchmark.seed = b.Workload.Benchmark.seed + k })
+    Workload.Benchmark.all
+
+(* Generation is pinned to the loops it has always produced: a change
+   to the random stream, the labels or the loop ids that moves one
+   byte of one loop changes these digests, and with them every figure. *)
+let test_suite_digest_pinned () =
+  check Alcotest.string "committed suite" "9cb06d46367472dde65d8aeb10fdcbfc"
+    (suite_digest (Workload.Generator.suite ()));
+  check Alcotest.string "seed-1 suite" "29138766936d2905833ae05e6fbbdae6"
+    (suite_digest (offset_suite 1))
+
+type draw =
+  | Int of int
+  | Range of int * int
+  | Float
+  | Chance of float
+  | Pick of int
+  | Split of bool  (* continue on the child, or draw once from it *)
+
+let print_draw = function
+  | Int n -> Printf.sprintf "int %d" n
+  | Range (lo, hi) -> Printf.sprintf "range %d %d" lo hi
+  | Float -> "float"
+  | Chance p -> Printf.sprintf "chance %h" p
+  | Pick k -> Printf.sprintf "pick of %d" k
+  | Split child ->
+      Printf.sprintf "split (%s)" (if child then "child" else "draw")
+
+let draws_arb =
+  let open QCheck.Gen in
+  let draw =
+    frequency
+      [
+        ( 3,
+          map
+            (fun n -> Int (1 + (n land (max_int lsr 1))))
+            (oneof [ small_nat; int ]) );
+        ( 2,
+          map2
+            (fun lo w -> Range (lo, lo + w))
+            (int_range (-1000) 1000) small_nat );
+        (2, return Float);
+        (2, map (fun p -> Chance p) (float_bound_inclusive 1.));
+        (2, map (fun k -> Pick k) (int_range 1 8));
+        (1, map (fun child -> Split child) bool);
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list print_draw))
+    (pair int (list_size (int_range 0 80) draw))
+
+(* The unboxed generator draws the very stream of the boxed one it
+   replaced, for any seed and any sequence of draws. *)
+let prop_rng_matches_reference =
+  QCheck.Test.make ~name:"Rng stream equals SplitMix64" ~count:300 draws_arb
+    (fun (seed, draws) ->
+      let module R = Workload.Rng in
+      let module S = Reference.Rng in
+      let rec go a b = function
+        | [] -> true
+        | d :: rest -> (
+            match d with
+            | Int n -> R.int a n = S.int b n && go a b rest
+            | Range (lo, hi) ->
+                R.range a lo hi = S.range b lo hi && go a b rest
+            | Float -> R.float a = S.float b && go a b rest
+            | Chance p -> R.chance a p = S.chance b p && go a b rest
+            | Pick k ->
+                let l = List.init k Fun.id in
+                R.pick a l = S.pick b l && go a b rest
+            | Split true -> go (R.split a) (S.split b) rest
+            | Split false ->
+                R.int (R.split a) 1000 = S.int (S.split b) 1000 && go a b rest)
+      in
+      go (R.create seed) (S.create seed) draws)
+
 let test_loops_have_memory_and_fp () =
   List.iter
     (fun (l : Workload.Generator.loop) ->
@@ -118,6 +215,8 @@ let suite =
     Alcotest.test_case "suite shape" `Quick test_suite_shape;
     Alcotest.test_case "generation deterministic" `Quick
       test_generation_deterministic;
+    Alcotest.test_case "suite digest pinned" `Quick test_suite_digest_pinned;
+    QCheck_alcotest.to_alcotest prop_rng_matches_reference;
     Alcotest.test_case "loops have all op kinds" `Quick
       test_loops_have_memory_and_fp;
     Alcotest.test_case "applu low trip" `Quick test_applu_low_trip;
